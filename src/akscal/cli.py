@@ -157,6 +157,9 @@ def cmd_operator(args) -> int:
     if args.d <= 0:
         raise ValueError("d must be positive")
     system = operator_lab.build_system(args.N, args.Nt, args.d, args.variant)
+    # solve first, so a rejected --kernel-gap K leaves no partial artifacts
+    rep = (operator_lab.spectral_floor(system, k=args.kernel_gap)
+           if args.kernel_gap else None)
     out = _out_dir(args)
     tag = f"{args.variant}_N{args.N}"
     g = system.grid
@@ -179,13 +182,12 @@ def cmd_operator(args) -> int:
             print(f"symbol sweep slope {slope:.4f} over {len(xi)} modes")
         else:
             print("symbol sweep: too few t-modes for a slope (raise --Nt)")
-    if args.kernel_gap:
-        rep = operator_lab.spectral_floor(system.normal_matrix,
-                                          k=args.kernel_gap)
+    if rep is not None:
         _write_csv(out / f"operator_spectrum_{tag}.csv",
-                   ("index", "eigenvalue", "residual", "method", "size"),
-                   [(i, rep.values[i], rep.residuals[i], rep.method, rep.size)
-                    for i in range(len(rep.values))])
+                   ("index", "eigenvalue", "residual", "method", "size",
+                    "kz", "kt"),
+                   [(i, rep.values[i], rep.residuals[i], rep.method, rep.size,
+                     *rep.sectors[i]) for i in range(len(rep.values))])
         print(f"spectral floor {_fmt(rep.floor)} ({rep.method}, "
               f"{rep.size} nodes)")
     return 0

@@ -103,13 +103,6 @@ class QuotientGrid:
 
     # -- quotient symmetries -------------------------------------------------
 
-    def deck_z_shift(self) -> sp.csr_matrix:
-        """One-step z translation: a symmetry of the quotient (z is central)."""
-        return self.shift("z", 1)
-
-    def deck_t_shift(self) -> sp.csr_matrix:
-        return self.shift("t", 1)
-
     def x_holonomy_shear(self) -> sp.csr_matrix:
         """psi -> psi(x+1, ., .): the pure index shear k -> k - j."""
         i, j, k, l = np.meshgrid(*(np.arange(s) for s in self.shape), indexing="ij")

@@ -31,7 +31,6 @@ from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import exact, lie
 from .grid import AXES, QuotientGrid, d1_periodic, d1_sided, d2_periodic, \
@@ -408,75 +407,76 @@ def symbol_sweep(system: AdjointSystem, modes=None):
 @dataclass(frozen=True)
 class SpectralReport:
     values: np.ndarray
-    vectors: np.ndarray      # columns match values
-    residuals: np.ndarray    # ||M v - lambda v|| / ||v||
+    vectors: np.ndarray      # complex grid-space columns, unit norm
+    residuals: np.ndarray    # ||M v - lambda v|| against the sparse M
     method: str
     size: int
+    sectors: tuple           # (kz, kt) DFT index of each value
 
     @property
     def floor(self) -> float:
         return float(self.values[0])
 
 
-def spectral_floor(m: sp.spmatrix, k: int = 2, dense_limit: int = 4096,
-                   tol: float = 1e-8, max_iter: int = 500,
-                   seed: int = 0) -> SpectralReport:
-    """Smallest k eigenpairs of a symmetric PSD sparse matrix.
+def spectral_floor(system: AdjointSystem, k: int = 2) -> SpectralReport:
+    """Smallest k eigenpairs of the normal operator, one (z, t) sector at a time.
 
-    Dense eigendecomposition up to dense_limit nodes; beyond that, shifted
-    inverse power iteration with conjugate-gradient solves and deflation.
-    Residuals are reported so callers can reject unconverged output.
+    M commutes with the z and t translations (the central-character splitting
+    of the Heisenberg quotient), so it is block diagonal on the plane waves
+    phi(i, j) exp(2 pi i (kz k / n + kt l / nt)).  Each n^2 x n^2 Hermitian
+    block is folded from the n^2 rows of M at (z, t) = (0, 0):
+    B[(i,j),(i',j')] = sum M[(i,j,0,0),(i',j',k',l')] e^{2 pi i (kz k'/n + kt l'/nt)}.
+    The sheared x-wrap needs no extra phase: the column indices k' are
+    canonical, so the shear is already in them.  The k smallest values over
+    all sectors are kept (stable sort, so ties are deterministic) and their
+    residuals recomputed against M in grid space.
     """
-    size = m.shape[0]
-    if size <= dense_limit:
-        w, v = np.linalg.eigh(m.toarray())
-        vals, vecs = w[:k], v[:, :k]
-        method = "dense"
-    else:
-        shift = 1e-3 * float(m.diagonal().mean())
-        solver = spla.factorized((m + shift * sp.identity(size)).tocsc()) \
-            if size <= 200000 else None
-        rng = np.random.default_rng(seed)
-        vecs_list = []
-        vals_list = []
-        for _ in range(k):
-            v = rng.standard_normal(size)
-            for u in vecs_list:
-                v -= (u @ v) * u
-            v /= np.linalg.norm(v)
-            lam = float(v @ (m @ v))
-            for _ in range(max_iter):
-                if solver is not None:
-                    w = solver(v)
-                else:
-                    w, info = spla.cg(m + shift * sp.identity(size), v,
-                                      rtol=1e-10, atol=0.0)
-                    if info != 0:
-                        raise RuntimeError("conjugate gradient failed to converge")
-                for u in vecs_list:
-                    w -= (u @ w) * u
-                w /= np.linalg.norm(w)
-                lam = float(w @ (m @ w))
-                res = float(np.linalg.norm(m @ w - lam * w))
-                v = w
-                if res <= tol:
-                    break
-            vecs_list.append(v)
-            vals_list.append(lam)
-        idx = np.argsort(vals_list)
-        vals = np.array(vals_list)[idx]
-        vecs = np.stack([vecs_list[i] for i in idx], axis=1)
-        method = "inverse-power"
-    res = np.array([float(np.linalg.norm(m @ vecs[:, i] - vals[i] * vecs[:, i]))
-                    for i in range(len(vals))])
-    return SpectralReport(vals, vecs, res, method, size)
+    g = system.grid
+    n, nt, nxy = g.n, g.nt, g.n * g.n
+    if not 1 <= k <= g.size:
+        raise ValueError(f"need 1 <= k <= {g.size} eigenpairs, got {k}")
+    m = system.normal_matrix
+    rows = m[np.arange(nxy) * (n * nt)].tocoo()
+    xy, rest = np.divmod(rows.col, n * nt)
+    kc, lc = np.divmod(rest, nt)
+    flat = rows.row * nxy + xy
+    ez = np.exp(2j * math.pi * np.arange(n) / n)
+    et = np.exp(2j * math.pi * np.arange(nt) / nt)
+
+    def block(kz: int, kt: int) -> np.ndarray:
+        w = rows.data * ez[kz * kc % n] * et[kt * lc % nt]
+        b = (np.bincount(flat, w.real, nxy * nxy)
+             + 1j * np.bincount(flat, w.imag, nxy * nxy))
+        return b.reshape(nxy, nxy)
+
+    sectors = [(kz, kt) for kz in range(n) for kt in range(nt)]
+    per = min(k, nxy)
+    vals = np.concatenate([np.linalg.eigvalsh(block(*s))[:per]
+                           for s in sectors])
+    order = np.argsort(vals, kind="stable")[:k]
+    picked = tuple(sectors[i // per] for i in order)
+    vecs = np.empty((g.size, k), dtype=complex)
+    solved: dict = {}
+    for col, (i, (kz, kt)) in enumerate(zip(order, picked)):
+        if (kz, kt) not in solved:
+            solved[(kz, kt)] = np.linalg.eigh(block(kz, kt))[1]
+        wave = np.multiply.outer(ez[kz * np.arange(n) % n],
+                                 et[kt * np.arange(nt) % nt])
+        phi = solved[(kz, kt)][:, i % per]
+        vecs[:, col] = np.multiply.outer(phi, wave).ravel() / math.sqrt(n * nt)
+    values = vals[order]
+    res = np.linalg.norm(m @ vecs - vecs * values, axis=0)
+    return SpectralReport(values, vecs, res, "fourier-sector", g.size, picked)
 
 
 def kernel_gap(n: int, nt: Optional[int] = None, d: float = 1.0,
-               variant: str = "kt", k: int = 2, **kw) -> SpectralReport:
-    """Spectral floor of the normal operator on an n (x nt) grid."""
-    system = build_system(n, nt, d, variant)
-    return spectral_floor(system.normal_matrix, k=k, **kw)
+               variant: str = "kt", k: int = 2,
+               seed: Optional[int] = None) -> SpectralReport:
+    """Spectral floor of the normal operator on an n (x nt) grid.
+
+    seed is accepted and ignored: the sector solve is deterministic.
+    """
+    return spectral_floor(build_system(n, nt, d, variant), k=k)
 
 
 # ---------------------------------------------------------------------------

@@ -32,12 +32,12 @@ class CheckResult:
 
 
 def _result(name, cap, t0, passed, detail) -> CheckResult:
-    return CheckResult(name, bool(passed), detail, time.time() - t0, cap)
+    return CheckResult(name, bool(passed), detail, time.perf_counter() - t0, cap)
 
 
 def check_curvature_tables(seed: int = 0) -> CheckResult:
     """Exact rational frame tables of the sheared quotient."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     tab = lie.curvature_tables(lie.kt_spec(1))
     half, quarter = Fraction(1, 2), Fraction(1, 4)
     checks = {
@@ -63,7 +63,7 @@ def check_curvature_tables(seed: int = 0) -> CheckResult:
 
 def check_star_scalar(seed: int = 0) -> CheckResult:
     """s* - s = half the squared frame derivative of J, two routes, exact."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rows = []
     ok = True
     for spec, want in ((lie.kt_spec(1), Fraction(2)),
@@ -81,7 +81,7 @@ def check_star_scalar(seed: int = 0) -> CheckResult:
 
 def check_bound_values(seed: int = 0) -> CheckResult:
     """Headline bound evaluations, optimum, and unboundedness flag."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     cp2 = zbound.eval_z_bound(zbound.cp2_model(), [1.0])
     cp2_err = abs(cp2 - 12.0 * math.sqrt(2.0) * math.pi)
 
@@ -104,7 +104,7 @@ def check_bound_values(seed: int = 0) -> CheckResult:
 
 def check_certificates(seed: int = 0) -> CheckResult:
     """Closed-form maximum of the substitution function and the y-ratio."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(100):
@@ -130,7 +130,7 @@ def check_certificates(seed: int = 0) -> CheckResult:
 
 def check_collapsing(seed: int = 0) -> CheckResult:
     """Scalar-times-volume^(1/n) along the shrinking-fiber family."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     vals = []
     ok = True
     for d in (1.0, 0.1, 0.01):
@@ -145,7 +145,7 @@ def check_collapsing(seed: int = 0) -> CheckResult:
 
 def check_symbol(seed: int = 0, n: int = 8) -> CheckResult:
     """Flat symbol identity to rounding; sheared correction decay."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     flat = operator_lab.build_system(n, 2 * n, 1.0, "flat")
     worst = 0.0
     for kx in range(n // 4 + 1):
@@ -169,16 +169,17 @@ def check_symbol(seed: int = 0, n: int = 8) -> CheckResult:
 
 def check_kernel_gap(seed: int = 0) -> CheckResult:
     """Spectral floor: flat kernel present, sheared gap stable at N=6,8."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     floors = {}
     lines = []
     ok = True
     for n in (6, 8):
-        flat = operator_lab.kernel_gap(n, variant="flat", k=2)
+        flat_system = operator_lab.build_system(n, n, 1.0, "flat")
+        flat = operator_lab.spectral_floor(flat_system, k=2)
         kt = operator_lab.kernel_gap(n, variant="kt", k=2)
         c = np.full(flat.size, 1.0 / math.sqrt(flat.size))
-        m = operator_lab.build_system(n, n, 1.0, "flat").normal_matrix
-        const_resid = float(np.linalg.norm(m @ c - flat.floor * c))
+        const_resid = float(np.linalg.norm(flat_system.normal_matrix @ c
+                                           - flat.floor * c))
         ok &= flat.floor <= 1e-8 and const_resid <= 1e-8
         ok &= kt.floor >= 1e3 * (flat.floor + 1e-8)
         ok &= max(np.abs(flat.residuals).max(), np.abs(kt.residuals).max()) < 1e-8
@@ -187,13 +188,13 @@ def check_kernel_gap(seed: int = 0) -> CheckResult:
                      f"{const_resid:.1e}), sheared {kt.floor:.6f}")
     drift = abs(floors[6] - floors[8]) / min(floors.values())
     ok &= drift < 0.5
-    return _result("kernel-gap", 300.0, t0, ok,
+    return _result("kernel-gap", 10.0, t0, ok,
                    "; ".join(lines) + f"; drift {drift:.2%}")
 
 
 def check_hessian_routes(seed: int = 0) -> CheckResult:
     """Two independent Hessian discretizations contract at 2nd order."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     orders = []
     for k in range(3):
         f = operator_lab.random_invariant_field(1.0, seed + k)
@@ -207,7 +208,7 @@ def check_hessian_routes(seed: int = 0) -> CheckResult:
 
 def check_rearrangement(seed: int = 0) -> CheckResult:
     """Target battery, positivity along the isotopy, infeasible rejection."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     zero = lambda x: 0.0 * np.asarray(x, float)
     parts = []
     ok = True
@@ -230,7 +231,7 @@ def check_rearrangement(seed: int = 0) -> CheckResult:
 
 def check_property_suites(seed: int = 0) -> CheckResult:
     """Randomized invariants: projections, pairing, bound symmetries."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     j0 = np.kron(np.eye(2), np.array([[0.0, -1.0], [1.0, 0.0]]))
 

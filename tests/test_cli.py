@@ -60,6 +60,12 @@ def test_operator_validation(tmp_path, capsys):
     assert run(tmp_path, "operator", "--N", "40") == 2
     assert "N must lie in [4, 32]" in capsys.readouterr().err
     assert run(tmp_path, "operator", "--N", "8", "--d", "-1") == 2
+    # the eigenpair count must lie in [1, grid size]; 0 leaves it off
+    for k in ("-1", str(4 ** 4 + 1)):
+        assert run(tmp_path, "operator", "--variant", "flat", "--N", "4",
+                   "--kernel-gap", k) == 2
+        assert "eigenpairs" in capsys.readouterr().err
+    assert not list(tmp_path.glob("operator_*.csv"))
 
 
 def test_operator_artifacts(tmp_path, capsys):

@@ -106,8 +106,9 @@ def test_normal_matrix_commutes_with_deck_maps():
     system = ol.build_system(4, 4, 1.0, "kt")
     m = system.normal_matrix
     g = system.grid
-    # z and t translations survive the shear; x and y do not (x-dependent frame)
-    for s in (g.deck_z_shift(), g.deck_t_shift()):
+    # z and t translations survive the shear; x and y do not (x-dependent
+    # frame).  This is the symmetry the Fourier-sector spectral floor uses.
+    for s in (g.shift("z", 1), g.shift("t", 1)):
         assert nnz_diff(m @ s, s @ m) == 0
     flat = ol.build_system(4, 4, 1.0, "flat")
     for axis in "xyzt":
@@ -158,20 +159,39 @@ def test_symbol_sweep_override():
 # -- spectra ---------------------------------------------------------------------
 
 
-def test_spectral_floor_dense_vs_iterative():
-    system = ol.build_system(4, 4, 1.0, "kt")
-    m = system.normal_matrix
-    dense = ol.spectral_floor(m, k=2)
-    assert dense.method == "dense" and dense.size == m.shape[0]
-    iterative = ol.spectral_floor(m, k=2, dense_limit=10)
-    assert iterative.method != "dense"
-    assert abs(dense.floor - iterative.floor) < 1e-8
-    assert (dense.residuals < 1e-8).all() and (iterative.residuals < 1e-8).all()
-    assert dense.floor == dense.values[0]
-    # eigen-residuals are honest: ||M v - lambda v|| recomputed directly
-    v = iterative.vectors[:, 0]
-    direct = np.linalg.norm(m @ v - iterative.values[0] * v)
-    assert direct < 1e-8
+def test_spectral_floor_matches_dense_reference():
+    for n, nt, d, variant in ((4, 4, 1.0, "kt"), (4, 6, 0.5, "kt"),
+                              (4, 4, 1.0, "flat")):
+        system = ol.build_system(n, nt, d, variant)
+        m = system.normal_matrix
+        rep = ol.spectral_floor(system, k=6)
+        assert rep.method == "fourier-sector" and rep.size == m.shape[0]
+        assert len(rep.sectors) == 6 and rep.floor == rep.values[0]
+        # test-only dense reference: the sector values are the bottom of the
+        # whole spectrum, multiplicities included
+        ref = np.linalg.eigvalsh(m.toarray())[:6]
+        assert np.max(np.abs(rep.values - ref)) < 1e-9
+        # eigen-residuals are honest: ||M v - lambda v|| recomputed directly
+        # on the complex grid-space vectors
+        for i, (kz, kt) in enumerate(rep.sectors):
+            v = rep.vectors[:, i]
+            assert abs(np.linalg.norm(v) - 1.0) < 1e-12
+            assert np.linalg.norm(m @ v - rep.values[i] * v) < 1e-8
+            # each vector lives in its sector: z and t steps act by phases
+            for axis, kk, period in (("z", kz, n), ("t", kt, nt)):
+                phase = np.exp(2j * np.pi * kk / period)
+                assert np.allclose(system.grid.shift(axis, 1) @ v, phase * v,
+                                   atol=1e-12)
+        assert np.max(rep.residuals) < 1e-8
+
+
+def test_spectral_floor_rejects_bad_k():
+    system = ol.build_system(4, 4, 1.0, "flat")
+    for k in (-1, 0, system.grid.size + 1):
+        with pytest.raises(ValueError):
+            ol.spectral_floor(system, k=k)
+    assert len(ol.spectral_floor(system, k=system.grid.size).values) \
+        == system.grid.size
 
 
 def test_kernel_gap_frozen_values():
@@ -179,6 +199,18 @@ def test_kernel_gap_frozen_values():
     assert kt.floor == pytest.approx(0.625, abs=1e-9)
     flat = ol.kernel_gap(6, 6, 1.0, "flat", k=2)
     assert flat.floor <= 1e-8
+    # seed is accepted and ignored: the sector solve is deterministic
+    again = ol.kernel_gap(6, 6, 1.0, "kt", k=2, seed=7)
+    assert np.array_equal(again.values, kt.values)
+    assert again.sectors == kt.sectors
+
+
+def test_kernel_gap_n12():
+    # 20736 nodes: a size the dense solve could not reach
+    kt = ol.kernel_gap(12, variant="kt", k=2)
+    assert kt.size == 12 ** 4
+    assert kt.floor == pytest.approx(0.625, abs=1e-9)
+    assert np.max(kt.residuals) < 1e-8
 
 
 # -- two-route Hessian consistency ------------------------------------------------
