@@ -231,6 +231,7 @@ def cmd_rearrange(args) -> int:
                                 max_arcs=args.max_arcs)
     phi = rearrange.realize_diffeo(plan)
     err = rearrange.rearrange_error(f, f1, phi, args.p)
+    dmin = phi.min_derivative()
     rows = [("arc", _fmt(a.lo), _fmt(a.hi), _fmt(a.level))
             for a in plan.arcs]
     rows += [("source", _fmt(u), _fmt(v), "")
@@ -238,7 +239,7 @@ def cmd_rearrange(args) -> int:
     rows += [("node", _fmt(xf), _fmt(yt), "")
              for xf, yt in zip(phi.nodes_from, phi.nodes_to)]
     rows.append(("error", _fmt(err), f"target {_fmt(args.eps)}", ""))
-    rows.append(("min_derivative", _fmt(phi.min_derivative()), "", ""))
+    rows.append(("min_derivative", _fmt(dmin), "", ""))
     _write_csv(out / "rearrange_plan.csv", ("item", "a", "b", "value"), rows)
     if args.emit_phi:
         xs = np.linspace(0.0, rearrange.CIRCLE, 2049)
@@ -250,7 +251,7 @@ def cmd_rearrange(args) -> int:
                    list(zip(*cols)))
     print(f"achieved L^{_fmt(args.p)} error {_fmt(err)} < {_fmt(args.eps)}: "
           f"{err < args.eps} ({len(plan.arcs)} arcs, min derivative "
-          f"{_fmt(phi.min_derivative())})")
+          f"{_fmt(dmin)})")
     return 0 if err < args.eps else 1
 
 

@@ -81,19 +81,3 @@ def mat_inv(a: np.ndarray) -> np.ndarray:
                 m[r] = m[r] - f * m[col]
                 inv[r] = inv[r] - f * inv[col]
     return inv
-
-
-def maybe_exact(a, prefer_exact: bool | None = None):
-    """Return (array, exact_flag): Fractions when the data allows it.
-
-    ``prefer_exact=False`` forces floats, ``True`` demands exactness (raising
-    if the data is not rational), ``None`` auto-detects.
-    """
-    if prefer_exact is False:
-        return to_float(a), False
-    try:
-        return as_exact(a), True
-    except (TypeError, ValueError):
-        if prefer_exact:
-            raise
-        return to_float(a), False

@@ -79,7 +79,6 @@ def make_frame_spec(name, c, j, lattice_volumes) -> LieFrameSpec:
     for a lattice quotient to exist), J orthogonal with J^2 = -I, and
     d(J^T) = 0 so that omega is symplectic.
     """
-    c = exact.as_exact(c) if exact.is_exact(np.asarray(c, dtype=object)) else c
     try:
         c = exact.as_exact(c)
         j = exact.as_exact(j)

@@ -126,13 +126,12 @@ def build_plan(f: Callable, f1: Callable, eps: float, p: float = 2.0,
     delta = eps / (2.0 * (2.0 * CIRCLE) ** (1.0 / p))
 
     def max_osc(count: int) -> float:
-        edges_ = np.linspace(0.0, CIRCLE, count + 1)
-        worst = 0.0
-        for lo, hi in zip(edges_[:-1], edges_[1:]):
-            sel = gx[(x >= lo) & (x < hi)]
-            if sel.size:
-                worst = max(worst, float(np.ptp(sel)))
-        return worst
+        # bin k holds the samples [starts[k], starts[k+1]); reduceat needs
+        # non-empty segments, and dropping the empty bins keeps the others
+        starts = np.searchsorted(x, np.linspace(0.0, CIRCLE, count + 1))
+        starts = starts[:-1][starts[:-1] < starts[1:]]
+        return float(np.max(np.maximum.reduceat(gx, starts)
+                            - np.minimum.reduceat(gx, starts)))
 
     n_arcs = 4
     while max_osc(n_arcs) >= _OSC_MARGIN * delta:
@@ -148,11 +147,10 @@ def build_plan(f: Callable, f1: Callable, eps: float, p: float = 2.0,
 
     # clip levels into the closed range of f so a source window always exists
     fmin, fmax = float(fx.min()), float(fx.max())
-    arcs = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        b = 0.5 * (lo + hi)
-        level = float(np.clip(np.interp(b, x, gx, period=CIRCLE), fmin, fmax))
-        arcs.append(Arc(lo, hi, b, level))
+    centres = 0.5 * (edges[:-1] + edges[1:])
+    levels = np.clip(np.interp(centres, x, gx, period=CIRCLE), fmin, fmax)
+    arcs = [Arc(lo, hi, b, float(level))
+            for lo, hi, b, level in zip(edges[:-1], edges[1:], centres, levels)]
 
     # one forward sweep around the target circle: each source interval starts
     # after the previous one ends, and the lap must close within 2*pi
@@ -225,8 +223,7 @@ class PiecewiseDiffeo:
     map has derivative (1-t) + t*phi_1' > 0.
     """
 
-    def __init__(self, nodes_from: Sequence[float], nodes_to: Sequence[float],
-                 smoothing: Optional[float] = None):
+    def __init__(self, nodes_from: Sequence[float], nodes_to: Sequence[float]):
         xf = np.asarray(nodes_from, float)
         yt = np.asarray(nodes_to, float)
         if len(xf) != len(yt) or len(xf) < 2:
@@ -238,8 +235,7 @@ class PiecewiseDiffeo:
         self.nodes_from = xf
         self.nodes_to = yt
         pieces = np.diff(np.concatenate([xf, [xf[0] + CIRCLE]]))
-        self.smoothing = (0.25 * float(pieces.min())
-                          if smoothing is None else float(smoothing))
+        self.smoothing = 0.25 * float(pieces.min())
         # lifted copies covering three laps so interpolation never wraps
         shifts = np.array([-CIRCLE, 0.0, CIRCLE])
         self._xl = np.concatenate([xf + s for s in shifts])
@@ -284,19 +280,29 @@ class PiecewiseDiffeo:
                 break
         return 0.5 * (lo + hi)
 
-    def min_derivative(self, t: float = 1.0, samples: int = 200000) -> float:
-        x = np.concatenate([_sample_circle(samples),
-                            self.nodes_from % CIRCLE])
-        return float(self.derivative(x, t).min())
+    def min_derivative(self, t: float = 1.0) -> float:
+        """Exact minimum of phi_t' over the circle.
+
+        The bump window (-r, r) has r = smoothing/2, an eighth of the
+        shortest linear piece, so its 48 quadrature points span at most two
+        adjacent pieces and phi_t' is the convex combination
+        sum_q w_q ((1-t) + t s_q) of per-piece values.  At the centre of a
+        piece the whole window lies inside that piece, where phi_t' takes
+        the piece's own value.  So the minimum over the piece centres,
+        wrap piece included, is the minimum over the circle, for every t.
+        """
+        xf = self.nodes_from
+        centres = 0.5 * (xf + np.append(xf[1:], xf[0] + CIRCLE))
+        return float(self.derivative(centres, t).min())
 
 
 def realize_diffeo(plan: RearrangementPlan) -> PiecewiseDiffeo:
     """Node map sending the bulk of each arc into its source interval.
 
     Nodes: arc bulk [lo+w, hi-w] -> [u+m, v-m] inside the source (u, v); the
-    2w collars between arcs carry the inter-source gaps.  If mollification
-    drags the minimum derivative below the floor, the smoothing width is
-    halved once before giving up.
+    2w collars between arcs carry the inter-source gaps.  The smoothed
+    map's minimum derivative is the least slope of the node map, whatever
+    the smoothing width, so a minimum below the floor raises PlanError.
     """
     w = plan.collar_width
     xs, ys = [], []
@@ -310,11 +316,8 @@ def realize_diffeo(plan: RearrangementPlan) -> PiecewiseDiffeo:
         raise PlanError("source intervals lost cyclic order; refine the plan")
     phi = PiecewiseDiffeo(xs, ys)
     if phi.min_derivative() < _DERIVATIVE_FLOOR:
-        phi = PiecewiseDiffeo(xs, ys, smoothing=0.5 * phi.smoothing)
-        if phi.min_derivative() < _DERIVATIVE_FLOOR:
-            raise PlanError("smoothed map's derivative fell below "
-                            f"{_DERIVATIVE_FLOOR} even after halving the "
-                            "smoothing width")
+        raise PlanError("smoothed map's derivative fell below "
+                        f"{_DERIVATIVE_FLOOR}")
     return phi
 
 

@@ -37,12 +37,3 @@ def test_mat_inv_exact():
 def test_mat_inv_singular():
     with pytest.raises(ZeroDivisionError):
         exact.mat_inv(exact.as_exact([[1, 2], [2, 4]]))
-
-
-def test_maybe_exact_mixed_inputs():
-    arr, flag = exact.maybe_exact([[1, 0], [0, 1]])
-    assert flag and exact.is_exact(arr)
-    arr, flag = exact.maybe_exact(np.array([[0.5, 0.1]]))
-    assert not flag and arr.dtype == float
-    with pytest.raises(TypeError):
-        exact.maybe_exact([0.5], prefer_exact=True)

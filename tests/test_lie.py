@@ -68,6 +68,21 @@ def test_nabla_j_route_agreement():
         lie.nabla_j_norm_sq(kt, route="spinors")
 
 
+def test_float_spec_matches_exact():
+    spec = lie.kt_spec()
+    fspec = lie.make_frame_spec(
+        "kt-float", exact.to_float(spec.c), exact.to_float(spec.j),
+        tuple(float(v) for v in spec.lattice_volumes))
+    assert not exact.is_exact(fspec.c) and not exact.is_exact(fspec.j)
+    ex, fl = lie.curvature_tables(spec), lie.curvature_tables(fspec)
+    for name in ("gamma", "riemann", "sectional", "ricci", "scalar",
+                 "ricci_anti", "nabla_j_sq", "star_scalar",
+                 "hermitian_scalar"):
+        want = exact.to_float(getattr(ex, name))
+        got = np.asarray(getattr(fl, name), dtype=float)
+        assert np.max(np.abs(got - want), initial=0.0) < 1e-12, name
+
+
 def test_abelian_is_flat():
     tab = lie.curvature_tables(lie.abelian_spec(1))
     assert not any(v != 0 for v in tab.riemann.flat)

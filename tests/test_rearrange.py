@@ -91,11 +91,49 @@ def test_isotopy_is_monotone_and_invertible():
     phi = rr.realize_diffeo(plan)
     xs = np.linspace(0, TWO_PI, 4001)
     for t in (0.25, 0.5, 0.75, 1.0):
-        assert phi.min_derivative(t, samples=20000) > 0
+        assert phi.min_derivative(t) > 0
         vals = phi(xs, t)
         assert (np.diff(vals) > 0).all()
         back = phi.inverse(vals, t)
         assert np.max(np.abs(back - xs)) < 1e-6
+
+
+def test_min_derivative_is_exact():
+    # sampled reference: the derivative on a dense grid plus the nodes
+    cases = [(f_zero, 0.1), (lambda x: 0.3 * np.cos(x), 0.05)]
+    for target, eps in cases:
+        phi = rr.realize_diffeo(rr.build_plan(f_sin, target, eps=eps))
+        xs = np.concatenate([np.arange(200000) * (TWO_PI / 200000),
+                             phi.nodes_from % TWO_PI])
+        for t in (0.0, 0.25, 0.5, 0.75, 1.0):
+            scan = float(phi.derivative(xs, t).min())
+            exact_min = phi.min_derivative(t)
+            assert exact_min <= scan
+            assert scan - exact_min <= 1e-15
+
+
+def test_plan_batched_matches_per_arc_reference():
+    samples = 16384
+    plan = rr.build_plan(f_sin, lambda x: 0.3 * np.cos(x), eps=0.05)
+    assert len(plan.arcs) == 512
+    x = np.arange(samples) * (TWO_PI / samples)
+    gx = 0.3 * np.cos(x)
+    fx = f_sin(x)
+    for arc in plan.arcs:
+        level = float(np.clip(np.interp(arc.center, x, gx, period=TWO_PI),
+                              fx.min(), fx.max()))
+        assert arc.level == level
+
+    def max_osc(count):
+        edges = np.linspace(0.0, TWO_PI, count + 1)
+        return max(float(np.ptp(gx[(x >= lo) & (x < hi)]))
+                   for lo, hi in zip(edges[:-1], edges[1:]))
+
+    # 512 is the first doubling at which the per-bin oscillation fits
+    assert max_osc(256) >= 0.9 * plan.delta > max_osc(512)
+    with pytest.raises(rr.PlanError) as info:
+        rr.build_plan(f_sin, lambda x: 0.8 * np.sin(20 * x), eps=0.1)
+    assert info.value.required_cap == 8192
 
 
 def test_endpoint_lap_count():
