@@ -16,8 +16,10 @@ AKSCAL_OUT environment variable, else the working directory.
 from __future__ import annotations
 
 import argparse
+import ast
 import csv
 import math
+import operator
 import os
 import sys
 from fractions import Fraction
@@ -26,12 +28,17 @@ from pathlib import Path
 
 import numpy as np
 
-from . import exact, lie, operator_lab, rearrange, suite, zbound
+from . import lie, operator_lab, rearrange, suite, zbound
 
 _EXPR_NAMES = {
     "sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp,
     "sqrt": np.sqrt, "abs": np.abs, "log": np.log, "pi": math.pi,
 }
+_EXPR_BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub,
+                ast.Mult: operator.mul, ast.Div: operator.truediv,
+                ast.Pow: operator.pow}
+_EXPR_UNOPS = {ast.UAdd: operator.pos, ast.USub: operator.neg}
+_MAX_EXPONENT = 64.0
 
 
 def _fmt(v) -> str:
@@ -78,29 +85,20 @@ def _load_text(path: str, kind: str) -> str:
 def cmd_curvature(args) -> int:
     spec = lie.parse_frame_spec(_load_text(args.spec, "frame spec"))
     tab = lie.curvature_tables(spec)
-    if not args.exact:
-        tab_arrays = {k: exact.to_float(getattr(tab, k))
-                      for k in ("gamma", "sectional", "ricci", "ricci_anti")}
-        scalars = {k: float(getattr(tab, k)) for k in
-                   ("scalar", "nabla_j_sq", "star_scalar", "hermitian_scalar")}
-    else:
-        tab_arrays = {k: getattr(tab, k)
-                      for k in ("gamma", "sectional", "ricci", "ricci_anti")}
-        scalars = {k: getattr(tab, k) for k in
-                   ("scalar", "nabla_j_sq", "star_scalar", "hermitian_scalar")}
+    num = (lambda v: v) if args.exact else float
+    scalars = {k: num(getattr(tab, k)) for k in
+               ("scalar", "nabla_j_sq", "star_scalar", "hermitian_scalar")}
     out = _out_dir(args)
     m = spec.dim
-    rows = [("gamma", i + 1, j + 1, k + 1, tab_arrays["gamma"][i][j][k])
+    rows = [("gamma", i + 1, j + 1, k + 1, num(tab.gamma[i][j][k]))
             for i in range(m) for j in range(m) for k in range(m)
-            if tab_arrays["gamma"][i][j][k] != 0]
-    rows += [("sectional", i + 1, j + 1, "", tab_arrays["sectional"][i][j])
+            if tab.gamma[i][j][k] != 0]
+    rows += [("sectional", i + 1, j + 1, "", num(tab.sectional[i][j]))
              for i in range(m) for j in range(i + 1, m)]
-    rows += [("ricci", i + 1, j + 1, "", tab_arrays["ricci"][i][j])
-             for i in range(m) for j in range(m)
-             if tab_arrays["ricci"][i][j] != 0]
-    rows += [("ricci_anti", i + 1, j + 1, "", tab_arrays["ricci_anti"][i][j])
-             for i in range(m) for j in range(m)
-             if tab_arrays["ricci_anti"][i][j] != 0]
+    for name in ("ricci", "ricci_anti"):
+        table = getattr(tab, name)
+        rows += [(name, i + 1, j + 1, "", num(table[i][j]))
+                 for i in range(m) for j in range(m) if table[i][j] != 0]
     rows += [(k, "", "", "", v) for k, v in scalars.items()]
     rows.append(("z_ratio", "", "", "", lie.z_ratio(spec)))
     _write_csv(out / f"curvature_{spec.name}.csv",
@@ -202,17 +200,77 @@ def _parse_field(arg: str):
         grid = np.arange(len(vals)) * (rearrange.CIRCLE / len(vals))
         return lambda x: np.interp(np.asarray(x) % rearrange.CIRCLE,
                                    grid, vals, period=rearrange.CIRCLE)
-    code = compile(arg, "<field>", "eval")
-    for name in code.co_names:
-        if name not in _EXPR_NAMES and name != "x":
-            raise ValueError(f"unknown name {name!r} in field expression")
+    try:
+        tree = ast.parse(arg, mode="eval")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and node.id not in _EXPR_NAMES \
+                    and node.id != "x":
+                raise ValueError(f"unknown name {node.id!r} in field expression")
+        expr = _compile_expr(tree.body)
+    except (SyntaxError, RecursionError) as e:
+        raise ValueError(f"cannot parse field expression: {e}") from None
 
     def f(x):
         x = np.asarray(x, dtype=float)
-        val = eval(code, {"__builtins__": {}}, {**_EXPR_NAMES, "x": x})
-        return np.broadcast_to(np.asarray(val, dtype=float), x.shape)
+        return np.broadcast_to(np.asarray(expr(x), dtype=float), x.shape)
 
     return f
+
+
+def _literal(node) -> float | None:
+    """Value of a numeric literal, optionally signed; None for anything else."""
+    sign = 1.0
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _EXPR_UNOPS:
+        sign = -1.0 if isinstance(node.op, ast.USub) else 1.0
+        node = node.operand
+    if not (isinstance(node, ast.Constant)
+            and type(node.value) in (int, float)):
+        return None
+    try:
+        return sign * float(node.value)
+    except OverflowError:
+        raise ValueError("numeric literal out of range") from None
+
+
+def _compile_expr(node):
+    """Closure x -> value of a field expression whose names are checked.
+
+    Only numeric literals, x, the _EXPR_NAMES functions (one positional
+    argument each) and constants, and unary/binary arithmetic are allowed,
+    and an exponent must be a literal of magnitude at most _MAX_EXPONENT.
+    Literals become numpy floats, so no subexpression can build a huge
+    Python integer.  Anything else raises ValueError before any evaluation.
+    """
+    value = _literal(node)
+    if value is not None:
+        c = np.float64(value)
+        return lambda x: c
+    if isinstance(node, ast.Name):
+        if node.id == "x":
+            return lambda x: x
+        if callable(_EXPR_NAMES[node.id]):
+            raise ValueError(f"{node.id} needs an argument")
+        c = np.float64(_EXPR_NAMES[node.id])
+        return lambda x: c
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and callable(_EXPR_NAMES[node.func.id])):
+        if len(node.args) != 1 or node.keywords:
+            raise ValueError(f"{node.func.id}() takes one argument")
+        fn, arg = _EXPR_NAMES[node.func.id], _compile_expr(node.args[0])
+        return lambda x: fn(arg(x))
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _EXPR_UNOPS:
+        op, arg = _EXPR_UNOPS[type(node.op)], _compile_expr(node.operand)
+        return lambda x: op(arg(x))
+    if isinstance(node, ast.BinOp) and type(node.op) in _EXPR_BINOPS:
+        if isinstance(node.op, ast.Pow):
+            p = _literal(node.right)
+            if p is None or abs(p) > _MAX_EXPONENT:
+                raise ValueError(f"exponent must be a number of magnitude at "
+                                 f"most {_MAX_EXPONENT:g}")
+        op = _EXPR_BINOPS[type(node.op)]
+        left, right = _compile_expr(node.left), _compile_expr(node.right)
+        return lambda x: op(left(x), right(x))
+    raise ValueError(f"unsupported {type(node).__name__} in field expression")
 
 
 def cmd_rearrange(args) -> int:

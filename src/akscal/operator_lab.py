@@ -143,16 +143,28 @@ class OperatorVariant:
     twisted: bool
 
 
+_VARIANTS: dict = {}
+
+
 def get_variant(name: str) -> OperatorVariant:
-    if name == "kt":
-        spec = lie.kt_spec(1)
-        tables = lie.curvature_tables(spec)
-        return OperatorVariant("kt", J_KT, exact.to_float(tables.gamma),
-                               exact.to_float(tables.ricci_anti), True)
-    if name == "flat":
-        return OperatorVariant("flat", J_FLAT, np.zeros((4, 4, 4)),
-                               np.zeros((4, 4)), False)
-    raise ValueError(f"unknown variant {name!r}")
+    """The named variant, built once per process and then shared.
+
+    Its arrays are read-only, so no holder can change another's variant.
+    """
+    if name not in _VARIANTS:
+        if name == "kt":
+            tables = lie.curvature_tables(lie.kt_spec(1))
+            v = OperatorVariant("kt", J_KT, exact.to_float(tables.gamma),
+                                exact.to_float(tables.ricci_anti), True)
+        elif name == "flat":
+            v = OperatorVariant("flat", J_FLAT, np.zeros((4, 4, 4)),
+                                np.zeros((4, 4)), False)
+        else:
+            raise ValueError(f"unknown variant {name!r}")
+        for a in (v.j, v.gamma, v.r_minus):
+            a.flags.writeable = False
+        _VARIANTS[name] = v
+    return _VARIANTS[name]
 
 
 # ---------------------------------------------------------------------------
@@ -535,20 +547,43 @@ def random_invariant_field(d: float = 1.0, rng=None) -> Callable:
     return f
 
 
+def _field_list(field, d: float):
+    """(fields, single): a lone callable or None (the theta field) becomes a
+    one-element list; any other value is taken as a sequence of callables."""
+    if field is None or callable(field):
+        return [field if field is not None else theta_test_field(d)], True
+    return list(field), False
+
+
 def route_difference(n: int, variant: str = "kt", d: float = 1.0,
-                     field: Optional[Callable] = None):
-    """(max, L2) norms of (frame route - chart route) over all ten slots."""
+                     field=None):
+    """(max, L2) norms of (frame route - chart route) over all ten slots.
+
+    field is one callable (default theta_test_field(d)), which gives two
+    floats, or a sequence of callables, which gives two arrays with one entry
+    per field.  Every field is sampled into one (size, m) array and both
+    routes are assembled once, so each slot matrix is applied once to all
+    fields.  A sparse-times-dense product sums each row in the same order as
+    a single-vector product, and each field's norms are taken from one
+    contiguous row, so every entry is bit-identical to a one-field call.
+    """
+    fields, single = _field_list(field, d)
     v = get_variant(variant)
     g = QuotientGrid(n, n, d, twisted=v.twisted)
-    psi = g.sample(field if field is not None else theta_test_field(d))
+    psi = np.stack([g.sample(f) for f in fields], axis=1)
     frame = hessian_ops_frame(g, v)
     chart = hessian_ops_chart(g, v)
-    err_max, err_sq = 0.0, 0.0
+    err_max = np.zeros(len(fields))
+    err_sq = np.zeros(len(fields))
     for key in frame:
-        diff = frame[key] @ psi - chart[key] @ psi
-        err_max = max(err_max, g.lmax(diff))
-        err_sq += g.l2(diff) ** 2
-    return err_max, math.sqrt(err_sq)
+        diff = np.ascontiguousarray((frame[key] @ psi - chart[key] @ psi).T)
+        for i, row in enumerate(diff):
+            err_max[i] = max(err_max[i], g.lmax(row))
+            err_sq[i] += g.l2(row) ** 2
+    err_l2 = np.sqrt(err_sq)
+    if single:
+        return float(err_max[0]), float(err_l2[0])
+    return err_max, err_l2
 
 
 @dataclass(frozen=True)
@@ -562,12 +597,22 @@ class OrderFit:
 
 
 def richardson_orders(ns=(8, 12, 16, 20), variant: str = "kt", d: float = 1.0,
-                      field: Optional[Callable] = None) -> OrderFit:
-    """Least-squares convergence orders of the two-route difference."""
+                      field=None):
+    """Least-squares convergence orders of the two-route difference.
+
+    field is as in route_difference.  One callable gives one OrderFit; a
+    sequence gives one OrderFit per field, all fitted from a single
+    route_difference call per grid size, and each equal to its one-field fit.
+    """
+    fields, single = _field_list(field, d)
     h = np.array([1.0 / n for n in ns])
-    pairs = [route_difference(n, variant, d, field) for n in ns]
-    err_max = np.array([p[0] for p in pairs])
-    err_l2 = np.array([p[1] for p in pairs])
-    order_max = float(np.polyfit(np.log(h), np.log(err_max), 1)[0])
-    order_l2 = float(np.polyfit(np.log(h), np.log(err_l2), 1)[0])
-    return OrderFit(tuple(ns), h, err_max, err_l2, order_max, order_l2)
+    per_n = [route_difference(n, variant, d, fields) for n in ns]
+    fits = []
+    for i in range(len(fields)):
+        err_max = np.array([p[0][i] for p in per_n])
+        err_l2 = np.array([p[1][i] for p in per_n])
+        order_max = float(np.polyfit(np.log(h), np.log(err_max), 1)[0])
+        order_l2 = float(np.polyfit(np.log(h), np.log(err_l2), 1)[0])
+        fits.append(OrderFit(tuple(ns), h, err_max, err_l2, order_max,
+                             order_l2))
+    return fits[0] if single else fits

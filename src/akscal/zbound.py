@@ -122,9 +122,16 @@ def r8_sigma_model() -> IntersectionModel:
 # file format
 
 
+_MODEL_INTS = ("n", "rank", "fiber_chern", "chi", "tau")
+
+
 def parse_model(text: str) -> IntersectionModel:
-    """Parse the plain-text lattice format (see FORMATS.md)."""
-    name, n, rank, fiber, chi, tau, seed = "model", 2, None, None, None, None, None
+    """Parse the plain-text lattice format (see FORMATS.md).
+
+    A line with an unknown key, no value or a malformed number raises a
+    ValueError that names its line number.
+    """
+    name, ints, seed = "model", {"n": 2}, None
     q_rows, c1 = [], None
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -134,30 +141,31 @@ def parse_model(text: str) -> IntersectionModel:
         key, rest = tok[0], tok[1:]
         if key == "name":
             name = " ".join(rest)
-        elif key == "n":
-            n = int(rest[0])
-        elif key == "rank":
-            rank = int(rest[0])
-        elif key == "Q":
-            q_rows.append([int(v) for v in rest])
-        elif key == "c1":
-            c1 = [int(v) for v in rest]
-        elif key == "fiber_chern":
-            fiber = int(rest[0])
-        elif key == "chi":
-            chi = int(rest[0])
-        elif key == "tau":
-            tau = int(rest[0])
-        elif key == "seed":
-            seed = [float(v) for v in rest]
-        else:
+            continue
+        if key not in _MODEL_INTS + ("Q", "c1", "seed"):
             raise ValueError(f"line {ln}: unknown key {key!r}")
+        if not rest:
+            raise ValueError(f"line {ln}: {key} needs a value")
+        try:
+            if key == "Q":
+                q_rows.append([int(v) for v in rest])
+            elif key == "c1":
+                c1 = [int(v) for v in rest]
+            elif key == "seed":
+                seed = [float(v) for v in rest]
+            else:
+                ints[key] = int(rest[0])
+        except ValueError:
+            raise ValueError(f"line {ln}: malformed {key} value "
+                             f"{' '.join(rest)!r}") from None
+    rank = ints.get("rank")
     if rank is not None and len(q_rows) != rank:
         raise ValueError(f"expected {rank} Q rows, got {len(q_rows)}")
     if c1 is None:
         raise ValueError("missing c1 line")
-    return make_model(name, q_rows, c1, n=n, fiber_chern=fiber, chi=chi,
-                      tau=tau, seed=seed)
+    return make_model(name, q_rows, c1, n=ints["n"],
+                      fiber_chern=ints.get("fiber_chern"), chi=ints.get("chi"),
+                      tau=ints.get("tau"), seed=seed)
 
 
 def serialize_model(m: IntersectionModel) -> str:

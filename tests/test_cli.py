@@ -114,6 +114,37 @@ def test_rearrange_rejects_code_injection(tmp_path, capsys):
     assert "unknown name" in capsys.readouterr().err
 
 
+def test_field_expressions_are_whitelisted_at_parse_time():
+    # each is refused by _parse_field itself, before anything is evaluated
+    for expr in ("x**9**9**9", "x**65", "x**x", "x.real", "'a'", "True",
+                 "x[0]", "sin(x, 1)", "sin", "pi(x)", "x if x else 1",
+                 "lambda: 0", "x***2", "1" * 400 + "*x"):
+        with pytest.raises(ValueError):
+            cli._parse_field(expr)
+
+
+def test_field_expressions_match_numpy_bytes():
+    xs = np.linspace(0.0, 2.0 * np.pi, 1001)
+    for expr, want in (("sin(x)", np.sin(xs)),
+                       ("0.3*cos(x)", 0.3 * np.cos(xs)),
+                       ("0.8*sin(20*x)", 0.8 * np.sin(20 * xs)),
+                       ("sin(5*x)", np.sin(5 * xs)),
+                       ("-x**2/pi + 1", -xs ** 2 / np.pi + 1)):
+        assert cli._parse_field(expr)(xs).tobytes() == want.tobytes()
+
+
+def test_rearrange_rejects_bad_syntax(tmp_path, capsys):
+    assert run(tmp_path, "rearrange", "--f", "sin(x", "--f1", "0*x") == 2
+    assert "cannot parse" in capsys.readouterr().err
+
+
+def test_zbound_malformed_model_exits_2(tmp_path, capsys):
+    model = tmp_path / "bad.model"
+    model.write_text("name bad\nn\nQ 1\nc1 1\n")
+    assert run(tmp_path, "zbound", str(model)) == 2
+    assert "line 2: n needs a value" in capsys.readouterr().err
+
+
 def test_rearrange_validates_parameters(tmp_path):
     assert run(tmp_path, "rearrange", "--f", "sin(x)", "--f1", "0*x",
                "--eps", "-1") == 2

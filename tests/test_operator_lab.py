@@ -55,6 +55,14 @@ def test_get_variant():
         ol.get_variant("round")
 
 
+def test_get_variant_is_shared_and_read_only():
+    kt = ol.get_variant("kt")
+    assert ol.get_variant("kt") is kt
+    for a in (kt.j, kt.gamma, kt.r_minus):
+        with pytest.raises(ValueError):
+            a[0, 0] = 1.0
+
+
 # -- constant-field oracles ----------------------------------------------------
 
 
@@ -242,3 +250,18 @@ def test_richardson_order_on_theta_field():
     assert fit.order_l2 >= 1.9
     assert fit.order_max >= 1.7
     assert len(fit.err_l2) == 3 and (np.diff(fit.err_l2) < 0).all()
+
+
+def test_batched_richardson_matches_single_field_fits():
+    fields = [ol.theta_test_field(1.0),
+              ol.random_invariant_field(1.0, 11),
+              ol.random_invariant_field(1.0, 12)]
+    batched = ol.richardson_orders(ns=(8, 12), field=fields)
+    assert len(batched) == 3
+    for f, fit in zip(fields, batched):
+        one = ol.richardson_orders(ns=(8, 12), field=f)
+        assert one.ns == fit.ns == (8, 12)
+        assert np.array_equal(one.err_max, fit.err_max)
+        assert np.array_equal(one.err_l2, fit.err_l2)
+        assert one.order_max == fit.order_max
+        assert one.order_l2 == fit.order_l2

@@ -43,6 +43,19 @@ def test_parse_rejects_garbage():
         zbound.parse_model("")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("n\nc1 1\nQ 1", "line 1: n needs a value"),
+    ("Q 1\n\nc1 1 z", "line 3: malformed c1 value '1 z'"),
+    ("Q 1\nc1 1\nrank two", "line 3: malformed rank value 'two'"),
+    ("Q 1\nc1 1\nseed x", "line 3: malformed seed value 'x'"),
+    ("Q 1\nfoo 1", "line 2: unknown key 'foo'"),
+])
+def test_parse_errors_name_the_line(text, message):
+    with pytest.raises(ValueError) as err:
+        zbound.parse_model(text)
+    assert str(err.value) == message
+
+
 # -- evaluation --------------------------------------------------------------
 
 
