@@ -11,6 +11,8 @@ With twisted=False the same machinery produces the plain 4-torus.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -22,10 +24,10 @@ class QuotientGrid:
 
     def __init__(self, n: int, nt: int | None = None, d: float = 1.0,
                  twisted: bool = True):
-        if n < 4:
+        self.n = _grid_size(n, "n")
+        self.nt = _grid_size(nt, "nt") if nt is not None else self.n
+        if self.n < 4:
             raise ValueError("need n >= 4")
-        self.n = int(n)
-        self.nt = int(nt) if nt is not None else int(n)
         if self.nt < 4:
             raise ValueError("need nt >= 4")
         if d <= 0:
@@ -56,17 +58,25 @@ class QuotientGrid:
         i, j, k, l = self.reduce_index(i, j, k, l)
         return np.ravel_multi_index((i, j, k, l), self.shape)
 
+    def _open_indices(self):
+        """Node indices (i, j, k, l), each of length 1 off its own axis."""
+        return np.meshgrid(*(np.arange(s) for s in self.shape), indexing="ij",
+                           sparse=True)
+
     def node_coordinates(self):
-        """Chart coordinates of every node, each shaped like the grid."""
-        i, j, k, l = np.meshgrid(*(np.arange(s) for s in self.shape), indexing="ij")
+        """Chart coordinates of the nodes, broadcastable to the grid shape."""
+        i, j, k, l = self._open_indices()
         return i * self.hx, j * self.hy, k * self.hz, l * self.ht
 
     def sample(self, fn) -> np.ndarray:
-        """Flattened samples of fn(x, y, z, t) over the nodes."""
-        x, y, z, t = self.node_coordinates()
-        return np.asarray(fn(x, y, z, t), dtype=complex if np.iscomplexobj(
-            fn(x[:1, :1, :1, :1], y[:1, :1, :1, :1], z[:1, :1, :1, :1],
-               t[:1, :1, :1, :1])) else float).ravel()
+        """Flattened samples of fn(x, y, z, t) over the nodes.
+
+        fn must act elementwise: it is called once on the open coordinate
+        grid, and its result is broadcast to the grid shape.
+        """
+        vals = np.asarray(fn(*self.node_coordinates()))
+        dtype = complex if np.iscomplexobj(vals) else float
+        return np.array(np.broadcast_to(vals, self.shape), dtype=dtype).ravel()
 
     # -- shifts and differences ---------------------------------------------
 
@@ -75,7 +85,7 @@ class QuotientGrid:
         key = (axis, int(step))
         if key in self._shift_cache:
             return self._shift_cache[key]
-        i, j, k, l = np.meshgrid(*(np.arange(s) for s in self.shape), indexing="ij")
+        i, j, k, l = self._open_indices()
         moved = {"x": (i + step, j, k, l), "y": (i, j + step, k, l),
                  "z": (i, j, k + step, l), "t": (i, j, k, l + step)}[axis]
         cols = self.flat(*moved).ravel()
@@ -98,8 +108,7 @@ class QuotientGrid:
 
     def x_matrix(self) -> sp.dia_matrix:
         """Multiplication by the chart coordinate x (values in [0, 1))."""
-        x = self.node_coordinates()[0]
-        return sp.diags(x.ravel())
+        return sp.diags(self.sample(lambda x, y, z, t: x))
 
     # -- quotient symmetries -------------------------------------------------
 
@@ -119,6 +128,13 @@ class QuotientGrid:
 
     def lmax(self, v) -> float:
         return float(np.max(np.abs(v)))
+
+
+def _grid_size(v, name: str) -> int:
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise ValueError(f"need an integer {name}, got {v!r}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -2,16 +2,17 @@
 
 The operator psi -> (Hess psi)^- - r^- psi maps functions to J-anti-invariant
 symmetric 2-tensors.  On the frame, an anti-invariant tensor is determined by
-six slot values; this module assembles the six slot operators as sparse
-matrices over a QuotientGrid, in two independent discretizations:
+six slot values; this module builds the Hessian slots over a QuotientGrid
+in two independent discretizations:
 
 * the frame route: compositions of the invariant frame derivatives
   (x innermost, so the sheared x-wrap only ever acts on invariant samples),
-  corrected by the frame connection — this is the route the adjoint system,
-  its exact-transpose forward operator, and the normal operator are built on;
+  corrected by the frame connection — assembled as sparse matrices, it is
+  the route the adjoint system, its exact-transpose forward operator, and
+  the normal operator are built on;
 * the chart route: plain coordinate stencils of the ten chart Hessian
   formulas, one-sided in x at the fundamental-domain faces so nothing crosses
-  the sheared seam.
+  the sheared seam, applied to sampled fields.
 
 Both routes are second order; their difference contracts like h^2, which the
 Richardson fit exposes.  Fourier modes feed the principal-symbol ratio check,
@@ -25,6 +26,7 @@ Variants: "kt" (the sheared quotient, curved connection) and "flat" (plain
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
@@ -182,35 +184,47 @@ def frame_fields(g: QuotientGrid, variant: OperatorVariant) -> list:
     return [dx, dy, dz, dt]
 
 
-def hessian_ops_frame(g: QuotientGrid, variant: OperatorVariant) -> dict:
-    """Frame-route Hessian slots, (i, j) with i <= j.
+def hessian_ops_frame(g: QuotientGrid, variant: OperatorVariant,
+                      psi=None) -> dict:
+    """Frame-route Hessian slots applied to psi, (i, j) with i <= j.
 
-    H_ij = E_j(E_i psi) - sum_k gamma[j][i][k] E_k psi, with the lower frame
-    index innermost: the sheared x-difference is only ever applied directly
-    to psi, never to a chart-dependent intermediate array (which would cost
-    an order at the seam).
+    H_ij psi = E_j(E_i psi) - sum_k gamma[j][i][k] E_k psi, with the lower
+    frame index innermost: the sheared x-difference is only ever applied
+    directly to psi, never to a chart-dependent intermediate array (which
+    would cost an order at the seam).  Each E_k psi is formed once and
+    reused by every slot.
+
+    psi is a (size, m) field block, or None for the identity, which gives
+    the slot matrices themselves.  A sparse identity would give the same
+    values in another order (a sparse product reverses each row's entries),
+    and AdjointSystem.apply, which sums each row in stored order, would
+    change in the last bit.
     """
     e = frame_fields(g, variant)
+    first = e if psi is None else [ek @ psi for ek in e]
     gam = variant.gamma
     ops = {}
     for i in range(4):
         for jj in range(i, 4):
-            op = (e[jj] @ e[i]).tocsr()
+            op = e[jj] @ first[i]
             for k in range(4):
                 c = gam[jj][i][k]
                 if c != 0.0:
-                    op = op - c * e[k]
-            ops[(i, jj)] = op.tocsr()
+                    op = op - c * first[k]
+            ops[(i, jj)] = op
     return ops
 
 
-def hessian_ops_chart(g: QuotientGrid, variant: OperatorVariant) -> dict:
-    """Chart-route Hessian slots from the ten coordinate formulas.
+def hessian_ops_chart(g: QuotientGrid, variant: OperatorVariant,
+                      psi: np.ndarray) -> dict:
+    """Chart-route Hessian slots applied to the (size, m) field block psi.
 
-    Pure coordinate stencils: narrow 3-point second differences on each axis,
-    centered first differences, and one-sided (non-wrapping) x-stencils, so
-    the route never crosses the sheared seam and stays second order on the
-    closed fundamental domain.
+    Pure coordinate stencils from the ten chart Hessian formulas: narrow
+    3-point second differences on each axis, centered first differences, and
+    one-sided (non-wrapping) x-stencils, so the route never crosses the
+    sheared seam and stays second order on the closed fundamental domain.
+    The first differences and the z second difference of psi are formed
+    once and shared; multiplication by x is an elementwise product.
     """
     if variant.twisted != g.twisted:
         raise ValueError(f"variant {variant.name!r} expects twisted={variant.twisted}")
@@ -227,27 +241,33 @@ def hessian_ops_chart(g: QuotientGrid, variant: OperatorVariant) -> dict:
     dyy = lift_axis(d2_periodic(n, g.hy), "y", g)
     dzz = lift_axis(d2_periodic(n, g.hz), "z", g)
     dtt = lift_axis(d2_periodic(nt, g.ht), "t", g)
+    px, py, pz = dx @ psi, dy @ psi, dz @ psi
     if variant.name == "flat":
-        first = {"x": dx, "y": dy, "z": dz, "t": dt}
-        second = {"x": dxx, "y": dyy, "z": dzz, "t": dtt}
+        first = (dx, dy, dz, dt)
+        once = (px, py, pz)
+        second = (dxx, dyy, dzz, dtt)
         ops = {}
         for i in range(4):
             for jj in range(i, 4):
-                ops[(i, jj)] = (second[AXES[i]] if i == jj
-                                else (first[AXES[jj]] @ first[AXES[i]]).tocsr())
+                ops[(i, jj)] = (second[i] @ psi if i == jj
+                                else first[jj] @ once[i])
         return ops
-    x = g.x_matrix()
+    x = g.sample(lambda x, y, z, t: x)[:, None]
+    pzz = dzz @ psi
+    pyz = dy @ pz
+    pxz = dz @ px
+    ptz = dt @ pz
     return {
-        (0, 0): dxx,
-        (1, 1): (dyy + 2.0 * (x @ (dy @ dz)) + x @ x @ dzz).tocsr(),
-        (2, 2): dzz,
-        (3, 3): dtt,
-        (0, 1): (dy @ dx + x @ (dz @ dx) + 0.5 * dz).tocsr(),
-        (0, 2): (dz @ dx + 0.5 * dy + 0.5 * (x @ dz)).tocsr(),
-        (0, 3): (dt @ dx).tocsr(),
-        (1, 2): (dz @ dy + x @ dzz + (-0.5) * dx).tocsr(),
-        (1, 3): (dt @ dy + x @ (dt @ dz)).tocsr(),
-        (2, 3): (dt @ dz).tocsr(),
+        (0, 0): dxx @ psi,
+        (1, 1): dyy @ psi + 2.0 * (x * pyz) + x * (x * pzz),
+        (2, 2): pzz,
+        (3, 3): dtt @ psi,
+        (0, 1): dy @ px + x * pxz + 0.5 * pz,
+        (0, 2): pxz + 0.5 * py + 0.5 * (x * pz),
+        (0, 3): dt @ px,
+        (1, 2): pyz + x * pzz + (-0.5) * px,
+        (1, 3): dt @ py + x * ptz,
+        (2, 3): ptz,
     }
 
 
@@ -549,10 +569,18 @@ def random_invariant_field(d: float = 1.0, rng=None) -> Callable:
 
 def _field_list(field, d: float):
     """(fields, single): a lone callable or None (the theta field) becomes a
-    one-element list; any other value is taken as a sequence of callables."""
+    one-element list; any other value must be a non-empty sequence of
+    callables."""
     if field is None or callable(field):
         return [field if field is not None else theta_test_field(d)], True
-    return list(field), False
+    try:
+        fields = list(field)
+    except TypeError:
+        fields = []
+    if not fields or not all(callable(f) for f in fields):
+        raise ValueError("field must be a callable or a non-empty sequence "
+                         f"of callables, got {field!r}")
+    return fields, False
 
 
 def route_difference(n: int, variant: str = "kt", d: float = 1.0,
@@ -561,26 +589,26 @@ def route_difference(n: int, variant: str = "kt", d: float = 1.0,
 
     field is one callable (default theta_test_field(d)), which gives two
     floats, or a sequence of callables, which gives two arrays with one entry
-    per field.  Every field is sampled into one (size, m) array and both
-    routes are assembled once, so each slot matrix is applied once to all
-    fields.  A sparse-times-dense product sums each row in the same order as
-    a single-vector product, and each field's norms are taken from one
-    contiguous row, so every entry is bit-identical to a one-field call.
+    per field.  Every field is sampled into one (size, m) block and both
+    routes are applied to it as chains of sparse matrix-block products, so
+    no slot matrix is assembled.  A sparse-times-dense product sums each row
+    in the same order as a single-vector product, and each field's norms are
+    taken from one contiguous row, so every entry is bit-identical to a
+    one-field call.
     """
     fields, single = _field_list(field, d)
     v = get_variant(variant)
     g = QuotientGrid(n, n, d, twisted=v.twisted)
     psi = np.stack([g.sample(f) for f in fields], axis=1)
-    frame = hessian_ops_frame(g, v)
-    chart = hessian_ops_chart(g, v)
+    frame = hessian_ops_frame(g, v, psi)
+    chart = hessian_ops_chart(g, v, psi)
     err_max = np.zeros(len(fields))
     err_sq = np.zeros(len(fields))
     for key in frame:
-        diff = np.ascontiguousarray((frame[key] @ psi - chart[key] @ psi).T)
-        for i, row in enumerate(diff):
-            err_max[i] = max(err_max[i], g.lmax(row))
-            err_sq[i] += g.l2(row) ** 2
-    err_l2 = np.sqrt(err_sq)
+        diff = np.ascontiguousarray((frame[key] - chart[key]).T)
+        err_max = np.maximum(err_max, np.max(np.abs(diff), axis=1))
+        err_sq += np.sum(diff * diff, axis=1)
+    err_l2 = np.sqrt(g.cell_volume * err_sq)
     if single:
         return float(err_max[0]), float(err_l2[0])
     return err_max, err_l2
@@ -600,10 +628,20 @@ def richardson_orders(ns=(8, 12, 16, 20), variant: str = "kt", d: float = 1.0,
                       field=None):
     """Least-squares convergence orders of the two-route difference.
 
-    field is as in route_difference.  One callable gives one OrderFit; a
-    sequence gives one OrderFit per field, all fitted from a single
-    route_difference call per grid size, and each equal to its one-field fit.
+    ns must hold at least two distinct integer grid sizes >= 4.  field is
+    as in route_difference.  One callable gives one OrderFit; a sequence
+    gives one OrderFit per field, all fitted from a single route_difference
+    call per grid size, and each equal to its one-field fit.
     """
+    try:
+        ns = tuple(ns)
+    except TypeError:
+        raise ValueError(f"ns must be a sequence of grid sizes, got {ns!r}") \
+            from None
+    if (len(set(ns)) < 2
+            or not all(isinstance(n, numbers.Integral) and n >= 4 for n in ns)):
+        raise ValueError("ns needs at least two distinct integer grid sizes "
+                         f">= 4, got {ns!r}")
     fields, single = _field_list(field, d)
     h = np.array([1.0 / n for n in ns])
     per_n = [route_difference(n, variant, d, fields) for n in ns]
@@ -613,6 +651,6 @@ def richardson_orders(ns=(8, 12, 16, 20), variant: str = "kt", d: float = 1.0,
         err_l2 = np.array([p[1][i] for p in per_n])
         order_max = float(np.polyfit(np.log(h), np.log(err_max), 1)[0])
         order_l2 = float(np.polyfit(np.log(h), np.log(err_l2), 1)[0])
-        fits.append(OrderFit(tuple(ns), h, err_max, err_l2, order_max,
+        fits.append(OrderFit(ns, h, err_max, err_l2, order_max,
                              order_l2))
     return fits[0] if single else fits

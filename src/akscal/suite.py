@@ -200,7 +200,7 @@ def check_hessian_routes(seed: int = 0) -> CheckResult:
     orders = [fit.order_l2
               for fit in operator_lab.richardson_orders(field=fields)]
     ok = all(o >= 1.9 for o in orders)
-    return _result("hessian-route-fidelity", 10.0, t0, ok,
+    return _result("hessian-route-fidelity", 5.0, t0, ok,
                    "L2 orders " + ", ".join(f"{o:.3f}" for o in orders)
                    + " on 3 random fields (need >= 1.9)")
 

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from akscal import grid as gr
+from akscal import operator_lab as ol
 
 
 def nnz_diff(a, b):
@@ -20,6 +21,12 @@ def test_constructor_validation():
         gr.QuotientGrid(4, nt=2)
     with pytest.raises(ValueError):
         gr.QuotientGrid(4, d=0.0)
+    # a non-integer size is refused, not truncated
+    for bad in (8.5, 8.0, "8", None):
+        with pytest.raises(ValueError):
+            gr.QuotientGrid(bad)
+    with pytest.raises(ValueError):
+        gr.QuotientGrid(8, nt=6.5)
 
 
 def test_reduce_index_twisted_wrap():
@@ -41,6 +48,43 @@ def test_x_period_shift_is_the_shear():
                  (g.x_holonomy_shear(), g.shift("t", 1)),
                  (g.x_holonomy_shear(), g.shift("z", 1))):
         assert nnz_diff(a @ b, b @ a) == 0
+
+
+def full_meshgrid(g):
+    """Dense index arrays of every node, the reference for the open grid."""
+    return np.meshgrid(*(np.arange(s) for s in g.shape), indexing="ij")
+
+
+@pytest.mark.parametrize("n, nt, d", [(6, 16, 1.0), (20, 20, 1.0), (8, 12, 0.5)])
+def test_sample_matches_full_meshgrid(n, nt, d):
+    fields = (ol.theta_test_field(d), ol.random_invariant_field(d, 4),
+              lambda x, y, z, t: 0.0 * x + 2.5,
+              lambda x, y, z, t: np.exp(2j * np.pi * (x + 2 * y - 3 * t / d)))
+    g = gr.QuotientGrid(n, nt, d)
+    i, j, k, l = full_meshgrid(g)
+    coords = (i * g.hx, j * g.hy, k * g.hz, l * g.ht)
+    for fn in fields:
+        want = np.asarray(fn(*coords)).ravel()
+        got = g.sample(fn)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    # a field that ignores the nodes still gets one sample per node
+    assert np.array_equal(g.sample(lambda x, y, z, t: 1.0), np.ones(g.size))
+
+
+@pytest.mark.parametrize("twisted", [True, False])
+def test_shift_matches_full_meshgrid(twisted):
+    g = gr.QuotientGrid(5, nt=6, twisted=twisted)
+    i, j, k, l = full_meshgrid(g)
+    for axis in "xyzt":
+        for step in (1, -1, g.n):
+            moved = {"x": (i + step, j, k, l), "y": (i, j + step, k, l),
+                     "z": (i, j, k + step, l), "t": (i, j, k, l + step)}[axis]
+            want = sp.csr_matrix(
+                (np.ones(g.size), (np.arange(g.size), g.flat(*moved).ravel())),
+                shape=(g.size, g.size))
+            got = g.shift(axis, step)
+            for a in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(got, a), getattr(want, a))
 
 
 def test_shifts_are_permutations():

@@ -5,13 +5,68 @@ import pytest
 import scipy.sparse as sp
 
 from akscal import operator_lab as ol
-from akscal.grid import QuotientGrid
+from akscal.grid import (AXES, QuotientGrid, d1_periodic, d1_sided,
+                         d2_periodic, d2_sided, lift_axis)
 
 
 def nnz_diff(a, b):
     d = (a - b).tocsr()
     d.eliminate_zeros()
     return d.nnz
+
+
+# -- reference assembly: every slot as a sparse matrix product ----------------
+
+
+def product_frame_slots(g, v):
+    e = ol.frame_fields(g, v)
+    ops = {}
+    for i in range(4):
+        for jj in range(i, 4):
+            op = (e[jj] @ e[i]).tocsr()
+            for k in range(4):
+                c = v.gamma[jj][i][k]
+                if c != 0.0:
+                    op = op - c * e[k]
+            ops[(i, jj)] = op.tocsr()
+    return ops
+
+
+def product_chart_slots(g, v):
+    n, nt = g.n, g.nt
+    sided = v.name == "kt"
+    dx = lift_axis((d1_sided if sided else d1_periodic)(n, g.hx), "x", g)
+    dxx = lift_axis((d2_sided if sided else d2_periodic)(n, g.hx), "x", g)
+    dy = lift_axis(d1_periodic(n, g.hy), "y", g)
+    dz = lift_axis(d1_periodic(n, g.hz), "z", g)
+    dt = lift_axis(d1_periodic(nt, g.ht), "t", g)
+    dyy = lift_axis(d2_periodic(n, g.hy), "y", g)
+    dzz = lift_axis(d2_periodic(n, g.hz), "z", g)
+    dtt = lift_axis(d2_periodic(nt, g.ht), "t", g)
+    if not sided:
+        first = dict(zip(AXES, (dx, dy, dz, dt)))
+        second = dict(zip(AXES, (dxx, dyy, dzz, dtt)))
+        return {(i, jj): (second[AXES[i]] if i == jj
+                          else first[AXES[jj]] @ first[AXES[i]])
+                for i in range(4) for jj in range(i, 4)}
+    x = g.x_matrix()
+    return {
+        (0, 0): dxx,
+        (1, 1): dyy + 2.0 * (x @ (dy @ dz)) + x @ x @ dzz,
+        (2, 2): dzz,
+        (3, 3): dtt,
+        (0, 1): dy @ dx + x @ (dz @ dx) + 0.5 * dz,
+        (0, 2): dz @ dx + 0.5 * dy + 0.5 * (x @ dz),
+        (0, 3): dt @ dx,
+        (1, 2): dz @ dy + x @ dzz + (-0.5) * dx,
+        (1, 3): dt @ dy + x @ (dt @ dz),
+        (2, 3): dt @ dz,
+    }
+
+
+def same_csr(a, b):
+    return all(np.array_equal(getattr(a, f), getattr(b, f))
+               for f in ("data", "indices", "indptr"))
 
 
 # -- slot algebra -------------------------------------------------------------
@@ -61,6 +116,47 @@ def test_get_variant_is_shared_and_read_only():
     for a in (kt.j, kt.gamma, kt.r_minus):
         with pytest.raises(ValueError):
             a[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("variant, n", [("kt", 8), ("flat", 6)])
+def test_applied_routes_match_product_assembly(variant, n):
+    v = ol.get_variant(variant)
+    g = QuotientGrid(n, n, 1.0, twisted=v.twisted)
+    psi = np.random.default_rng(5).standard_normal((g.size, 3))
+    for applied, ref in ((ol.hessian_ops_frame(g, v, psi),
+                          product_frame_slots(g, v)),
+                         (ol.hessian_ops_chart(g, v, psi),
+                          product_chart_slots(g, v))):
+        assert applied.keys() == ref.keys()
+        for key, got in applied.items():
+            want = ref[key] @ psi
+            assert got.shape == psi.shape
+            np.testing.assert_allclose(got, want, rtol=1e-12,
+                                       atol=1e-12 * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("variant", ["kt", "flat"])
+def test_adjoint_system_matches_product_assembly(variant):
+    v = ol.get_variant(variant)
+    g = QuotientGrid(6, 6, 1.0, twisted=v.twisted)
+    system = ol.AdjointSystem(g, v)
+    hess = product_frame_slots(g, v)
+    ident = sp.identity(g.size, format="csr")
+    ops = []
+    for (i, jj), (pi_, pj), sg in zip(system.basis.slots, system.basis.pairs,
+                                      system.basis.signs):
+        op = 0.5 * (hess[(i, jj)] - sg * hess[(min(pi_, pj), max(pi_, pj))])
+        r = v.r_minus[i][jj]
+        if r != 0.0:
+            op = op - r * ident
+        ops.append(op.tocsr())
+    assert len(system.ops) == len(ops)
+    for got, want in zip(system.ops, ops):
+        assert same_csr(got, want)
+    normal = sp.csr_matrix((g.size, g.size))
+    for w, op in zip(system.weights, ops):
+        normal = normal + w * (op.T @ op)
+    assert same_csr(system.normal_matrix, normal.tocsr())
 
 
 # -- constant-field oracles ----------------------------------------------------
@@ -250,6 +346,23 @@ def test_richardson_order_on_theta_field():
     assert fit.order_l2 >= 1.9
     assert fit.order_max >= 1.7
     assert len(fit.err_l2) == 3 and (np.diff(fit.err_l2) < 0).all()
+
+
+@pytest.mark.parametrize("ns", [(8,), (8, 8), (), (8.0, 12.0), (3, 8), 8])
+def test_richardson_orders_rejects_bad_grid_sizes(ns):
+    with pytest.raises(ValueError, match="grid sizes"):
+        ol.richardson_orders(ns=ns)
+
+
+@pytest.mark.parametrize("field", [[], [1.0], 1.0, "theta"])
+def test_route_difference_rejects_bad_fields(field):
+    with pytest.raises(ValueError, match="callable"):
+        ol.route_difference(4, field=field)
+
+
+def test_route_difference_rejects_non_integer_grid():
+    with pytest.raises(ValueError, match="integer n"):
+        ol.route_difference(8.5)
 
 
 def test_batched_richardson_matches_single_field_fits():
