@@ -23,8 +23,6 @@ def frac(x) -> Fraction:
         return Fraction(x)
     if isinstance(x, str):
         return Fraction(x)
-    if isinstance(x, (int, np.integer)):
-        return Fraction(int(x))
     raise TypeError(f"not exactly representable: {x!r}")
 
 

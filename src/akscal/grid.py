@@ -126,9 +126,6 @@ class QuotientGrid:
     def l2(self, v) -> float:
         return float(np.sqrt(self.cell_volume) * np.linalg.norm(np.asarray(v).ravel()))
 
-    def lmax(self, v) -> float:
-        return float(np.max(np.abs(v)))
-
 
 def _grid_size(v, name: str) -> int:
     try:
@@ -139,22 +136,6 @@ def _grid_size(v, name: str) -> int:
 
 # ---------------------------------------------------------------------------
 # one-axis stencils for the chart (non-wrapping) difference route
-
-
-def d1_periodic(n: int, h: float) -> sp.csr_matrix:
-    e = np.ones(n)
-    m = sp.diags([e, -e], [1, -1], shape=(n, n)).tolil()
-    m[0, n - 1] = -1.0
-    m[n - 1, 0] = 1.0
-    return (m * (0.5 / h)).tocsr()
-
-
-def d2_periodic(n: int, h: float) -> sp.csr_matrix:
-    e = np.ones(n)
-    m = sp.diags([e, -2.0 * np.ones(n), e], [1, 0, -1], shape=(n, n)).tolil()
-    m[0, n - 1] = 1.0
-    m[n - 1, 0] = 1.0
-    return (m * (1.0 / h ** 2)).tocsr()
 
 
 def d1_sided(n: int, h: float) -> sp.csr_matrix:

@@ -10,9 +10,10 @@ in two independent discretizations:
   corrected by the frame connection — assembled as sparse matrices, it is
   the route the adjoint system, its exact-transpose forward operator, and
   the normal operator are built on;
-* the chart route: plain coordinate stencils of the ten chart Hessian
-  formulas, one-sided in x at the fundamental-domain faces so nothing crosses
-  the sheared seam, applied to sampled fields.
+* the chart route: coordinate stencils of the ten chart Hessian formulas,
+  applied to sampled fields: one-sided in x at the fundamental-domain faces
+  so nothing crosses the sheared seam, and the grid's periodic y, z, t
+  differences, which the frame route shares.
 
 Both routes are second order; their difference contracts like h^2, which the
 Richardson fit exposes.  Fourier modes feed the principal-symbol ratio check,
@@ -35,8 +36,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import exact, lie
-from .grid import AXES, QuotientGrid, d1_periodic, d1_sided, d2_periodic, \
-    d2_sided, lift_axis
+from .grid import AXES, QuotientGrid, d1_sided, d2_sided, lift_axis
 
 J_KT = np.array([[0., 0., 0., 1.], [0., 0., -1., 0.],
                  [0., 1., 0., 0.], [-1., 0., 0., 0.]])
@@ -219,28 +219,24 @@ def hessian_ops_chart(g: QuotientGrid, variant: OperatorVariant,
                       psi: np.ndarray) -> dict:
     """Chart-route Hessian slots applied to the (size, m) field block psi.
 
-    Pure coordinate stencils from the ten chart Hessian formulas: narrow
-    3-point second differences on each axis, centered first differences, and
-    one-sided (non-wrapping) x-stencils, so the route never crosses the
-    sheared seam and stays second order on the closed fundamental domain.
-    The first differences and the z second difference of psi are formed
-    once and shared; multiplication by x is an elementwise product.
+    The ten chart Hessian formulas in narrow 3-point second and centered
+    first differences.  On the sheared quotient x is one-sided at the faces
+    of the fundamental domain, so the route never crosses the seam and stays
+    second order; every other axis takes the grid's periodic diff/diff2, as
+    the frame route does.  The routes stay independent in x and in the
+    Hessian formula (frame composition with connection terms vs the chart
+    formulas).  Shared differences of psi are formed once; x multiplies
+    elementwise.
     """
     if variant.twisted != g.twisted:
         raise ValueError(f"variant {variant.name!r} expects twisted={variant.twisted}")
-    n, nt = g.n, g.nt
     if variant.name == "kt":
-        dx = lift_axis(d1_sided(n, g.hx), "x", g)
-        dxx = lift_axis(d2_sided(n, g.hx), "x", g)
+        dx = lift_axis(d1_sided(g.n, g.hx), "x", g)
+        dxx = lift_axis(d2_sided(g.n, g.hx), "x", g)
     else:
-        dx = lift_axis(d1_periodic(n, g.hx), "x", g)
-        dxx = lift_axis(d2_periodic(n, g.hx), "x", g)
-    dy = lift_axis(d1_periodic(n, g.hy), "y", g)
-    dz = lift_axis(d1_periodic(n, g.hz), "z", g)
-    dt = lift_axis(d1_periodic(nt, g.ht), "t", g)
-    dyy = lift_axis(d2_periodic(n, g.hy), "y", g)
-    dzz = lift_axis(d2_periodic(n, g.hz), "z", g)
-    dtt = lift_axis(d2_periodic(nt, g.ht), "t", g)
+        dx, dxx = g.diff("x"), g.diff2("x")
+    dy, dz, dt = (g.diff(a) for a in AXES[1:])
+    dyy, dzz, dtt = (g.diff2(a) for a in AXES[1:])
     px, py, pz = dx @ psi, dy @ psi, dz @ psi
     if variant.name == "flat":
         first = (dx, dy, dz, dt)
@@ -367,9 +363,8 @@ def fourier_mode(g: QuotientGrid, k: tuple) -> np.ndarray:
     kx, ky, kz, kt = (int(v) for v in k)
     if g.twisted and kz != 0:
         raise ValueError("sheared quotient admits plane waves with kz = 0 only")
-    x, y, z, t = g.node_coordinates()
-    phase = 2.0 * math.pi * (kx * x + ky * y + kz * z + kt * t / g.d)
-    return np.exp(1j * phase).ravel()
+    return g.sample(lambda x, y, z, t: np.exp(
+        1j * (2.0 * math.pi * (kx * x + ky * y + kz * z + kt * t / g.d))))
 
 
 def mode_sigma(g: QuotientGrid, k: tuple) -> np.ndarray:

@@ -10,6 +10,9 @@ def test_frac_parses_common_shapes():
     assert exact.frac("-3/4") == Fraction(-3, 4)
     assert exact.frac(2) == Fraction(2)
     assert exact.frac(Fraction(1, 3)) == Fraction(1, 3)
+    # numpy integers register as numbers.Rational
+    for v in (np.int64(-3), np.int32(-3), np.uint8(3), True):
+        assert exact.frac(v) == Fraction(int(v))
 
 
 def test_as_exact_keeps_rationals():

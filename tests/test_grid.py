@@ -96,14 +96,21 @@ def test_shifts_are_permutations():
 
 
 def test_diff_symbol_on_torus():
-    g = gr.QuotientGrid(8, twisted=False)
+    # every axis on which the chart route takes the grid's periodic
+    # differences; on the sheared quotient that is y, z and t only
     k = 2
-    psi = g.sample(lambda x, y, z, t: np.exp(2j * np.pi * k * x))
-    h = g.hx
-    lam1 = 1j * np.sin(2 * np.pi * k * h) / h
-    lam2 = -4.0 * np.sin(np.pi * k * h) ** 2 / h ** 2
-    assert np.allclose(g.diff("x") @ psi, lam1 * psi, atol=1e-12)
-    assert np.allclose(g.diff2("x") @ psi, lam2 * psi, atol=1e-9)
+    for twisted, nt, d, axes in ((False, 8, 1.0, "xyzt"), (True, 12, 0.5, "yzt")):
+        g = gr.QuotientGrid(8, nt, d, twisted=twisted)
+        for axis in axes:
+            a = gr.AXES.index(axis)
+            period = d if axis == "t" else 1.0
+            psi = g.sample(lambda *c: np.exp(2j * np.pi * k * c[a] / period))
+            h = g.spacing(axis)
+            theta = 2 * np.pi * k * h / period
+            lam1 = 1j * np.sin(theta) / h
+            lam2 = -4.0 * np.sin(theta / 2) ** 2 / h ** 2
+            assert np.allclose(g.diff(axis) @ psi, lam1 * psi, atol=1e-12)
+            assert np.allclose(g.diff2(axis) @ psi, lam2 * psi, atol=1e-9)
 
 
 def test_twisted_diff_needs_invariance():
@@ -130,11 +137,10 @@ def test_lift_axis_applies_along_one_axis():
     dxx = gr.lift_axis(gr.d2_sided(g.n, g.hx), "x", g)
     f = g.sample(lambda x, y, z, t: x ** 2 + 3.0 * y)
     assert np.allclose(dxx @ f, 2.0, atol=1e-10)
-    dtt = gr.lift_axis(gr.d2_periodic(g.nt, g.ht), "t", g)
+    dtt = gr.lift_axis(gr.d2_sided(g.nt, g.ht), "t", g)
     assert np.allclose(dtt @ f, 0.0, atol=1e-12)
 
 
 def test_l2_normalization():
     g = gr.QuotientGrid(4, d=2.0)
     assert g.l2(np.ones(g.size)) == pytest.approx(np.sqrt(2.0))
-    assert g.lmax(-3.0 * np.ones(g.size)) == 3.0

@@ -5,8 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from akscal import operator_lab as ol
-from akscal.grid import (AXES, QuotientGrid, d1_periodic, d1_sided,
-                         d2_periodic, d2_sided, lift_axis)
+from akscal.grid import AXES, QuotientGrid, d1_sided, d2_sided, lift_axis
 
 
 def nnz_diff(a, b):
@@ -33,16 +32,14 @@ def product_frame_slots(g, v):
 
 
 def product_chart_slots(g, v):
-    n, nt = g.n, g.nt
     sided = v.name == "kt"
-    dx = lift_axis((d1_sided if sided else d1_periodic)(n, g.hx), "x", g)
-    dxx = lift_axis((d2_sided if sided else d2_periodic)(n, g.hx), "x", g)
-    dy = lift_axis(d1_periodic(n, g.hy), "y", g)
-    dz = lift_axis(d1_periodic(n, g.hz), "z", g)
-    dt = lift_axis(d1_periodic(nt, g.ht), "t", g)
-    dyy = lift_axis(d2_periodic(n, g.hy), "y", g)
-    dzz = lift_axis(d2_periodic(n, g.hz), "z", g)
-    dtt = lift_axis(d2_periodic(nt, g.ht), "t", g)
+    if sided:
+        dx = lift_axis(d1_sided(g.n, g.hx), "x", g)
+        dxx = lift_axis(d2_sided(g.n, g.hx), "x", g)
+    else:
+        dx, dxx = g.diff("x"), g.diff2("x")
+    dy, dz, dt = (g.diff(a) for a in AXES[1:])
+    dyy, dzz, dtt = (g.diff2(a) for a in AXES[1:])
     if not sided:
         first = dict(zip(AXES, (dx, dy, dz, dt)))
         second = dict(zip(AXES, (dxx, dyy, dzz, dtt)))
