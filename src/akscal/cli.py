@@ -39,6 +39,7 @@ _EXPR_BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub,
                 ast.Pow: operator.pow}
 _EXPR_UNOPS = {ast.UAdd: operator.pos, ast.USub: operator.neg}
 _MAX_EXPONENT = 64.0
+_MAX_NODES = 32 ** 4   # the largest grid --N admits, at Nt = N
 
 
 def _fmt(v) -> str:
@@ -152,8 +153,12 @@ def cmd_zbound(args) -> int:
 def cmd_operator(args) -> int:
     if not 4 <= args.N <= 32:
         raise ValueError("N must lie in [4, 32]")
-    if args.d <= 0:
-        raise ValueError("d must be positive")
+    if not (args.d > 0 and math.isfinite(args.d)):
+        raise ValueError("need finite d > 0")
+    nodes = args.N ** 3 * (args.N if args.Nt is None else args.Nt)
+    if nodes > _MAX_NODES:
+        raise ValueError(f"N^3 * Nt = {nodes} exceeds the bound 32^4 = "
+                         f"{_MAX_NODES} grid nodes")
     system = operator_lab.build_system(args.N, args.Nt, args.d, args.variant)
     # solve first, so a rejected --kernel-gap K leaves no partial artifacts
     rep = (operator_lab.spectral_floor(system, k=args.kernel_gap)
@@ -187,7 +192,8 @@ def cmd_operator(args) -> int:
                    [(i, rep.values[i], rep.residuals[i], rep.method, rep.size,
                      *rep.sectors[i]) for i in range(len(rep.values))])
         print(f"spectral floor {_fmt(rep.floor)} ({rep.method}, "
-              f"{rep.size} nodes)")
+              f"{rep.size} nodes, {rep.solved} of {g.n * g.nt} sectors "
+              f"solved)")
     return 0
 
 

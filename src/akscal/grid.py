@@ -11,6 +11,7 @@ With twisted=False the same machinery produces the plain 4-torus.
 
 from __future__ import annotations
 
+import math
 import operator
 
 import numpy as np
@@ -30,8 +31,8 @@ class QuotientGrid:
             raise ValueError("need n >= 4")
         if self.nt < 4:
             raise ValueError("need nt >= 4")
-        if d <= 0:
-            raise ValueError("need d > 0")
+        if not (d > 0 and math.isfinite(d)):
+            raise ValueError("need finite d > 0")
         self.d = float(d)
         self.twisted = bool(twisted)
         self.hx = self.hy = self.hz = 1.0 / self.n

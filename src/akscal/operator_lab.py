@@ -315,13 +315,24 @@ class AdjointSystem:
                     for w, us in zip(self.weights, u))
         return self.grid.cell_volume * total
 
+    def normal_rows(self, rows=None) -> sp.csr_matrix:
+        """Rows of M = sum_s w_s A_s^T A_s, as sum_s w_s (A_s[:, rows])^T A_s.
+
+        rows=None gives all of M.  The rows are cut from each A_s before the
+        product, not from A_s^T after it, so row r holds the same bytes as
+        row r of the whole M.
+        """
+        size = self.grid.size
+        m = sp.csr_matrix((size if rows is None else len(rows), size))
+        for w, op in zip(self.weights, self.ops):
+            left = op.T if rows is None else op[:, rows].T
+            m = m + w * (left @ op)
+        return m.tocsr()
+
     @cached_property
     def normal_matrix(self) -> sp.csr_matrix:
         """M = sum_s w_s A_s^T A_s: symmetric positive semi-definite."""
-        m = sp.csr_matrix((self.grid.size, self.grid.size))
-        for w, op in zip(self.weights, self.ops):
-            m = m + w * (op.T @ op)
-        return m.tocsr()
+        return self.normal_rows()
 
     @cached_property
     def laplacian(self) -> sp.csr_matrix:
@@ -435,14 +446,23 @@ def symbol_sweep(system: AdjointSystem, modes=None):
 class SpectralReport:
     values: np.ndarray
     vectors: np.ndarray      # complex grid-space columns, unit norm
-    residuals: np.ndarray    # ||M v - lambda v|| against the sparse M
+    residuals: np.ndarray    # ||sum_s w_s A_s^T (A_s v) - lambda v||
     method: str
     size: int
     sectors: tuple           # (kz, kt) DFT index of each value
+    solved: int              # sector blocks sent to eigvalsh
 
     @property
     def floor(self) -> float:
         return float(self.values[0])
+
+
+def _unit_roots(m: int) -> np.ndarray:
+    """e^{2 pi i a / m} for a = 0..m-1, with entry m - a the exact conjugate
+    of entry a, so conjugate sectors fold to exactly conjugate blocks."""
+    e = np.exp(2j * math.pi * np.arange(m) / m)
+    e[m // 2 + 1:] = np.conj(e[1:(m + 1) // 2][::-1])
+    return e
 
 
 def spectral_floor(system: AdjointSystem, k: int = 2) -> SpectralReport:
@@ -451,24 +471,36 @@ def spectral_floor(system: AdjointSystem, k: int = 2) -> SpectralReport:
     M commutes with the z and t translations (the central-character splitting
     of the Heisenberg quotient), so it is block diagonal on the plane waves
     phi(i, j) exp(2 pi i (kz k / n + kt l / nt)).  Each n^2 x n^2 Hermitian
-    block is folded from the n^2 rows of M at (z, t) = (0, 0):
+    block is folded from the n^2 rows of M at (z, t) = (0, 0), which are
+    the only rows assembled:
     B[(i,j),(i',j')] = sum M[(i,j,0,0),(i',j',k',l')] e^{2 pi i (kz k'/n + kt l'/nt)}.
     The sheared x-wrap needs no extra phase: the column indices k' are
-    canonical, so the shear is already in them.  The k smallest values over
-    all sectors are kept (stable sort, so ties are deterministic) and their
-    residuals recomputed against M in grid space.
+    canonical, so the shear is already in them.
+
+    eigvalsh runs once per orbit of two exact pairings, and its values are
+    copied to every twin sector:
+
+    * conjugation, (kz, kt) ~ (-kz, -kt): M is real, so B(-k) = conj B(k)
+      has the same spectrum (the phase tables are conjugate-symmetric to
+      the last bit, so this holds entry for entry);
+    * t-parity, kt ~ kt + nt/2, when nt is even and every nonzero entry of
+      the folded rows has an even t-offset l': then both sectors read the
+      same exponent indices, and their blocks are equal entry for entry.
+
+    The k smallest values over all sectors are kept (stable sort, so ties go
+    to the first sector in (kz, kt) order), each picked sector's own block
+    gives its vectors, and residuals are recomputed in grid space as
+    sum_s w_s A_s^T (A_s v) - lambda v.
     """
     g = system.grid
     n, nt, nxy = g.n, g.nt, g.n * g.n
     if not 1 <= k <= g.size:
         raise ValueError(f"need 1 <= k <= {g.size} eigenpairs, got {k}")
-    m = system.normal_matrix
-    rows = m[np.arange(nxy) * (n * nt)].tocoo()
+    rows = system.normal_rows(np.arange(nxy) * (n * nt)).tocoo()
     xy, rest = np.divmod(rows.col, n * nt)
     kc, lc = np.divmod(rest, nt)
     flat = rows.row * nxy + xy
-    ez = np.exp(2j * math.pi * np.arange(n) / n)
-    et = np.exp(2j * math.pi * np.arange(nt) / nt)
+    ez, et = _unit_roots(n), _unit_roots(nt)
 
     def block(kz: int, kt: int) -> np.ndarray:
         w = rows.data * ez[kz * kc % n] * et[kt * lc % nt]
@@ -476,24 +508,34 @@ def spectral_floor(system: AdjointSystem, k: int = 2) -> SpectralReport:
              + 1j * np.bincount(flat, w.imag, nxy * nxy))
         return b.reshape(nxy, nxy)
 
-    sectors = [(kz, kt) for kz in range(n) for kt in range(nt)]
+    # first[s]: the lowest sector index among the twins of sector s
+    z, t = np.divmod(np.arange(n * nt), nt)
+    twins = [(z, t), (-z % n, -t % nt)]
+    if nt % 2 == 0 and not np.any(lc[rows.data != 0] % 2):
+        twins += [(tz, (tt + nt // 2) % nt) for tz, tt in twins]
+    first = np.min([tz * nt + tt for tz, tt in twins], axis=0)
     per = min(k, nxy)
-    vals = np.concatenate([np.linalg.eigvalsh(block(*s))[:per]
-                           for s in sectors])
+    vals = np.empty((n * nt, per))
+    reps = np.unique(first)
+    for r in reps:
+        vals[first == r] = np.linalg.eigvalsh(block(*divmod(r, nt)))[:per]
+    vals = vals.ravel()
     order = np.argsort(vals, kind="stable")[:k]
-    picked = tuple(sectors[i // per] for i in order)
+    picked = tuple(divmod(int(i // per), nt) for i in order)
     vecs = np.empty((g.size, k), dtype=complex)
-    solved: dict = {}
+    bases: dict = {}
     for col, (i, (kz, kt)) in enumerate(zip(order, picked)):
-        if (kz, kt) not in solved:
-            solved[(kz, kt)] = np.linalg.eigh(block(kz, kt))[1]
+        if (kz, kt) not in bases:
+            bases[(kz, kt)] = np.linalg.eigh(block(kz, kt))[1]
         wave = np.multiply.outer(ez[kz * np.arange(n) % n],
                                  et[kt * np.arange(nt) % nt])
-        phi = solved[(kz, kt)][:, i % per]
+        phi = bases[(kz, kt)][:, i % per]
         vecs[:, col] = np.multiply.outer(phi, wave).ravel() / math.sqrt(n * nt)
     values = vals[order]
-    res = np.linalg.norm(m @ vecs - vecs * values, axis=0)
-    return SpectralReport(values, vecs, res, "fourier-sector", g.size, picked)
+    res = np.array([np.linalg.norm(system.forward(system.apply(v)) - lam * v)
+                    for v, lam in zip(vecs.T, values)])
+    return SpectralReport(values, vecs, res, "fourier-sector", g.size, picked,
+                          len(reps))
 
 
 def kernel_gap(n: int, nt: Optional[int] = None, d: float = 1.0,

@@ -59,7 +59,16 @@ def test_zbound_certificate(tmp_path):
 def test_operator_validation(tmp_path, capsys):
     assert run(tmp_path, "operator", "--N", "40") == 2
     assert "N must lie in [4, 32]" in capsys.readouterr().err
-    assert run(tmp_path, "operator", "--N", "8", "--d", "-1") == 2
+    # a non-finite t-period is refused before any grid is built
+    for d in ("-1", "inf", "nan"):
+        assert run(tmp_path, "operator", "--N", "4", "--d", d,
+                   "--kernel-gap", "2") == 2
+        assert "need finite d > 0" in capsys.readouterr().err
+    # the node count is bounded by the largest grid --N admits; only the
+    # rejection is run, no oversized grid is built
+    for n, nt in (("32", "33"), ("4", str(10 ** 12))):
+        assert run(tmp_path, "operator", "--N", n, "--Nt", nt) == 2
+        assert "32^4 = 1048576" in capsys.readouterr().err
     # the eigenpair count must lie in [1, grid size]; 0 leaves it off
     for k in ("-1", str(4 ** 4 + 1)):
         assert run(tmp_path, "operator", "--variant", "flat", "--N", "4",
@@ -76,6 +85,7 @@ def test_operator_artifacts(tmp_path, capsys):
     # flat constants are annihilated slot by slot
     for line in residuals.splitlines()[1:7]:
         assert line.startswith("constant,") and line.endswith(",0")
+    assert "6 of 16 sectors solved" in capsys.readouterr().out
     spectrum = (tmp_path / "operator_spectrum_flat_N4.csv").read_text()
     floor = float(spectrum.splitlines()[1].split(",")[1])
     assert abs(floor) <= 1e-8

@@ -19,8 +19,9 @@ def test_constructor_validation():
         gr.QuotientGrid(3)
     with pytest.raises(ValueError):
         gr.QuotientGrid(4, nt=2)
-    with pytest.raises(ValueError):
-        gr.QuotientGrid(4, d=0.0)
+    for d in (0.0, -1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="need finite d > 0"):
+            gr.QuotientGrid(4, d=d)
     # a non-integer size is refused, not truncated
     for bad in (8.5, 8.0, "8", None):
         with pytest.raises(ValueError):

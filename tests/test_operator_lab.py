@@ -286,6 +286,88 @@ def test_spectral_floor_matches_dense_reference():
         assert np.max(rep.residuals) < 1e-8
 
 
+@pytest.mark.parametrize("n, nt, d, variant", [
+    (4, 4, 1.0, "kt"), (6, 20, 1.0, "kt"), (8, 16, 0.5, "kt"),
+    (6, 6, 1.0, "flat")])
+def test_normal_rows_match_normal_matrix(n, nt, d, variant):
+    system = ol.build_system(n, nt, d, variant)
+    fold = np.arange(n * n) * (n * nt)
+    picked = np.random.default_rng(4).choice(system.grid.size, 40,
+                                             replace=False)
+    for rows in (fold, picked):
+        assert same_csr(system.normal_rows(rows), system.normal_matrix[rows])
+
+
+def all_sector_floor(system, k):
+    """Test-only reference: eigvalsh in every (kz, kt) sector of the fold of
+    the global normal matrix, no twin pairing."""
+    g = system.grid
+    n, nt, nxy = g.n, g.nt, g.n * g.n
+    rows = system.normal_matrix[np.arange(nxy) * (n * nt)].tocoo()
+    xy, rest = np.divmod(rows.col, n * nt)
+    kc, lc = np.divmod(rest, nt)
+    flat = rows.row * nxy + xy
+    ez, et = ol._unit_roots(n), ol._unit_roots(nt)
+
+    def block(kz, kt):
+        w = rows.data * ez[kz * kc % n] * et[kt * lc % nt]
+        return (np.bincount(flat, w.real, nxy * nxy)
+                + 1j * np.bincount(flat, w.imag, nxy * nxy)).reshape(nxy, nxy)
+
+    sectors = [(kz, kt) for kz in range(n) for kt in range(nt)]
+    per = min(k, nxy)
+    vals = np.concatenate([np.linalg.eigvalsh(block(*s))[:per]
+                           for s in sectors])
+    order = np.argsort(vals, kind="stable")[:k]
+    picked = tuple(sectors[i // per] for i in order)
+    vecs = np.empty((g.size, k), dtype=complex)
+    for col, (i, (kz, kt)) in enumerate(zip(order, picked)):
+        phi = np.linalg.eigh(block(kz, kt))[1][:, i % per]
+        wave = np.multiply.outer(ez[kz * np.arange(n) % n],
+                                 et[kt * np.arange(nt) % nt])
+        vecs[:, col] = np.multiply.outer(phi, wave).ravel() / np.sqrt(n * nt)
+    return vals[order], picked, vecs
+
+
+@pytest.mark.parametrize("n, nt, d, variant", [
+    (6, 6, 1.0, "kt"), (6, 16, 1.0, "kt"), (6, 20, 1.0, "kt"),
+    (8, 8, 1.0, "kt"), (8, 16, 0.5, "kt"), (6, 7, 1.0, "kt"),
+    (6, 6, 1.0, "flat"), (8, 8, 1.0, "flat")])
+def test_twin_pairing_matches_all_sector_solve(n, nt, d, variant):
+    system = ol.build_system(n, nt, d, variant)
+    for k in (2, 6, 20):
+        rep = ol.spectral_floor(system, k=k)
+        values, sectors, vectors = all_sector_floor(system, k)
+        assert rep.values.tobytes() == values.tobytes()
+        assert rep.sectors == sectors
+        assert rep.vectors.tobytes() == vectors.tobytes()
+        assert np.max(rep.residuals) < 1e-8
+
+
+@pytest.mark.parametrize("n, nt, solved", [(6, 20, 32), (8, 8, 18),
+                                            (6, 7, 22)])
+def test_spectral_floor_solves_one_sector_per_orbit(n, nt, solved):
+    # conjugation pairs (kz, kt) with (-kz, -kt); an even nt also pairs kt
+    # with kt + nt/2, an odd one (nt = 7) has conjugation only
+    rep = ol.spectral_floor(ol.build_system(n, nt, 1.0, "kt"), k=2)
+    assert rep.solved == solved
+
+
+def test_t_parity_pairing_needs_even_t_offsets():
+    # a forward t-difference puts odd t-offsets into M, and then kt and
+    # kt + nt/2 are no longer twins: only conjugation may pair sectors
+    system = ol.build_system(4, 6, 1.0, "flat")
+    g = system.grid
+    forward = g.shift("t", 1) - sp.identity(g.size, format="csr")
+    system.ops = [(op + forward).tocsr() for op in system.ops]
+    rep = ol.spectral_floor(system, k=6)
+    assert rep.solved == 14
+    values, sectors, vectors = all_sector_floor(system, 6)
+    assert rep.values.tobytes() == values.tobytes()
+    assert rep.sectors == sectors
+    assert rep.vectors.tobytes() == vectors.tobytes()
+
+
 def test_spectral_floor_rejects_bad_k():
     system = ol.build_system(4, 4, 1.0, "flat")
     for k in (-1, 0, system.grid.size + 1):
