@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import lie, operator_lab, rearrange, suite, zbound
+from . import lie, rearrange, zbound
 
 _EXPR_NAMES = {
     "sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp,
@@ -151,6 +151,8 @@ def cmd_zbound(args) -> int:
 
 
 def cmd_operator(args) -> int:
+    from . import operator_lab   # imports SciPy; only operator and report do
+
     if not 4 <= args.N <= 32:
         raise ValueError("N must lie in [4, 32]")
     if not (args.d > 0 and math.isfinite(args.d)):
@@ -280,10 +282,7 @@ def _compile_expr(node):
 
 
 def cmd_rearrange(args) -> int:
-    if args.eps <= 0:
-        raise ValueError("eps must be positive")
-    if args.p <= 1:
-        raise ValueError("p must exceed 1")
+    rearrange.check_plan_parameters(args.eps, args.p, args.max_arcs)
     f = _parse_field(args.f)
     f1 = _parse_field(args.f1)
     out = _out_dir(args)
@@ -342,6 +341,8 @@ def cmd_report(args) -> int:
 
 
 def cmd_paper_suite(args) -> int:
+    from . import suite
+
     results = suite.run_all(args.seed)
     out = _out_dir(args)
     _write_csv(out / "suite_summary.csv",

@@ -16,6 +16,7 @@ angle arrays.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -28,6 +29,9 @@ CIRCLE = 2.0 * math.pi
 _OSC_MARGIN = 0.9
 _COLLAR_FACTOR = 0.36
 _DERIVATIVE_FLOOR = 1e-6
+_FIRST_ARCS = 4          # the first partition; refinement doubles it
+_SCAN_CHUNK = 64         # samples in the first chunk of a source-window scan
+_ERROR_BLOCK = 4096      # Simpson nodes per phi call in rearrange_error
 
 
 class PlanError(ValueError):
@@ -36,6 +40,21 @@ class PlanError(ValueError):
     def __init__(self, message: str, required_cap: Optional[int] = None):
         super().__init__(message)
         self.required_cap = required_cap
+
+
+def check_plan_parameters(eps: float, p: float, max_arcs: int) -> None:
+    """ValueError naming the first of eps, p, max_arcs that no plan accepts:
+    eps and p must be finite with eps > 0 and p > 1, and max_arcs an integer
+    of at least the first partition's 4 arcs."""
+    if not (eps > 0 and math.isfinite(eps)):
+        raise ValueError(f"eps must be finite and positive, not {eps}")
+    if not (p > 1 and math.isfinite(p)):
+        raise ValueError(f"p must be finite and exceed 1, not {p}")
+    if not (isinstance(max_arcs, numbers.Integral)
+            and max_arcs >= _FIRST_ARCS):
+        raise ValueError(f"max_arcs must be an integer >= {_FIRST_ARCS} (the "
+                         f"first partition has {_FIRST_ARCS} arcs), not "
+                         f"{max_arcs}")
 
 
 def _sample_circle(n: int) -> np.ndarray:
@@ -83,24 +102,39 @@ class RearrangementPlan:
 def _source_window(fx: np.ndarray, x: np.ndarray, level: float,
                    tol: float, start: float, stop: float):
     """First maximal interval of {|f - level| < tol} inside the lifted
-    window [start, stop), scanning forward from start.  None if empty."""
+    window [start, stop), scanning forward from start.  None if empty.
+
+    Sample indices are lifted (index i is sample i % n on lap i // n), and
+    the band is tested on chunks that double in size from the cursor on, so
+    a search costs about the length of the run it finds, not n.  A run of a
+    single sample is no interval and is skipped.
+    """
     n = len(x)
-    ok = np.abs(fx - level) < tol
-    # walk the sample circle as many laps as the window needs
     i0 = int(np.ceil(start / CIRCLE * n))
     i1 = int(np.floor(stop / CIRCLE * n))
-    i = i0
-    while i <= i1:
-        if ok[i % n]:
-            j = i
-            while j + 1 <= i1 and ok[(j + 1) % n]:
-                j += 1
-            lo, hi = x[0] + i * (CIRCLE / n), x[0] + j * (CIRCLE / n)
-            if hi > lo:
-                return lo, hi
-            i = j + 1
-        i += 1
-    return None
+    first = None                       # start of the run, once found
+    a, size = i0, _SCAN_CHUNK
+    while a <= i1:
+        # the chunk reaches one sample past [a, a + size) so that a pair
+        # straddling the seam is seen; the next chunk starts at a + size
+        b = min(a + size + 1, i1 + 1)
+        ok = np.abs(fx[np.arange(a, b) % n] - level) < tol
+        if first is None:
+            pairs = np.flatnonzero(ok[:-1] & ok[1:])
+            if len(pairs):
+                first = a + int(pairs[0])
+        if first is not None:
+            seek = max(first, a)
+            ends = np.flatnonzero(~ok[seek - a:])
+            if len(ends):
+                last = seek + int(ends[0]) - 1
+                break
+        a, size = a + size, 2 * size
+    else:
+        if first is None:
+            return None
+        last = i1
+    return x[0] + first * (CIRCLE / n), x[0] + last * (CIRCLE / n)
 
 
 def build_plan(f: Callable, f1: Callable, eps: float, p: float = 2.0,
@@ -113,10 +147,7 @@ def build_plan(f: Callable, f1: Callable, eps: float, p: float = 2.0,
     the same cyclic order as the arcs (in one dimension disjoint intervals
     cannot pass through each other, so order compatibility is mandatory).
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if p <= 1:
-        raise ValueError("p must exceed 1")
+    check_plan_parameters(eps, p, max_arcs)
     if not feasible(f, f1, tol):
         raise ValueError("target is not within [inf f, sup f]: infeasible")
     x = _sample_circle(samples)
@@ -133,7 +164,7 @@ def build_plan(f: Callable, f1: Callable, eps: float, p: float = 2.0,
         return float(np.max(np.maximum.reduceat(gx, starts)
                             - np.minimum.reduceat(gx, starts)))
 
-    n_arcs = 4
+    n_arcs = _FIRST_ARCS
     while max_osc(n_arcs) >= _OSC_MARGIN * delta:
         if 2 * n_arcs > max_arcs:
             need = 2 * n_arcs
@@ -323,20 +354,33 @@ def realize_diffeo(plan: RearrangementPlan) -> PiecewiseDiffeo:
 
 def rearrange_error(f: Callable, f1: Callable, phi: PiecewiseDiffeo,
                     p: float = 2.0, subdivisions: int = 32) -> float:
-    """L^p norm of f(phi_1(x)) - f1(x), composite Simpson per linear piece."""
+    """L^p norm of f(phi_1(x)) - f1(x), composite Simpson per linear piece.
+
+    phi, f and f1 are called once per block of about 4096 Simpson nodes,
+    whole pieces at a time, so memory stays flat however many pieces.
+    """
     edges = np.concatenate([phi.nodes_from,
                             [phi.nodes_from[0] + CIRCLE]])
+    m = 2 * subdivisions
+    weights = np.ones(m + 1)
+    weights[1:-1:2] = 4.0
+    weights[2:-1:2] = 2.0
+    lo, hi = edges[:-1], edges[1:]
+    steps = (hi - lo) / m
+    rows = max(1, _ERROR_BLOCK // (m + 1))
     total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        m = 2 * subdivisions
-        xq = np.linspace(lo, hi, m + 1)
+    for k in range(0, len(lo), rows):
+        # linspace along axis 1 returns a transposed view; phi's @ needs
+        # C order to run one BLAS product per piece
+        xq = np.ascontiguousarray(
+            np.linspace(lo[k:k + rows], hi[k:k + rows], m + 1, axis=1))
         integrand = np.abs(np.asarray(f(phi(xq) % CIRCLE), float)
                            - np.asarray(f1(xq % CIRCLE), float)) ** p
-        h = (hi - lo) / m
-        weights = np.ones(m + 1)
-        weights[1:-1:2] = 4.0
-        weights[2:-1:2] = 2.0
-        total += h / 3.0 * float(weights @ integrand)
+        # a BLAS dot rounds by where its row starts in memory, so the block
+        # product integrand @ weights moves some errors by an ulp; each
+        # piece's sum is taken on a fresh copy of its row, as one piece alone
+        for h, row in zip(steps[k:k + rows], integrand):
+            total += h / 3.0 * float(weights @ row.copy())
     return total ** (1.0 / p)
 
 

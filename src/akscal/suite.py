@@ -3,7 +3,9 @@
 Each check_* function exercises one headline property of the package and
 returns a CheckResult; run_all collects them in order.  The CLI's
 paper-suite subcommand and the acceptance test module both drive these, so
-pass/fail logic lives in exactly one place.
+pass/fail logic lives in exactly one place.  The operator lab, and with it
+SciPy, is imported inside the four checks that use it, before their clocks
+start.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import exact, lie, operator_lab, rearrange, tensor, zbound
+from . import exact, lie, rearrange, tensor, zbound
 
 
 @dataclass(frozen=True)
@@ -145,6 +147,8 @@ def check_collapsing(seed: int = 0) -> CheckResult:
 
 def check_symbol(seed: int = 0, n: int = 8) -> CheckResult:
     """Flat symbol identity to rounding; sheared correction decay."""
+    from . import operator_lab
+
     t0 = time.perf_counter()
     flat = operator_lab.build_system(n, 2 * n, 1.0, "flat")
     worst = 0.0
@@ -169,6 +173,8 @@ def check_symbol(seed: int = 0, n: int = 8) -> CheckResult:
 
 def check_kernel_gap(seed: int = 0) -> CheckResult:
     """Spectral floor: flat kernel present, sheared gap stable at N=6,8."""
+    from . import operator_lab
+
     t0 = time.perf_counter()
     floors = {}
     lines = []
@@ -194,6 +200,8 @@ def check_kernel_gap(seed: int = 0) -> CheckResult:
 
 def check_hessian_routes(seed: int = 0) -> CheckResult:
     """Two independent Hessian discretizations contract at 2nd order."""
+    from . import operator_lab
+
     t0 = time.perf_counter()
     fields = [operator_lab.random_invariant_field(1.0, seed + k)
               for k in range(3)]
@@ -230,6 +238,8 @@ def check_rearrangement(seed: int = 0) -> CheckResult:
 
 def check_property_suites(seed: int = 0) -> CheckResult:
     """Randomized invariants: projections, pairing, bound symmetries."""
+    from . import operator_lab
+
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     j0 = np.kron(np.eye(2), np.array([[0.0, -1.0], [1.0, 0.0]]))

@@ -155,11 +155,24 @@ def test_zbound_malformed_model_exits_2(tmp_path, capsys):
     assert "line 2: n needs a value" in capsys.readouterr().err
 
 
-def test_rearrange_validates_parameters(tmp_path):
+def test_rearrange_validates_parameters(tmp_path, capsys):
     assert run(tmp_path, "rearrange", "--f", "sin(x)", "--f1", "0*x",
                "--eps", "-1") == 2
     assert run(tmp_path, "rearrange", "--f", "sin(x)", "--f1", "0*x",
                "--p", "1.0") == 2
+    capsys.readouterr()
+    # non-finite eps or p and a cap below the first partition's 4 arcs are
+    # refused up front, each by its own name, before any planning
+    for flag, value, name in (("--p", "inf", "p"), ("--eps", "nan", "eps"),
+                              ("--p", "nan", "p"), ("--eps", "inf", "eps"),
+                              ("--max-arcs", "-5", "max_arcs"),
+                              ("--max-arcs", "3", "max_arcs")):
+        assert run(tmp_path, "rearrange", "--f", "sin(x)", "--f1",
+                   "0.3*cos(x)", flag, value) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error [rearrange]: {name} must be ")
+        assert "Traceback" not in err and "finer partition" not in err
+    assert not list(tmp_path.glob("rearrange_plan.csv"))
 
 
 def test_out_dir_from_environment(tmp_path, monkeypatch):

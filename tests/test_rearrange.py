@@ -30,6 +30,16 @@ def test_build_plan_validates_inputs():
         rr.build_plan(f_sin, f_zero, eps=0.1, p=1.0)
     with pytest.raises(ValueError):
         rr.build_plan(f_sin, lambda x: 3.0 + 0 * x, eps=0.1)
+    for kw, name in (({"eps": np.inf}, "eps"), ({"eps": np.nan}, "eps"),
+                     ({"eps": 0.1, "p": np.inf}, "p"),
+                     ({"eps": 0.1, "p": np.nan}, "p"),
+                     ({"eps": 0.1, "max_arcs": 2}, "max_arcs"),
+                     ({"eps": 0.1, "max_arcs": -5}, "max_arcs"),
+                     ({"eps": 0.1, "max_arcs": 8.0}, "max_arcs")):
+        with pytest.raises(ValueError, match=f"^{name} must be ") as info:
+            rr.build_plan(f_sin, f_zero, **kw)
+        assert not isinstance(info.value, rr.PlanError)
+    assert len(rr.build_plan(f_sin, f_zero, eps=0.3, max_arcs=4).arcs) == 4
 
 
 def test_plan_cap_reported_when_arcs_run_out():
@@ -134,6 +144,63 @@ def test_plan_batched_matches_per_arc_reference():
     with pytest.raises(rr.PlanError) as info:
         rr.build_plan(f_sin, lambda x: 0.8 * np.sin(20 * x), eps=0.1)
     assert info.value.required_cap == 8192
+
+
+def _walk_source_window(fx, x, level, tol, start, stop):
+    """Sample-by-sample reference for rr._source_window."""
+    n = len(x)
+    ok = np.abs(fx - level) < tol
+    i0 = int(np.ceil(start / TWO_PI * n))
+    i1 = int(np.floor(stop / TWO_PI * n))
+    i = i0
+    while i <= i1:
+        if ok[i % n]:
+            j = i
+            while j + 1 <= i1 and ok[(j + 1) % n]:
+                j += 1
+            if j > i:
+                return x[0] + i * (TWO_PI / n), x[0] + j * (TWO_PI / n)
+            i = j + 1
+        i += 1
+    return None
+
+
+def test_source_window_matches_sample_walk():
+    # runs that cross chunk seams, laps and the window's end, single-sample
+    # runs that must be skipped, and empty windows
+    rng = np.random.default_rng(7)
+    for case in range(600):
+        n = int(rng.choice([16, 64, 257, 1024]))
+        x = np.arange(n) * (TWO_PI / n)
+        fx = (np.sin(x * int(rng.integers(1, 6))), 0.3 * rng.standard_normal(n),
+              np.round(3 * np.sin(x)) / 3)[case % 3]
+        level = float(rng.uniform(-1.1, 1.1))
+        tol = float(rng.choice([1e-3, 0.01, 0.1, 0.5, 2.0]))
+        start = float(rng.uniform(0.0, 2 * TWO_PI))
+        stop = start + float(rng.uniform(0.0, 1.5 * TWO_PI))
+        assert rr._source_window(fx, x, level, tol, start, stop) == \
+            _walk_source_window(fx, x, level, tol, start, stop)
+
+
+def test_error_blocks_match_per_piece_simpson():
+    # one phi call per block of pieces gives the per-piece sum bit for bit
+    target = lambda x: 0.3 * np.cos(x)
+    phi = rr.realize_diffeo(rr.build_plan(f_sin, target, eps=0.05))
+    assert len(phi.nodes_from) > 4096 // 65
+    for p, sub in ((2.0, 32), (3.0, 7)):
+        m = 2 * sub
+        weights = np.ones(m + 1)
+        weights[1:-1:2] = 4.0
+        weights[2:-1:2] = 2.0
+        edges = np.append(phi.nodes_from, phi.nodes_from[0] + TWO_PI)
+        total = 0.0
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            xq = np.linspace(lo, hi, m + 1)
+            integrand = np.abs(f_sin(phi(xq) % TWO_PI)
+                               - target(xq % TWO_PI)) ** p
+            total += (hi - lo) / m / 3.0 * float(weights @ integrand)
+        assert rr.rearrange_error(f_sin, target, phi, p, sub) == \
+            total ** (1.0 / p)
 
 
 def test_endpoint_lap_count():
