@@ -155,8 +155,6 @@ def cmd_operator(args) -> int:
 
     if not 4 <= args.N <= 32:
         raise ValueError("N must lie in [4, 32]")
-    if not (args.d > 0 and math.isfinite(args.d)):
-        raise ValueError("need finite d > 0")
     nodes = args.N ** 3 * (args.N if args.Nt is None else args.Nt)
     if nodes > _MAX_NODES:
         raise ValueError(f"N^3 * Nt = {nodes} exceeds the bound 32^4 = "

@@ -4,7 +4,8 @@ Curvature tables of the shipped homogeneous structures are rational, so the
 whole frame calculus can run on ``fractions.Fraction`` entries.  numpy object
 arrays dispatch ``+``, ``*`` and ``@`` to the Fraction operators, which keeps
 the code identical to the floating path; the only thing numpy cannot do on
-object arrays is invert them, hence the Gauss-Jordan routine below.
+object arrays is invert them, hence the Gauss-Jordan routine below.  From
+``half`` on, each helper follows its argument's arithmetic.
 """
 
 from __future__ import annotations
@@ -54,6 +55,40 @@ def eye(n: int) -> np.ndarray:
     for i in range(n):
         out[i, i] = Fraction(1)
     return out
+
+
+def half(like):
+    return Fraction(1, 2) if is_exact(like) else 0.5
+
+
+def zeros_as(like, shape) -> np.ndarray:
+    return zeros(shape) if is_exact(like) else np.zeros(shape)
+
+
+def eye_as(like, n: int) -> np.ndarray:
+    return eye(n) if is_exact(like) else np.eye(n)
+
+
+def nonzero(a, tol: float) -> bool:
+    """Any entry != 0 for exact ``a`` (a Fraction scalar too), else max|a| > tol."""
+    a = np.asarray(a)
+    if is_exact(a):
+        return any(v != 0 for v in a.flat)
+    return bool(np.abs(a).max() > tol)
+
+
+def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a^-1 b, exact or by LAPACK; singular a (in float: |det a| < 1e-300
+    too) raises ZeroDivisionError."""
+    if is_exact(a):
+        return mat_inv(a) @ b
+    try:
+        x = np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        raise ZeroDivisionError("singular matrix") from None
+    if abs(np.linalg.det(a)) < 1e-300:
+        raise ZeroDivisionError("singular matrix")
+    return x
 
 
 def mat_inv(a: np.ndarray) -> np.ndarray:

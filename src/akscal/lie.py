@@ -62,14 +62,9 @@ class LieFrameSpec:
         return math.prod(self.lattice_volumes)
 
 
-def _eye_like(a, n):
-    return exact.eye(n) if exact.is_exact(a) else np.eye(n)
-
-
-def _nonzero(a) -> bool:
-    if exact.is_exact(a):
-        return any(v != 0 for v in a.flat)
-    return bool(np.max(np.abs(a)) > 1e-12)
+# J of kt_spec and abelian_spec on the frame: e1 -> -e4, e2 -> e3
+KT_J = ((0, 0, 0, 1), (0, 0, -1, 0), (0, 1, 0, 0), (-1, 0, 0, 0))
+_TOL = 1e-12     # float specs: structure identities hold to this size
 
 
 def make_frame_spec(name, c, j, lattice_volumes) -> LieFrameSpec:
@@ -88,19 +83,19 @@ def make_frame_spec(name, c, j, lattice_volumes) -> LieFrameSpec:
     m = j.shape[0]
     if j.shape != (m, m) or c.shape != (m, m, m):
         raise ValueError(f"shape mismatch: J {j.shape}, c {c.shape}")
-    if _nonzero(c + np.swapaxes(c, 0, 1)):
+    if exact.nonzero(c + np.swapaxes(c, 0, 1), _TOL):
         raise ValueError("bracket constants are not antisymmetric in the lower pair")
     # Jacobi: sum over cyclic rotations of (a,b,k) of c_ab^m c_mk^l.
     jac = (np.einsum("abm,mkl->abkl", c, c)
            + np.einsum("bkm,mal->abkl", c, c)
            + np.einsum("kam,mbl->abkl", c, c))
-    if _nonzero(jac):
+    if exact.nonzero(jac, _TOL):
         raise ValueError("bracket constants violate the Jacobi identity")
     tr_ad = np.einsum("ijj->i", c)
-    if _nonzero(np.asarray(tr_ad)):
+    if exact.nonzero(tr_ad, _TOL):
         raise ValueError("algebra is not unimodular (trace ad != 0)")
-    ident = _eye_like(j, m)
-    if _nonzero(j @ j + ident) or _nonzero(j.T @ j - ident):
+    ident = exact.eye_as(j, m)
+    if exact.nonzero(j @ j + ident, _TOL) or exact.nonzero(j.T @ j - ident, _TOL):
         raise ValueError("J must be orthogonal with J^2 = -I")
     omega = j.T
     # d omega (e_a,e_b,e_k) for invariant omega reduces to bracket insertions.
@@ -110,7 +105,7 @@ def make_frame_spec(name, c, j, lattice_volumes) -> LieFrameSpec:
                 val = (-sum(c[a][b][p] * omega[p][k] for p in range(m))
                        + sum(c[a][k][p] * omega[p][b] for p in range(m))
                        - sum(c[b][k][p] * omega[p][a] for p in range(m)))
-                if val != 0 if exact.is_exact(j) else abs(val) > 1e-12:
+                if exact.nonzero(val, _TOL):
                     raise ValueError(f"omega is not closed (d omega on frame {a+1},{b+1},{k+1})")
     vols = tuple(lattice_volumes)
     if len(vols) != m:
@@ -129,10 +124,7 @@ def kt_spec(d=1) -> LieFrameSpec:
     c = exact.zeros((4, 4, 4))
     c[0][1][2] = Fraction(1)
     c[1][0][2] = Fraction(-1)
-    j = exact.as_exact([[0, 0, 0, 1],
-                        [0, 0, -1, 0],
-                        [0, 1, 0, 0],
-                        [-1, 0, 0, 0]])
+    j = exact.as_exact(KT_J)
     dd = exact.frac(d) if isinstance(d, (int, Fraction, str)) else float(d)
     return make_frame_spec("kt", c, j, (Fraction(1), Fraction(1), Fraction(1), dd))
 
@@ -140,7 +132,7 @@ def kt_spec(d=1) -> LieFrameSpec:
 def abelian_spec(d=1) -> LieFrameSpec:
     """Flat torus with the same J and lattice data as kt_spec but zero bracket."""
     c = exact.zeros((4, 4, 4))
-    j = kt_spec().j
+    j = exact.as_exact(KT_J)
     dd = exact.frac(d) if isinstance(d, (int, Fraction, str)) else float(d)
     return make_frame_spec("abelian4", c, j, (Fraction(1), Fraction(1), Fraction(1), dd))
 
@@ -229,8 +221,7 @@ def koszul_gamma(spec: LieFrameSpec) -> np.ndarray:
     (c_ij^k - c_jk^i + c_ki^j) / 2.
     """
     c = spec.c
-    half = Fraction(1, 2) if exact.is_exact(c) else 0.5
-    return half * (c - np.einsum("jki->ijk", c) + np.einsum("kij->ijk", c))
+    return exact.half(c) * (c - np.einsum("jki->ijk", c) + np.einsum("kij->ijk", c))
 
 
 def connection_forms(spec: LieFrameSpec) -> np.ndarray:
@@ -242,17 +233,17 @@ def connection_forms(spec: LieFrameSpec) -> np.ndarray:
     """
     c = spec.c
     m = spec.dim
-    half = Fraction(1, 2) if exact.is_exact(c) else 0.5
     # F[i][j][k] = (c_kj^i - c_ji^k + c_ik^j)/2
-    f = half * (np.einsum("kji->ijk", c) - np.einsum("jik->ijk", c)
-                + np.einsum("ikj->ijk", c))
-    assert not _nonzero(f + np.transpose(f, (1, 0, 2))), "connection form not so(m)-valued"
+    f = exact.half(c) * (np.einsum("kji->ijk", c) - np.einsum("jik->ijk", c)
+                         + np.einsum("ikj->ijk", c))
+    skew = f + np.transpose(f, (1, 0, 2))
+    assert not exact.nonzero(skew, _TOL), "connection form not so(m)-valued"
     torsion = np.empty((m, m, m), dtype=f.dtype)
     for i in range(m):
         for a in range(m):
             for b in range(m):
                 torsion[i][a][b] = f[i][b][a] - f[i][a][b] - c[a][b][i]
-    assert not _nonzero(torsion), "structure equation residual"
+    assert not exact.nonzero(torsion, _TOL), "structure equation residual"
     return f
 
 
@@ -301,8 +292,7 @@ def curvature_tables(spec: LieFrameSpec) -> CurvatureTables:
     gamma = koszul_gamma(spec)
     riem = curvature_direct(spec)
     m = spec.dim
-    exact_mode = exact.is_exact(riem)
-    sec = exact.zeros((m, m)) if exact_mode else np.zeros((m, m))
+    sec = exact.zeros_as(riem, (m, m))
     for i in range(m):
         for jj in range(m):
             if i != jj:
@@ -311,7 +301,7 @@ def curvature_tables(spec: LieFrameSpec) -> CurvatureTables:
     scalar = np.trace(ricci)
     r_anti = tensor.anti_invariant_part(ricci, spec.j)
     nj2 = nabla_j_norm_sq(spec, route="vectors")
-    half = Fraction(1, 2) if exact_mode else 0.5
+    half = exact.half(riem)
     star = scalar + half * nj2
     return CurvatureTables(gamma, riem, sec, ricci, scalar, r_anti, nj2, star,
                            half * (scalar + star))
@@ -322,7 +312,7 @@ def nabla_j(spec: LieFrameSpec) -> np.ndarray:
     gamma = koszul_gamma(spec)
     j = spec.j
     m = spec.dim
-    nj = exact.zeros((m, m, m)) if exact.is_exact(j) else np.zeros((m, m, m))
+    nj = exact.zeros_as(j, (m, m, m))
     for i in range(m):
         for col in range(m):
             for k in range(m):
@@ -337,7 +327,7 @@ def nabla_j_forms(spec: LieFrameSpec) -> np.ndarray:
     f = connection_forms(spec)
     j = spec.j
     m = spec.dim
-    out = exact.zeros((m, m, m)) if exact.is_exact(j) else np.zeros((m, m, m))
+    out = exact.zeros_as(j, (m, m, m))
     for i in range(m):
         a_i = f[:, :, i]
         out[i] = a_i @ j - j @ a_i

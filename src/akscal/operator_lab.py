@@ -38,8 +38,7 @@ import scipy.sparse as sp
 from . import exact, lie
 from .grid import AXES, QuotientGrid, d1_sided, d2_sided, lift_axis
 
-J_KT = np.array([[0., 0., 0., 1.], [0., 0., -1., 0.],
-                 [0., 1., 0., 0.], [-1., 0., 0., 0.]])
+J_KT = np.array(lie.KT_J, dtype=float)
 J_FLAT = np.array([[0., -1., 0., 0.], [1., 0., 0., 0.],
                    [0., 0., 0., -1.], [0., 0., 1., 0.]])
 
@@ -66,9 +65,6 @@ class SlotBasis:
     weights: tuple
     pairs: tuple
     signs: tuple
-
-    def index(self, i: int, j: int) -> int:
-        return self.slots.index((i, j))
 
 
 def anti_slots(j: np.ndarray) -> SlotBasis:
@@ -330,11 +326,6 @@ class AdjointSystem:
         return m.tocsr()
 
     @cached_property
-    def normal_matrix(self) -> sp.csr_matrix:
-        """M = sum_s w_s A_s^T A_s: symmetric positive semi-definite."""
-        return self.normal_rows()
-
-    @cached_property
     def laplacian(self) -> sp.csr_matrix:
         """Frame Laplacian sum_i E_i E_i - (trace connection term, zero here)."""
         e = frame_fields(self.grid, self.variant)
@@ -376,17 +367,6 @@ def fourier_mode(g: QuotientGrid, k: tuple) -> np.ndarray:
         raise ValueError("sheared quotient admits plane waves with kz = 0 only")
     return g.sample(lambda x, y, z, t: np.exp(
         1j * (2.0 * math.pi * (kx * x + ky * y + kz * z + kt * t / g.d))))
-
-
-def mode_sigma(g: QuotientGrid, k: tuple) -> np.ndarray:
-    """Discrete first-difference symbols sin(2 pi k_a h_a)/h_a per axis."""
-    kx, ky, kz, kt = (int(v) for v in k)
-    return np.array([
-        math.sin(2.0 * math.pi * kx * g.hx) / g.hx,
-        math.sin(2.0 * math.pi * ky * g.hy) / g.hy,
-        math.sin(2.0 * math.pi * kz * g.hz) / g.hz,
-        math.sin(2.0 * math.pi * kt * g.ht / g.d) / g.ht,
-    ])
 
 
 def mode_xi(g: QuotientGrid, k: tuple) -> float:

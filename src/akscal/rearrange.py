@@ -96,7 +96,12 @@ class RearrangementPlan:
         return 2.0 * self.collar_width * len(self.arcs)
 
     def budget_ok(self) -> bool:
-        return self.bound ** self.p * self.collar_length < 0.5 * self.eps ** self.p
+        """bound^p * collar_length < eps^p / 2 with positive collars, in
+        logarithms: for large p a power leaves the float range."""
+        if not self.collar_width > 0:
+            return False
+        return self.bound == 0 or math.log(self.collar_length) < (
+            math.log(0.5) + self.p * (math.log(self.eps) - math.log(self.bound)))
 
 
 def _source_window(fx: np.ndarray, x: np.ndarray, level: float,
@@ -220,11 +225,23 @@ def build_plan(f: Callable, f1: Callable, eps: float, p: float = 2.0,
         sources.append((lo, hi))
         cursor = hi + gap
 
-    w = _COLLAR_FACTOR * eps ** p / bound ** p / (2.0 * n_arcs)
-    w = min(w, 0.25 * min(a.length for a in arcs))
+    cap = 0.25 * min(a.length for a in arcs)
+    try:
+        w = min(_COLLAR_FACTOR * eps ** p / bound ** p / (2.0 * n_arcs), cap)
+    except (OverflowError, ZeroDivisionError):
+        # a power left the float range: take the ratio in logarithms; bound 0
+        # (f = f1 = 0) spends nothing in the collars
+        w = cap
+        if bound > 0:
+            log_w = (math.log(_COLLAR_FACTOR / (2.0 * n_arcs))
+                     + p * (math.log(eps) - math.log(bound)))
+            w = math.exp(min(log_w, math.log(cap)))
     plan = RearrangementPlan(tuple(arcs), tuple(sources), delta, eps, float(p),
                              w, bound)
-    assert plan.budget_ok()
+    if not plan.budget_ok():
+        raise PlanError(f"p={p:g} is too large for eps={eps:g}: the collar "
+                        f"width {_COLLAR_FACTOR}*(eps/bound)^p/(2*{n_arcs} arcs)"
+                        f" underflows to 0 (bound = {bound:.6g})")
     return plan
 
 

@@ -7,13 +7,15 @@ g(X, Y) = omega(X, JY).  Symmetric 2-tensors split into J-invariant and
 J-anti-invariant parts; the anti-invariant ones parametrize the compatible
 metrics for a fixed omega through the exponential map g -> g.exp(g^-1 h).
 
-Rational inputs (int / Fraction object arrays) run exactly; everything else
-runs in floating point with a fixed compatibility tolerance of 1e-10.
+The checks and the J-splitting coerce their inputs once: when every input is
+an exact array (Fraction objects) they stay exact and a defect must vanish;
+otherwise all inputs become float arrays and a defect must stay within a
+tolerance (1e-10 relative for compatibility).  `exact` supplies the
+arithmetic-dependent pieces, so each check has one body.  The exponential,
+logarithm and cutoff blend always run in floating point.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 import numpy as np
 
@@ -27,8 +29,15 @@ class CompatibilityError(ValueError):
     """Raised when (g, omega) admits no compatible J, with defect sizes."""
 
 
-def _is_exact_pair(*mats) -> bool:
-    return all(exact.is_exact(m) for m in mats)
+def _coerce(*mats):
+    """The inputs unchanged when all are exact, else all as float arrays."""
+    if all(map(exact.is_exact, mats)):
+        return mats
+    return [np.asarray(m, dtype=float) for m in mats]
+
+
+def _size(a) -> float:
+    return float(np.abs(a).max())
 
 
 def _check_square(a, name) -> int:
@@ -41,20 +50,17 @@ def _check_square(a, name) -> int:
 
 
 def check_symmetric(a, name="tensor", tol=0.0):
-    a = a if exact.is_exact(a) else np.asarray(a, dtype=float)
+    (a,) = _coerce(a)
     _check_square(a, name)
     d = a - a.T
-    if exact.is_exact(a):
-        if any(v != 0 for v in d.flat):
-            raise ValueError(f"{name} is not symmetric")
-    elif np.max(np.abs(d)) > tol:
-        raise ValueError(f"{name} is not symmetric (defect {np.max(np.abs(d)):.3g})")
+    if exact.nonzero(d, tol):
+        raise ValueError(f"{name} is not symmetric (defect {_size(d):.3g})")
     return a
 
 
 def check_metric(g, name="metric"):
     """Symmetric positive-definite check; returns g as float array."""
-    g = np.asarray(exact.to_float(g) if exact.is_exact(g) else g, dtype=float)
+    g = np.asarray(g, dtype=float)
     check_symmetric(g, name, tol=1e-12 * (1 + np.max(np.abs(g))))
     w = np.linalg.eigvalsh(g)
     if w.min() <= 0:
@@ -64,27 +70,26 @@ def check_metric(g, name="metric"):
 
 def check_acs(j, g=None, tol=ACS_TOL):
     """Verify J^2 = -I (and J^T g J = g when g is given)."""
-    n = _check_square(np.asarray(j), "J")
-    if exact.is_exact(j):
-        if any(v != 0 for v in (j @ j + exact.eye(n)).flat):
-            raise ValueError("J^2 != -I")
-        if g is not None and any(v != 0 for v in (j.T @ g @ j - g).flat):
-            raise ValueError("J is not a g-isometry")
-        return j
-    j = np.asarray(j, dtype=float)
-    defect = np.max(np.abs(j @ j + np.eye(n)))
-    if defect > tol:
-        raise ValueError(f"J^2 != -I (defect {defect:.3g} > {tol:g})")
+    j, g = _coerce(j, g) if g is not None else (*_coerce(j), None)
+    n = _check_square(j, "J")
+    d_acs = j @ j + exact.eye_as(j, n)
+    if exact.nonzero(d_acs, tol):
+        raise ValueError(f"J^2 != -I (defect {_size(d_acs):.3g} > {tol:g})")
     if g is not None:
-        g = np.asarray(g, dtype=float)
-        iso = np.max(np.abs(j.T @ g @ j - g))
-        if iso > max(tol, COMPAT_TOL * (1 + np.max(np.abs(g)))):
-            raise ValueError(f"J is not a g-isometry (defect {iso:.3g})")
+        d_iso = j.T @ g @ j - g
+        if exact.nonzero(d_iso, max(tol, COMPAT_TOL * (1 + np.max(np.abs(g))))):
+            raise ValueError(f"J is not a g-isometry (defect {_size(d_iso):.3g})")
     return j
 
 
-def _half_like(a):
-    return Fraction(1, 2) if exact.is_exact(a) else 0.5
+def _j_part(a, j, combine):
+    """(1/2) combine(A, J^T A J) for A symmetric and J an acs, both checked."""
+    a, j = _coerce(a, j)
+    a = check_symmetric(a, "A", tol=1e-12 * (1 + _size(a)))
+    j = check_acs(j)
+    if a.shape != j.shape:
+        raise ValueError("dimension mismatch between A and J")
+    return exact.half(a) * combine(a, j.T @ a @ j)
 
 
 def anti_invariant_part(a, j):
@@ -92,24 +97,12 @@ def anti_invariant_part(a, j):
 
     The result h satisfies h(J., J.) = -h, i.e. h + J^T h J = 0.
     """
-    if exact.is_exact(a) != exact.is_exact(j):
-        a, j = exact.to_float(a), exact.to_float(j)
-    a = check_symmetric(a, "A", tol=1e-12 * (1 + float(np.max(np.abs(exact.to_float(a))))))
-    j = check_acs(j)
-    if np.asarray(a).shape != np.asarray(j).shape:
-        raise ValueError("dimension mismatch between A and J")
-    return _half_like(a) * (a - j.T @ a @ j)
+    return _j_part(a, j, np.subtract)
 
 
 def invariant_part(a, j):
     """J-invariant part (1/2)(A + J^T A J); complements anti_invariant_part."""
-    if exact.is_exact(a) != exact.is_exact(j):
-        a, j = exact.to_float(a), exact.to_float(j)
-    a = check_symmetric(a, "A", tol=1e-12 * (1 + float(np.max(np.abs(exact.to_float(a))))))
-    j = check_acs(j)
-    if np.asarray(a).shape != np.asarray(j).shape:
-        raise ValueError("dimension mismatch between A and J")
-    return _half_like(a) * (a + j.T @ a @ j)
+    return _j_part(a, j, np.add)
 
 
 def _sym_sqrt(g):
@@ -126,7 +119,7 @@ def exp_metric(g, h):
     which is exact up to floating error because g^-1 h is g-self-adjoint.
     """
     g = check_metric(g)
-    h = np.asarray(exact.to_float(h) if exact.is_exact(h) else h, dtype=float)
+    h = np.asarray(h, dtype=float)
     check_symmetric(h, "h", tol=1e-12 * (1 + np.max(np.abs(h))))
     g_half, g_ihalf = _sym_sqrt(g)
     m = g_ihalf @ h @ g_ihalf
@@ -174,46 +167,24 @@ def check_compatibility(g, omega, tol=COMPAT_TOL):
     Returns J; raises CompatibilityError (with the J^2+I and isometry defect
     sizes) when the pair is not compatible.  Rational g, omega run exactly.
     """
-    ex = _is_exact_pair(g, omega)
-    if ex:
-        n = _check_square(g, "g")
-        if np.asarray(omega).shape != (n, n):
-            raise ValueError("dimension mismatch between g and omega")
-        if any(v != 0 for v in (omega + omega.T).flat):
-            raise ValueError("omega is not skew-symmetric")
-        try:
-            j = exact.mat_inv(omega) @ g
-        except ZeroDivisionError:
-            raise CompatibilityError("omega is degenerate") from None
-        d_acs = j @ j + exact.eye(n)
-        d_iso = j.T @ g @ j - g
-        if any(v != 0 for v in d_acs.flat) or any(v != 0 for v in d_iso.flat):
-            raise CompatibilityError(
-                "derived J fails compatibility: "
-                f"max|J^2+I| = {np.max(np.abs(exact.to_float(d_acs)))}, "
-                f"max|J^T g J - g| = {np.max(np.abs(exact.to_float(d_iso)))}"
-            )
-        return j
-    g = check_metric(g)
-    omega = np.asarray(exact.to_float(omega) if exact.is_exact(omega) else omega, dtype=float)
+    g, omega = _coerce(g, omega)
+    check_metric(g)
     n = _check_square(omega, "omega")
     if g.shape != omega.shape:
         raise ValueError("dimension mismatch between g and omega")
-    if np.max(np.abs(omega + omega.T)) > tol:
+    if exact.nonzero(omega + omega.T, tol):
         raise ValueError("omega is not skew-symmetric")
     try:
-        j = np.linalg.solve(omega, g)
-    except np.linalg.LinAlgError:
+        j = exact.solve(omega, g)
+    except ZeroDivisionError:
         raise CompatibilityError("omega is degenerate") from None
-    if abs(np.linalg.det(omega)) < 1e-300:
-        raise CompatibilityError("omega is degenerate")
     scale = 1 + np.max(np.abs(g))
-    d_acs = np.max(np.abs(j @ j + np.eye(n)))
-    d_iso = np.max(np.abs(j.T @ g @ j - g))
-    if d_acs > tol * scale or d_iso > tol * scale:
+    d_acs = j @ j + exact.eye_as(j, n)
+    d_iso = j.T @ g @ j - g
+    if exact.nonzero(d_acs, tol * scale) or exact.nonzero(d_iso, tol * scale):
         raise CompatibilityError(
-            f"derived J fails compatibility: max|J^2+I| = {d_acs:.3g}, "
-            f"max|J^T g J - g| = {d_iso:.3g} (tol {tol:g})"
+            f"derived J fails compatibility: max|J^2+I| = {_size(d_acs):.3g}, "
+            f"max|J^T g J - g| = {_size(d_iso):.3g} (tol {tol:g})"
         )
     return j
 

@@ -279,7 +279,6 @@ class ZBoundResult:
     unbounded: bool
     iterations: int
     grad_norm: float
-    certificate: "Optional[ZBoundCertificate]" = None
 
 
 def optimize_z_bound(m: IntersectionModel, seed=None, max_iter: int = 5000,

@@ -175,6 +175,16 @@ def test_rearrange_validates_parameters(tmp_path, capsys):
     assert not list(tmp_path.glob("rearrange_plan.csv"))
 
 
+def test_rearrange_refuses_underflowing_p(tmp_path, capsys):
+    for p in ("700", "3000"):
+        assert run(tmp_path, "rearrange", "--f", "sin(x)", "--f1",
+                   "0.3*cos(x)", "--p", p) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error [rearrange]: p={p} is too large")
+        assert "underflows" in err and "Traceback" not in err
+    assert not list(tmp_path.glob("rearrange_plan.csv"))
+
+
 def test_out_dir_from_environment(tmp_path, monkeypatch):
     monkeypatch.setenv("AKSCAL_OUT", str(tmp_path / "env"))
     assert cli.main(["curvature", "kt.spec", "--exact"]) == 0

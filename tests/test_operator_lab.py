@@ -153,7 +153,7 @@ def test_adjoint_system_matches_product_assembly(variant):
     normal = sp.csr_matrix((g.size, g.size))
     for w, op in zip(system.weights, ops):
         normal = normal + w * (op.T @ op)
-    assert same_csr(system.normal_matrix, normal.tocsr())
+    assert same_csr(system.normal_rows(), normal.tocsr())
 
 
 # -- constant-field oracles ----------------------------------------------------
@@ -173,9 +173,9 @@ def test_constant_is_exact_eigenvector():
     ones = np.ones(sys_kt.grid.size)
     # M 1 = (2/16 + 2/4) 1 = (5/8) 1: Hessian of a constant vanishes and the
     # difference transposes annihilate constants, leaving only the r-shifts
-    assert np.max(np.abs(sys_kt.normal_matrix @ ones - 0.625 * ones)) < 1e-12
+    assert np.max(np.abs(sys_kt.normal_rows() @ ones - 0.625 * ones)) < 1e-12
     sys_flat = ol.build_system(6, 6, 1.0, "flat")
-    assert np.max(np.abs(sys_flat.normal_matrix @ np.ones(sys_flat.grid.size))) < 1e-13
+    assert np.max(np.abs(sys_flat.normal_rows() @ np.ones(sys_flat.grid.size))) < 1e-13
 
 
 # -- adjoint structure ----------------------------------------------------------
@@ -200,21 +200,22 @@ def test_forward_is_the_weighted_adjoint():
 def test_flat_normal_matrix_is_half_biharmonic():
     system = ol.build_system(6, 6, 1.0, "flat")
     lap = system.laplacian
-    assert nnz_diff(system.normal_matrix, 0.5 * (lap.T @ lap)) == 0
+    assert nnz_diff(system.normal_rows(), 0.5 * (lap.T @ lap)) == 0
 
 
 def test_normal_matrix_commutes_with_deck_maps():
     system = ol.build_system(4, 4, 1.0, "kt")
-    m = system.normal_matrix
+    m = system.normal_rows()
     g = system.grid
     # z and t translations survive the shear; x and y do not (x-dependent
     # frame).  This is the symmetry the Fourier-sector spectral floor uses.
     for s in (g.shift("z", 1), g.shift("t", 1)):
         assert nnz_diff(m @ s, s @ m) == 0
     flat = ol.build_system(4, 4, 1.0, "flat")
+    m_flat = flat.normal_rows()
     for axis in "xyzt":
         s = flat.grid.shift(axis, 1)
-        assert nnz_diff(flat.normal_matrix @ s, s @ flat.normal_matrix) == 0
+        assert nnz_diff(m_flat @ s, s @ m_flat) == 0
 
 
 # -- Fourier symbols -------------------------------------------------------------
@@ -264,7 +265,7 @@ def test_spectral_floor_matches_dense_reference():
     for n, nt, d, variant in ((4, 4, 1.0, "kt"), (4, 6, 0.5, "kt"),
                               (4, 4, 1.0, "flat")):
         system = ol.build_system(n, nt, d, variant)
-        m = system.normal_matrix
+        m = system.normal_rows()
         rep = ol.spectral_floor(system, k=6)
         assert rep.method == "fourier-sector" and rep.size == m.shape[0]
         assert len(rep.sectors) == 6 and rep.floor == rep.values[0]
@@ -294,8 +295,9 @@ def test_normal_rows_match_normal_matrix(n, nt, d, variant):
     fold = np.arange(n * n) * (n * nt)
     picked = np.random.default_rng(4).choice(system.grid.size, 40,
                                              replace=False)
+    whole = system.normal_rows()
     for rows in (fold, picked):
-        assert same_csr(system.normal_rows(rows), system.normal_matrix[rows])
+        assert same_csr(system.normal_rows(rows), whole[rows])
 
 
 def all_sector_floor(system, k):
@@ -303,7 +305,7 @@ def all_sector_floor(system, k):
     the global normal matrix, no twin pairing."""
     g = system.grid
     n, nt, nxy = g.n, g.nt, g.n * g.n
-    rows = system.normal_matrix[np.arange(nxy) * (n * nt)].tocoo()
+    rows = system.normal_rows()[np.arange(nxy) * (n * nt)].tocoo()
     xy, rest = np.divmod(rows.col, n * nt)
     kc, lc = np.divmod(rest, nt)
     flat = rows.row * nxy + xy

@@ -42,6 +42,24 @@ def test_build_plan_validates_inputs():
     assert len(rr.build_plan(f_sin, f_zero, eps=0.3, max_arcs=4).arcs) == 4
 
 
+def test_large_p_refused_by_name():
+    # eps^p underflows at p = 700, and bound^p overflows a float at p = 3000;
+    # either way the collar width is 0 and the plan is refused by name
+    f1 = lambda x: 0.3 * np.cos(x)
+    for p in (700.0, 3000.0):
+        with pytest.raises(rr.PlanError, match=f"p={p:g} is too large") as info:
+            rr.build_plan(f_sin, f1, eps=0.1, p=p)
+        assert "underflows" in str(info.value) and info.value.required_cap is None
+    # below the float range only the ratio eps/bound matters: bound^p
+    # underflows here, yet the collar width is positive and within budget
+    plan = rr.build_plan(lambda x: 0.1 * np.sin(x),
+                         lambda x: 0.03 * np.cos(x), eps=0.1, p=400.0)
+    assert 0 < plan.collar_width < 1e-40 and plan.budget_ok()
+    # f = f1 = 0 spends nothing on collars
+    plan = rr.build_plan(f_zero, f_zero, eps=0.1)
+    assert plan.bound == 0 and plan.budget_ok()
+
+
 def test_plan_cap_reported_when_arcs_run_out():
     with pytest.raises(rr.PlanError) as info:
         rr.build_plan(f_sin, lambda x: np.sin(5 * x), eps=0.01, max_arcs=4)
