@@ -6,10 +6,18 @@ arrays dispatch ``+``, ``*`` and ``@`` to the Fraction operators, which keeps
 the code identical to the floating path; the only thing numpy cannot do on
 object arrays is invert them, hence the Gauss-Jordan routine below.  From
 ``half`` on, each helper follows its argument's arithmetic.
+
+Contractions go through ``einsum`` and follow the integer-numerator rule:
+when every operand is exact, each is scaled by the lcm of its denominators
+to Python ints, numpy contracts the ints, and each entry of the result is
+divided by the product of the scales once.  A Fraction operation normalizes
+by a gcd every time; this way only the result is normalized, and it is the
+same Fraction the object-array contraction gives.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from numbers import Rational
 
@@ -38,6 +46,24 @@ def as_exact(a) -> np.ndarray:
 
 def is_exact(a) -> bool:
     return isinstance(a, np.ndarray) and a.dtype == object
+
+
+def einsum(subscripts: str, *operands):
+    """``np.einsum(subscripts, *operands)``, on integer numerators when every
+    operand is exact (normalized Fractions out, a Fraction for a scalar
+    output); any other operands go straight to ``np.einsum``."""
+    if not all(map(is_exact, operands)):
+        return np.einsum(subscripts, *operands)
+    nums, scale = [], 1
+    for a in operands:
+        d = math.lcm(*(v.denominator for v in a.flat))
+        nums.append(np.array([v.numerator * (d // v.denominator) for v in a.flat],
+                             dtype=object).reshape(a.shape))
+        scale *= d
+    out = np.asarray(np.einsum(subscripts, *nums), dtype=object)
+    # entries repeat (zeros above all), so build each distinct Fraction once
+    over = {n: Fraction(n, scale) for n in set(out.flat)}
+    return np.frompyfunc(over.__getitem__, 1, 1)(out)
 
 
 def to_float(a) -> np.ndarray:
@@ -69,24 +95,25 @@ def eye_as(like, n: int) -> np.ndarray:
     return eye(n) if is_exact(like) else np.eye(n)
 
 
-def nonzero(a, tol: float) -> bool:
-    """Any entry != 0 for exact ``a`` (a Fraction scalar too), else max|a| > tol."""
+def nonzero(a, tol) -> bool:
+    """Any entry != 0 for exact ``a`` (a Fraction scalar too), else any
+    |a| > tol, where tol may be an array broadcasting against ``a``."""
     a = np.asarray(a)
     if is_exact(a):
         return any(v != 0 for v in a.flat)
-    return bool(np.abs(a).max() > tol)
+    return bool((np.abs(a) > tol).any())
 
 
 def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a^-1 b, exact or by LAPACK; singular a (in float: |det a| < 1e-300
-    too) raises ZeroDivisionError."""
+    """a^-1 b, exact or by LAPACK (float a and b may be stacks); singular a
+    (in float: |det a| < 1e-300 too) raises ZeroDivisionError."""
     if is_exact(a):
         return mat_inv(a) @ b
     try:
         x = np.linalg.solve(a, b)
     except np.linalg.LinAlgError:
         raise ZeroDivisionError("singular matrix") from None
-    if abs(np.linalg.det(a)) < 1e-300:
+    if np.abs(np.linalg.det(a)).min() < 1e-300:
         raise ZeroDivisionError("singular matrix")
     return x
 

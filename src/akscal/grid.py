@@ -161,11 +161,25 @@ def d2_sided(n: int, h: float) -> sp.csr_matrix:
 
 
 def lift_axis(m1d: sp.spmatrix, axis: str, grid: QuotientGrid) -> sp.csr_matrix:
-    """Promote a one-axis stencil to the full grid (C-order Kronecker lift)."""
-    mats = []
-    for ax, size in zip(AXES, grid.shape):
-        mats.append(m1d if ax == axis else sp.identity(size))
-    out = mats[0]
-    for m in mats[1:]:
-        out = sp.kron(out, m)
-    return out.tocsr()
+    """Promote a one-axis stencil to the full grid: I (x) m1d (x) I in C order.
+
+    Built from index arithmetic, as `QuotientGrid.shift` is: grid row
+    (b, r, a) holds row r of the stencil, its column c moved to (b, c, a),
+    which is the canonical CSR the Kronecker products give.
+    """
+    pos = AXES.index(axis)
+    before = math.prod(grid.shape[:pos])
+    after = math.prod(grid.shape[pos + 1:])
+    m = sp.csr_matrix(m1d)
+    m.sum_duplicates()
+    n = m.shape[0]
+    # one block of rows (r, a), for b = 0; row r of the stencil at a time
+    spans = list(zip(m.indptr[:-1], m.indptr[1:]))
+    cols = np.concatenate([(np.arange(after)[:, None] + m.indices[lo:hi] * after)
+                           .ravel() for lo, hi in spans])
+    data = np.concatenate([np.tile(m.data[lo:hi], after) for lo, hi in spans])
+    indices = (np.arange(before)[:, None] * (n * after) + cols).ravel()
+    counts = np.tile(np.repeat(np.diff(m.indptr), after), before)
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    return sp.csr_matrix((np.tile(data, before), indices, indptr),
+                         shape=(grid.size, grid.size))

@@ -80,18 +80,20 @@ def make_frame_spec(name, c, j, lattice_volumes) -> LieFrameSpec:
     except TypeError:
         c = np.asarray(c, dtype=float)
         j = np.asarray(j, dtype=float)
+        if not (np.isfinite(c).all() and np.isfinite(j).all()):
+            raise ValueError("bracket constants and J must be finite") from None
     m = j.shape[0]
     if j.shape != (m, m) or c.shape != (m, m, m):
         raise ValueError(f"shape mismatch: J {j.shape}, c {c.shape}")
     if exact.nonzero(c + np.swapaxes(c, 0, 1), _TOL):
         raise ValueError("bracket constants are not antisymmetric in the lower pair")
     # Jacobi: sum over cyclic rotations of (a,b,k) of c_ab^m c_mk^l.
-    jac = (np.einsum("abm,mkl->abkl", c, c)
-           + np.einsum("bkm,mal->abkl", c, c)
-           + np.einsum("kam,mbl->abkl", c, c))
+    jac = (exact.einsum("abm,mkl->abkl", c, c)
+           + exact.einsum("bkm,mal->abkl", c, c)
+           + exact.einsum("kam,mbl->abkl", c, c))
     if exact.nonzero(jac, _TOL):
         raise ValueError("bracket constants violate the Jacobi identity")
-    tr_ad = np.einsum("ijj->i", c)
+    tr_ad = exact.einsum("ijj->i", c)
     if exact.nonzero(tr_ad, _TOL):
         raise ValueError("algebra is not unimodular (trace ad != 0)")
     ident = exact.eye_as(j, m)
@@ -110,8 +112,9 @@ def make_frame_spec(name, c, j, lattice_volumes) -> LieFrameSpec:
     vols = tuple(lattice_volumes)
     if len(vols) != m:
         raise ValueError(f"need {m} lattice circumferences, got {len(vols)}")
-    if any((v <= 0) for v in vols):
-        raise ValueError("lattice circumferences must be positive")
+    if not all(0 < v < math.inf for v in vols):
+        raise ValueError(f"lattice circumferences must be positive and finite, "
+                         f"got {', '.join(map(str, vols))}")
     return LieFrameSpec(str(name), c, j, vols)
 
 
@@ -146,6 +149,8 @@ def parse_frame_spec(text: str) -> LieFrameSpec:
 
     Lines: `name <str>`, `dim <int>`, `c i j k value` (1-based, i<j listed
     once), `J v1 ... vm` (one per frame row), `vol v1 ... vm`; `#` comments.
+    A line with an unknown key, no value, a malformed number or a c index
+    out of range raises a ValueError that names its line number.
     """
     name, dim, vols = "frame", None, None
     c_entries, j_rows = [], []
@@ -157,18 +162,26 @@ def parse_frame_spec(text: str) -> LieFrameSpec:
         key, rest = tok[0], tok[1:]
         if key == "name":
             name = " ".join(rest)
-        elif key == "dim":
-            dim = int(rest[0])
-        elif key == "c":
-            if len(rest) != 4:
-                raise ValueError(f"line {ln}: c needs `i j k value`")
-            c_entries.append((int(rest[0]), int(rest[1]), int(rest[2]), _num(rest[3])))
-        elif key == "J":
-            j_rows.append([_num(v) for v in rest])
-        elif key == "vol":
-            vols = [_num(v) for v in rest]
-        else:
+            continue
+        if key not in ("dim", "c", "J", "vol"):
             raise ValueError(f"line {ln}: unknown key {key!r}")
+        if not rest:
+            raise ValueError(f"line {ln}: {key} needs a value")
+        if key == "c" and len(rest) != 4:
+            raise ValueError(f"line {ln}: c needs `i j k value`")
+        try:
+            if key == "dim":
+                dim = int(rest[0])
+            elif key == "c":
+                c_entries.append((ln, int(rest[0]), int(rest[1]), int(rest[2]),
+                                  _num(rest[3])))
+            elif key == "J":
+                j_rows.append([_num(v) for v in rest])
+            else:
+                vols = [_num(v) for v in rest]
+        except ValueError:
+            raise ValueError(f"line {ln}: malformed {key} value "
+                             f"{' '.join(rest)!r}") from None
     if dim is None:
         dim = len(j_rows)
     if len(j_rows) != dim or any(len(r) != dim for r in j_rows):
@@ -176,12 +189,12 @@ def parse_frame_spec(text: str) -> LieFrameSpec:
     if vols is None:
         vols = [Fraction(1)] * dim
     all_exact = all(isinstance(v, Fraction) for r in j_rows for v in r) and all(
-        isinstance(e[3], Fraction) for e in c_entries)
+        isinstance(e[4], Fraction) for e in c_entries)
     c = exact.zeros((dim, dim, dim)) if all_exact else np.zeros((dim, dim, dim))
-    for i, jj, k, v in c_entries:
+    for ln, i, jj, k, v in c_entries:
         for idx in (i, jj, k):
             if not 1 <= idx <= dim:
-                raise ValueError(f"c index {idx} out of range 1..{dim}")
+                raise ValueError(f"line {ln}: c index {idx} out of range 1..{dim}")
         vv = v if all_exact else float(v)
         c[i - 1][jj - 1][k - 1] = vv
         c[jj - 1][i - 1][k - 1] = -vv
@@ -190,10 +203,19 @@ def parse_frame_spec(text: str) -> LieFrameSpec:
 
 
 def _num(s: str):
+    """Fraction of an integer, decimal or ratio; float of a hex float (as
+    float.hex writes it) or of nan/inf; ValueError for anything else."""
     try:
         return exact.frac(s)
-    except (TypeError, ValueError):
-        return float(s)
+    except (ValueError, ZeroDivisionError):
+        pass
+    return float.fromhex(s) if "0x" in s.lower() else float(s)
+
+
+def _str_num(v) -> str:
+    """A float as float.hex, so that it parses back bit for bit and keeps
+    the spec's float arithmetic; an exact value as itself."""
+    return v.hex() if isinstance(v, float) else str(v)
 
 
 def serialize_frame_spec(spec: LieFrameSpec) -> str:
@@ -203,10 +225,10 @@ def serialize_frame_spec(spec: LieFrameSpec) -> str:
         for jj in range(i + 1, m):
             for k in range(m):
                 if spec.c[i][jj][k] != 0:
-                    out.append(f"c {i+1} {jj+1} {k+1} {spec.c[i][jj][k]}")
+                    out.append(f"c {i+1} {jj+1} {k+1} {_str_num(spec.c[i][jj][k])}")
     for row in spec.j:
-        out.append("J " + " ".join(str(v) for v in row))
-    out.append("vol " + " ".join(str(v) for v in spec.lattice_volumes))
+        out.append("J " + " ".join(map(_str_num, row)))
+    out.append("vol " + " ".join(map(_str_num, spec.lattice_volumes)))
     return "\n".join(out) + "\n"
 
 
@@ -249,12 +271,13 @@ def connection_forms(spec: LieFrameSpec) -> np.ndarray:
 
 def curvature_direct(spec: LieFrameSpec) -> np.ndarray:
     """R[a][b][i][j] = <R(e_a, e_b) e_j, e_i> from iterated covariant derivatives."""
-    g = koszul_gamma(spec)
-    c = spec.c
-    r = (np.einsum("bjk,aki->abij", g, g)
-         - np.einsum("ajk,bki->abij", g, g)
-         - np.einsum("abk,kji->abij", c, g))
-    return r
+    return _riemann(spec.c, koszul_gamma(spec))
+
+
+def _riemann(c, g):
+    return (exact.einsum("bjk,aki->abij", g, g)
+            - exact.einsum("ajk,bki->abij", g, g)
+            - exact.einsum("abk,kji->abij", c, g))
 
 
 def curvature_cartan(spec: LieFrameSpec) -> np.ndarray:
@@ -290,17 +313,17 @@ class CurvatureTables:
 def curvature_tables(spec: LieFrameSpec) -> CurvatureTables:
     """All frame curvature tables at once; exact for rational input."""
     gamma = koszul_gamma(spec)
-    riem = curvature_direct(spec)
+    riem = _riemann(spec.c, gamma)
     m = spec.dim
     sec = exact.zeros_as(riem, (m, m))
     for i in range(m):
         for jj in range(m):
             if i != jj:
                 sec[i][jj] = riem[i][jj][i][jj]
-    ricci = np.einsum("kikj->ij", riem)
+    ricci = exact.einsum("kikj->ij", riem)
     scalar = np.trace(ricci)
     r_anti = tensor.anti_invariant_part(ricci, spec.j)
-    nj2 = nabla_j_norm_sq(spec, route="vectors")
+    nj2 = _norm_sq(_nabla_j(spec.j, gamma))
     half = exact.half(riem)
     star = scalar + half * nj2
     return CurvatureTables(gamma, riem, sec, ricci, scalar, r_anti, nj2, star,
@@ -309,17 +332,13 @@ def curvature_tables(spec: LieFrameSpec) -> CurvatureTables:
 
 def nabla_j(spec: LieFrameSpec) -> np.ndarray:
     """NJ[i][k][j] = <(nabla_{e_i} J) e_j, e_k>, differentiating J e_j directly."""
-    gamma = koszul_gamma(spec)
-    j = spec.j
-    m = spec.dim
-    nj = exact.zeros_as(j, (m, m, m))
-    for i in range(m):
-        for col in range(m):
-            for k in range(m):
-                lead = sum(gamma[i][p][k] * j[p][col] for p in range(m))
-                tail = sum(j[k][p] * gamma[i][col][p] for p in range(m))
-                nj[i][k][col] = lead - tail
-    return nj
+    return _nabla_j(spec.j, koszul_gamma(spec))
+
+
+def _nabla_j(j, gamma):
+    # <nabla_i (J e_j), e_k> - <J nabla_i e_j, e_k>
+    return (exact.einsum("ipk,pj->ikj", gamma, j)
+            - exact.einsum("kp,ijp->ikj", j, gamma))
 
 
 def nabla_j_forms(spec: LieFrameSpec) -> np.ndarray:
@@ -342,7 +361,11 @@ def nabla_j_norm_sq(spec: LieFrameSpec, route: str = "vectors"):
         nj = nabla_j_forms(spec)
     else:
         raise ValueError(f"unknown route {route!r}")
-    return sum(v * v for v in nj.flat)
+    return _norm_sq(nj)
+
+
+def _norm_sq(nj):
+    return exact.einsum("ikj,ikj->", nj, nj)
 
 
 def z_ratio(spec: LieFrameSpec) -> float:

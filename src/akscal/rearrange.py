@@ -242,6 +242,13 @@ def build_plan(f: Callable, f1: Callable, eps: float, p: float = 2.0,
         raise PlanError(f"p={p:g} is too large for eps={eps:g}: the collar "
                         f"width {_COLLAR_FACTOR}*(eps/bound)^p/(2*{n_arcs} arcs)"
                         f" underflows to 0 (bound = {bound:.6g})")
+    if np.any(edges + w == edges):
+        # realize_diffeo places nodes at lo + w and hi - w: they would fall
+        # back onto the arc ends
+        raise PlanError(f"p={p:g} is too large for eps={eps:g}: the collar "
+                        f"width {w:.3g} is below the float resolution of the "
+                        f"arc ends, so an arc end plus the width rounds back "
+                        f"to the end")
     return plan
 
 

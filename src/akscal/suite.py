@@ -244,22 +244,27 @@ def check_property_suites(seed: int = 0) -> CheckResult:
     rng = np.random.default_rng(seed)
     j0 = np.kron(np.eye(2), np.array([[0.0, -1.0], [1.0, 0.0]]))
 
-    proj_bad = 0
-    for _ in range(500):
-        q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
-        j = q.T @ j0 @ q
-        a = rng.standard_normal((4, 4))
-        a = a + a.T
-        am = tensor.anti_invariant_part(a, j)
-        ap = tensor.invariant_part(a, j)
-        good = (np.allclose(am + ap, a, atol=1e-12)
-                and np.allclose(tensor.anti_invariant_part(am, j), am, atol=1e-12)
-                and np.allclose(j.T @ am @ j, -am, atol=1e-11)
-                and np.allclose(j.T @ ap @ j, ap, atol=1e-11))
-        h = 0.2 * am
-        g2 = tensor.exp_metric(np.eye(4), h)
-        good &= np.allclose(tensor.log_recover(np.eye(4), g2), h, atol=1e-9)
-        proj_bad += not good
+    # the 500 cases as one stack; each draws its q, then its A, as one
+    # case at a time did, and np.allclose is judged per case
+    draws = rng.standard_normal((500, 2, 4, 4))
+    q, _ = np.linalg.qr(draws[:, 0])
+    j = np.swapaxes(q, -1, -2) @ j0 @ q
+    jt = np.swapaxes(j, -1, -2)
+    a = draws[:, 1] + np.swapaxes(draws[:, 1], -1, -2)
+    am = tensor.anti_invariant_part(a, j)
+    ap = tensor.invariant_part(a, j)
+
+    def close(x, y, atol):
+        return np.isclose(x, y, atol=atol).all(axis=(-2, -1))
+
+    good = (close(am + ap, a, 1e-12)
+            & close(tensor.anti_invariant_part(am, j), am, 1e-12)
+            & close(jt @ am @ j, -am, 1e-11)
+            & close(jt @ ap @ j, ap, 1e-11))
+    h = 0.2 * am
+    g2 = tensor.exp_metric(np.eye(4), h)
+    good &= close(tensor.log_recover(np.eye(4), g2), h, 1e-9)
+    proj_bad = int(np.count_nonzero(~good))
 
     system = operator_lab.build_system(4, 4, 1.0, "kt")
     pair_worst = 0.0

@@ -13,6 +13,14 @@ otherwise all inputs become float arrays and a defect must stay within a
 tolerance (1e-10 relative for compatibility).  `exact` supplies the
 arithmetic-dependent pieces, so each check has one body.  The exponential,
 logarithm and cutoff blend always run in floating point.
+
+The checks, the J-splitting, `exp_metric`, `log_recover` and (in float)
+`check_compatibility` take a matrix of shape (m, m) or a stack of shape
+(..., m, m); stacked arguments broadcast against each other as in `@`.
+Each matrix of a stack is held to the tolerance of its own scale, so a stack
+passes exactly when every matrix would pass alone, and an error reports the
+worst defect in the stack.  A single matrix runs the same operations as a
+stack of one.
 """
 
 from __future__ import annotations
@@ -40,19 +48,29 @@ def _size(a) -> float:
     return float(np.abs(a).max())
 
 
+def _scale(a):
+    """1 + max|a| of each matrix of a stack, shaped to broadcast against it."""
+    return 1 + np.max(np.abs(a), axis=(-2, -1), keepdims=True)
+
+
+def _t(a):
+    return np.swapaxes(a, -1, -2)
+
+
 def _check_square(a, name) -> int:
     a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"{name} must be a square matrix, got shape {a.shape}")
-    if a.shape[0] % 2:
-        raise ValueError(f"{name} must be even-dimensional, got {a.shape[0]}")
-    return a.shape[0]
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"{name} must be a square matrix or a stack of them, "
+                         f"got shape {a.shape}")
+    if a.shape[-1] % 2:
+        raise ValueError(f"{name} must be even-dimensional, got {a.shape[-1]}")
+    return a.shape[-1]
 
 
 def check_symmetric(a, name="tensor", tol=0.0):
     (a,) = _coerce(a)
     _check_square(a, name)
-    d = a - a.T
+    d = a - _t(a)
     if exact.nonzero(d, tol):
         raise ValueError(f"{name} is not symmetric (defect {_size(d):.3g})")
     return a
@@ -61,7 +79,7 @@ def check_symmetric(a, name="tensor", tol=0.0):
 def check_metric(g, name="metric"):
     """Symmetric positive-definite check; returns g as float array."""
     g = np.asarray(g, dtype=float)
-    check_symmetric(g, name, tol=1e-12 * (1 + np.max(np.abs(g))))
+    check_symmetric(g, name, tol=1e-12 * _scale(g))
     w = np.linalg.eigvalsh(g)
     if w.min() <= 0:
         raise ValueError(f"{name} is not positive-definite (min eigenvalue {w.min():.3g})")
@@ -76,8 +94,8 @@ def check_acs(j, g=None, tol=ACS_TOL):
     if exact.nonzero(d_acs, tol):
         raise ValueError(f"J^2 != -I (defect {_size(d_acs):.3g} > {tol:g})")
     if g is not None:
-        d_iso = j.T @ g @ j - g
-        if exact.nonzero(d_iso, max(tol, COMPAT_TOL * (1 + np.max(np.abs(g))))):
+        d_iso = _t(j) @ g @ j - g
+        if exact.nonzero(d_iso, np.maximum(tol, COMPAT_TOL * _scale(g))):
             raise ValueError(f"J is not a g-isometry (defect {_size(d_iso):.3g})")
     return j
 
@@ -85,11 +103,11 @@ def check_acs(j, g=None, tol=ACS_TOL):
 def _j_part(a, j, combine):
     """(1/2) combine(A, J^T A J) for A symmetric and J an acs, both checked."""
     a, j = _coerce(a, j)
-    a = check_symmetric(a, "A", tol=1e-12 * (1 + _size(a)))
+    a = check_symmetric(a, "A", tol=1e-12 * _scale(a))
     j = check_acs(j)
-    if a.shape != j.shape:
+    if a.shape[-1] != j.shape[-1]:
         raise ValueError("dimension mismatch between A and J")
-    return exact.half(a) * combine(a, j.T @ a @ j)
+    return exact.half(a) * combine(a, _t(j) @ a @ j)
 
 
 def anti_invariant_part(a, j):
@@ -109,7 +127,8 @@ def _sym_sqrt(g):
     w, u = np.linalg.eigh(g)
     if w.min() <= 0:
         raise ValueError("matrix is not positive-definite")
-    return (u * np.sqrt(w)) @ u.T, (u / np.sqrt(w)) @ u.T
+    root = np.sqrt(w)[..., None, :]
+    return (u * root) @ _t(u), (u / root) @ _t(u)
 
 
 def exp_metric(g, h):
@@ -120,14 +139,14 @@ def exp_metric(g, h):
     """
     g = check_metric(g)
     h = np.asarray(h, dtype=float)
-    check_symmetric(h, "h", tol=1e-12 * (1 + np.max(np.abs(h))))
+    check_symmetric(h, "h", tol=1e-12 * _scale(h))
     g_half, g_ihalf = _sym_sqrt(g)
     m = g_ihalf @ h @ g_ihalf
-    m = 0.5 * (m + m.T)
+    m = 0.5 * (m + _t(m))
     w, v = np.linalg.eigh(m)
-    em = (v * np.exp(w)) @ v.T
+    em = (v * np.exp(w)[..., None, :]) @ _t(v)
     out = g_half @ em @ g_half
-    return 0.5 * (out + out.T)
+    return 0.5 * (out + _t(out))
 
 
 def log_recover(g, g_tilde, omega=None):
@@ -145,18 +164,18 @@ def log_recover(g, g_tilde, omega=None):
         check_compatibility(gt, omega)
     g_half, g_ihalf = _sym_sqrt(g)
     m = g_ihalf @ gt @ g_ihalf
-    m = 0.5 * (m + m.T)
+    m = 0.5 * (m + _t(m))
     w, v = np.linalg.eigh(m)
     if w.min() <= 0:
         raise ValueError(f"logarithm undefined: non-positive eigenvalue {w.min():.3g}")
-    lm = (v * np.log(w)) @ v.T
+    lm = (v * np.log(w)[..., None, :]) @ _t(v)
     h = g_half @ lm @ g_half
-    h = 0.5 * (h + h.T)
+    h = 0.5 * (h + _t(h))
     if j is not None:
-        defect = np.max(np.abs(h + j.T @ h @ j))
-        if defect > COMPAT_TOL * (1 + np.max(np.abs(h))):
+        d = h + _t(j) @ h @ j
+        if exact.nonzero(d, COMPAT_TOL * _scale(h)):
             raise CompatibilityError(
-                f"recovered h is not J-anti-invariant (defect {defect:.3g})"
+                f"recovered h is not J-anti-invariant (defect {_size(d):.3g})"
             )
     return h
 
@@ -170,17 +189,17 @@ def check_compatibility(g, omega, tol=COMPAT_TOL):
     g, omega = _coerce(g, omega)
     check_metric(g)
     n = _check_square(omega, "omega")
-    if g.shape != omega.shape:
+    if g.shape[-1] != omega.shape[-1]:
         raise ValueError("dimension mismatch between g and omega")
-    if exact.nonzero(omega + omega.T, tol):
+    if exact.nonzero(omega + _t(omega), tol):
         raise ValueError("omega is not skew-symmetric")
     try:
         j = exact.solve(omega, g)
     except ZeroDivisionError:
         raise CompatibilityError("omega is degenerate") from None
-    scale = 1 + np.max(np.abs(g))
+    scale = _scale(g)
     d_acs = j @ j + exact.eye_as(j, n)
-    d_iso = j.T @ g @ j - g
+    d_iso = _t(j) @ g @ j - g
     if exact.nonzero(d_acs, tol * scale) or exact.nonzero(d_iso, tol * scale):
         raise CompatibilityError(
             f"derived J fails compatibility: max|J^2+I| = {_size(d_acs):.3g}, "

@@ -198,3 +198,19 @@ def test_identical_runs_identical_bytes(tmp_path):
                          "--f1", "0.3*cos(x)", "--eps", "0.1"]) == 0
     assert (a / "rearrange_plan.csv").read_bytes() == \
         (b / "rearrange_plan.csv").read_bytes()
+
+
+@pytest.mark.parametrize("spec_text, message", [
+    ("name bad\ndim\n", "line 2: dim needs a value"),
+    ("name bad\ndim 4\nc 1 2 3 x\n", "line 3: malformed c value"),
+    ("name kt\ndim 4\nc 1 2 3 1\nJ 0 0 0 1\nJ 0 0 -1 0\nJ 0 1 0 0\n"
+     "J -1 0 0 0\nvol 1 1 1 nan\n", "positive and finite"),
+])
+def test_curvature_malformed_spec_exits_2(tmp_path, capsys, spec_text, message):
+    spec = tmp_path / "bad.spec"
+    spec.write_text(spec_text)
+    assert run(tmp_path, "curvature", str(spec)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error [curvature]: ") and message in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob("curvature_*.csv"))

@@ -40,3 +40,18 @@ def test_mat_inv_exact():
 def test_mat_inv_singular():
     with pytest.raises(ZeroDivisionError):
         exact.mat_inv(exact.as_exact([[1, 2], [2, 4]]))
+
+
+def test_einsum_on_integer_numerators():
+    a = exact.as_exact([[1, "1/2"], ["-3/7", 2]])
+    b = exact.as_exact([["1/6", 0], [5, "-1/4"]])
+    for sub, ops in (("ij,jk->ik", (a, b)), ("ii->", (a,)),
+                     ("ij,ij->", (a, b)), ("ij->ji", (a,))):
+        got, want = exact.einsum(sub, *ops), np.einsum(sub, *ops)
+        assert np.array_equal(got, want)
+        assert all(type(v) is Fraction for v in np.ravel(got))
+    assert type(exact.einsum("ii->", a)) is Fraction
+    # any float operand sends the call to np.einsum as it is
+    f = exact.to_float(a)
+    assert exact.einsum("ij,jk->ik", f, f).tobytes() == \
+        np.einsum("ij,jk->ik", f, f).tobytes()

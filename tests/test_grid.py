@@ -142,6 +142,34 @@ def test_lift_axis_applies_along_one_axis():
     assert np.allclose(dtt @ f, 0.0, atol=1e-12)
 
 
+def _kron_lift(m1d, axis, grid):
+    """The Kronecker-product lift that lift_axis replaces, as a reference."""
+    out = None
+    for ax, size in zip(gr.AXES, grid.shape):
+        m = m1d if ax == axis else sp.identity(size)
+        out = m if out is None else sp.kron(out, m)
+    return out.tocsr()
+
+
+@pytest.mark.parametrize("n, nt, twisted", [(4, 4, True), (5, 7, True),
+                                            (8, 16, False), (12, 12, True)])
+def test_lift_axis_matches_kron_lift(n, nt, twisted):
+    g = gr.QuotientGrid(n, nt=nt, twisted=twisted)
+    # the chart route lifts x-stencils: the CSR arrays are the kron ones
+    for stencil in (gr.d1_sided, gr.d2_sided):
+        new = gr.lift_axis(stencil(g.n, g.hx), "x", g)
+        ref = _kron_lift(stencil(g.n, g.hx), "x", g)
+        assert np.array_equal(new.indptr, ref.indptr)
+        assert np.array_equal(new.indices, ref.indices)
+        assert new.data.tobytes() == ref.data.tobytes()
+    # on the other axes sp.kron may store a dense-looking stencil in blocks,
+    # explicit zeros included, so there only the matrices agree
+    for axis, size in zip(gr.AXES[1:], g.shape[1:]):
+        m1d = gr.d2_sided(size, g.spacing(axis))
+        new, ref = gr.lift_axis(m1d, axis, g), _kron_lift(m1d, axis, g)
+        assert new.has_canonical_format and (new != ref).nnz == 0
+
+
 def test_l2_normalization():
     g = gr.QuotientGrid(4, d=2.0)
     assert g.l2(np.ones(g.size)) == pytest.approx(np.sqrt(2.0))

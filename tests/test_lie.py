@@ -147,3 +147,50 @@ def test_parse_rejects_garbage():
         lie.parse_frame_spec("name broken\ndim 4\n")
     with pytest.raises(ValueError):
         lie.parse_frame_spec("")
+
+
+KT_TEXT = "name kt\ndim 4\nc 1 2 3 1\nJ 0 0 0 1\nJ 0 0 -1 0\nJ 0 1 0 0\n" \
+          "J -1 0 0 0\nvol 1 1 1 1\n"
+
+
+@pytest.mark.parametrize("old, new, match", [
+    ("dim 4", "dim", "line 2: dim needs a value"),
+    ("dim 4", "dim four", "line 2: malformed dim value 'four'"),
+    ("c 1 2 3 1", "c 1 x 3 1", "line 3: malformed c value"),
+    ("c 1 2 3 1", "c 1 2 3 abc", "line 3: malformed c value"),
+    ("c 1 2 3 1", "c 1 2 9 1", "line 3: c index 9 out of range 1..4"),
+    ("c 1 2 3 1", "c 1 2 3", "line 3: c needs"),
+    ("J 0 0 0 1", "J 0 0 0 1/0", "line 4: malformed J value"),
+    ("vol 1 1 1 1", "vol 1 1 1 zz", "line 8: malformed vol value"),
+    ("vol 1 1 1 1", "vol", "line 8: vol needs a value"),
+    ("name kt", "nmae kt", "line 1: unknown key 'nmae'"),
+])
+def test_parse_errors_name_the_line(old, new, match):
+    assert lie.parse_frame_spec(KT_TEXT).name == "kt"
+    with pytest.raises(ValueError, match=match):
+        lie.parse_frame_spec(KT_TEXT.replace(old, new))
+
+
+def test_non_finite_data_refused():
+    for d in (float("nan"), float("inf"), -1.0, 0):
+        with pytest.raises(ValueError, match="positive and finite"):
+            lie.kt_spec(d)
+    with pytest.raises(ValueError, match="positive and finite"):
+        lie.parse_frame_spec(KT_TEXT.replace("vol 1 1 1 1", "vol 1 1 1 nan"))
+    spec = lie.kt_spec()
+    for bad in ("c", "j"):
+        c, j = exact.to_float(spec.c), exact.to_float(spec.j)
+        {"c": c, "j": j}[bad][0, 0, ...] = np.nan
+        with pytest.raises(ValueError, match="must be finite"):
+            lie.make_frame_spec("bad", c, j, (1.0, 1.0, 1.0, 1.0))
+    # a huge exact circumference is finite: no float conversion is involved
+    assert lie.kt_spec(F(10 ** 400)).lattice_volumes[3] == F(10 ** 400)
+
+
+def test_koszul_gamma_once_per_tables(monkeypatch):
+    calls = []
+    real = lie.koszul_gamma
+    monkeypatch.setattr(lie, "koszul_gamma",
+                        lambda spec: calls.append(1) or real(spec))
+    lie.curvature_tables(lie.kt_spec(1))
+    assert len(calls) == 1

@@ -51,13 +51,35 @@ def test_large_p_refused_by_name():
             rr.build_plan(f_sin, f1, eps=0.1, p=p)
         assert "underflows" in str(info.value) and info.value.required_cap is None
     # below the float range only the ratio eps/bound matters: bound^p
-    # underflows here, yet the collar width is positive and within budget
+    # underflows here, yet the collar width is positive, within budget and
+    # resolved at every arc end, so the plan realizes
     plan = rr.build_plan(lambda x: 0.1 * np.sin(x),
-                         lambda x: 0.03 * np.cos(x), eps=0.1, p=400.0)
-    assert 0 < plan.collar_width < 1e-40 and plan.budget_ok()
+                         lambda x: 0.001 * np.cos(x), eps=0.1, p=400.0)
+    assert plan.bound ** plan.p == 0 and plan.budget_ok()
+    assert 0 < plan.collar_width < 1e-3
+    rr.realize_diffeo(plan)
     # f = f1 = 0 spends nothing on collars
     plan = rr.build_plan(f_zero, f_zero, eps=0.1)
     assert plan.bound == 0 and plan.budget_ok()
+
+
+def test_collar_below_float_resolution_refused_by_name():
+    # at eps 0.1 the collar width of sin -> 0.3 cos falls below the spacing
+    # of floats near 2 pi from p = 12 on: an arc end plus the width is the
+    # end again, and the plan is refused naming the width and p
+    f1 = lambda x: 0.3 * np.cos(x)
+    rr.realize_diffeo(rr.build_plan(f_sin, f1, eps=0.1, p=11.0))
+    for p in (12.0, 15.0, 250.0):
+        with pytest.raises(rr.PlanError, match=f"p={p:g} is too large") as info:
+            rr.build_plan(f_sin, f1, eps=0.1, p=p)
+        assert "below the float resolution" in str(info.value)
+        assert info.value.required_cap is None
+    with pytest.raises(rr.PlanError, match="collar width 5.49e-20"):
+        rr.build_plan(f_sin, f1, eps=0.1, p=15.0)
+    # a positive collar in budget is not enough: 1e-47 is lost against 2 pi
+    with pytest.raises(rr.PlanError, match="below the float resolution"):
+        rr.build_plan(lambda x: 0.1 * np.sin(x), lambda x: 0.03 * np.cos(x),
+                      eps=0.1, p=400.0)
 
 
 def test_plan_cap_reported_when_arcs_run_out():

@@ -188,3 +188,24 @@ def test_cutoff_blend_endpoints():
     assert np.allclose(blend[-1], g_out[-1], atol=1e-9)
     for k in range(batch):  # SPD throughout the collar
         assert np.linalg.eigvalsh(blend[k]).min() > 0
+
+
+def test_stack_refused_when_one_matrix_is():
+    a = np.stack([np.eye(4)] * 3)
+    a[1, 0, 1] = 1e-3
+    a[2, 2, 3] = 5e-3
+    # the error reports the worst defect in the stack
+    with pytest.raises(ValueError, match=r"not symmetric \(defect 0\.005\)"):
+        tensor.check_symmetric(a, tol=1e-12)
+    g = np.stack([np.eye(4), np.diag([1.0, 1.0, -2.0, 1.0]),
+                  np.diag([1.0, -3.0, 1.0, 1.0])])
+    with pytest.raises(ValueError, match="min eigenvalue -3"):
+        tensor.check_metric(g)
+    # each matrix is held to the tolerance of its own scale, so a large
+    # matrix in the stack does not excuse a small one
+    g = np.stack([1e6 * np.eye(4), np.eye(4)])
+    g[1, 0, 1] = 1e-7
+    for bad in (g[1], g):
+        with pytest.raises(ValueError, match="not symmetric"):
+            tensor.check_metric(bad)
+    tensor.check_metric(g[:1])
