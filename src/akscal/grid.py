@@ -170,7 +170,7 @@ def lift_axis(m1d: sp.spmatrix, axis: str, grid: QuotientGrid) -> sp.csr_matrix:
     pos = AXES.index(axis)
     before = math.prod(grid.shape[:pos])
     after = math.prod(grid.shape[pos + 1:])
-    m = sp.csr_matrix(m1d)
+    m = sp.csr_matrix(m1d, copy=True)
     m.sum_duplicates()
     n = m.shape[0]
     # one block of rows (r, a), for b = 0; row r of the stencil at a time

@@ -323,7 +323,8 @@ def curvature_tables(spec: LieFrameSpec) -> CurvatureTables:
     ricci = exact.einsum("kikj->ij", riem)
     scalar = np.trace(ricci)
     r_anti = tensor.anti_invariant_part(ricci, spec.j)
-    nj2 = _norm_sq(_nabla_j(spec.j, gamma))
+    nj = _nabla_j(spec.j, gamma)
+    nj2 = exact.einsum("ikj,ikj->", nj, nj)
     half = exact.half(riem)
     star = scalar + half * nj2
     return CurvatureTables(gamma, riem, sec, ricci, scalar, r_anti, nj2, star,
@@ -361,10 +362,6 @@ def nabla_j_norm_sq(spec: LieFrameSpec, route: str = "vectors"):
         nj = nabla_j_forms(spec)
     else:
         raise ValueError(f"unknown route {route!r}")
-    return _norm_sq(nj)
-
-
-def _norm_sq(nj):
     return exact.einsum("ikj,ikj->", nj, nj)
 
 

@@ -244,8 +244,9 @@ def check_property_suites(seed: int = 0) -> CheckResult:
     rng = np.random.default_rng(seed)
     j0 = np.kron(np.eye(2), np.array([[0.0, -1.0], [1.0, 0.0]]))
 
-    # the 500 cases as one stack; each draws its q, then its A, as one
-    # case at a time did, and np.allclose is judged per case
+    # 500 cases in one stack: draws[k] holds case k's normals for q, then
+    # for A, in the order of a case-by-case draw, so the checks below see
+    # the same stream; np.allclose is judged per case
     draws = rng.standard_normal((500, 2, 4, 4))
     q, _ = np.linalg.qr(draws[:, 0])
     j = np.swapaxes(q, -1, -2) @ j0 @ q

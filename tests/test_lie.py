@@ -194,3 +194,27 @@ def test_koszul_gamma_once_per_tables(monkeypatch):
                         lambda spec: calls.append(1) or real(spec))
     lie.curvature_tables(lie.kt_spec(1))
     assert len(calls) == 1
+
+
+def _nabla_j_loop(spec):
+    """The triple loop over the Koszul formula that nabla_j contracts."""
+    gamma, j, m = lie.koszul_gamma(spec), spec.j, spec.dim
+    nj = exact.zeros_as(j, (m, m, m))
+    for i in range(m):
+        for col in range(m):
+            for k in range(m):
+                lead = sum(gamma[i][p][k] * j[p][col] for p in range(m))
+                tail = sum(j[k][p] * gamma[i][col][p] for p in range(m))
+                nj[i][k][col] = lead - tail
+    return nj
+
+
+def test_nabla_j_contractions_match_loop():
+    spec = lie.kt_spec(F(1, 7))
+    fspec = lie.make_frame_spec("kt-float", 0.3 * exact.to_float(spec.c),
+                                exact.to_float(spec.j), (1.0, 1.0, 1.0, 0.7))
+    for s in (spec, lie.abelian_spec(2), fspec):
+        got, want = lie.nabla_j(s), _nabla_j_loop(s)
+        assert got.dtype == want.dtype
+        assert all(type(a) is type(b) and a == b
+                   for a, b in zip(got.flat, want.flat))
