@@ -165,21 +165,30 @@ def lift_axis(m1d: sp.spmatrix, axis: str, grid: QuotientGrid) -> sp.csr_matrix:
 
     Built from index arithmetic, as `QuotientGrid.shift` is: grid row
     (b, r, a) holds row r of the stencil, its column c moved to (b, c, a),
-    which is the canonical CSR the Kronecker products give.
+    which is the canonical CSR the Kronecker products give.  The arrays are
+    filled in place, so nothing but the result is allocated at full size.
     """
     pos = AXES.index(axis)
     before = math.prod(grid.shape[:pos])
     after = math.prod(grid.shape[pos + 1:])
     m = sp.csr_matrix(m1d, copy=True)
     m.sum_duplicates()
-    n = m.shape[0]
-    # one block of rows (r, a), for b = 0; row r of the stencil at a time
-    spans = list(zip(m.indptr[:-1], m.indptr[1:]))
-    cols = np.concatenate([(np.arange(after)[:, None] + m.indices[lo:hi] * after)
-                           .ravel() for lo, hi in spans])
-    data = np.concatenate([np.tile(m.data[lo:hi], after) for lo, hi in spans])
-    indices = (np.arange(before)[:, None] * (n * after) + cols).ravel()
-    counts = np.tile(np.repeat(np.diff(m.indptr), after), before)
-    indptr = np.concatenate([[0], np.cumsum(counts)])
-    return sp.csr_matrix((np.tile(data, before), indices, indptr),
+    n, block = m.shape[0], m.nnz * after
+    idx = np.int32 if max(grid.size, before * block) < 2 ** 31 else np.int64
+    indices = np.empty((before, block), dtype=idx)
+    data = np.empty((before, block))
+    a = np.arange(after, dtype=idx)[:, None]
+    for lo, hi in zip(m.indptr[:-1], m.indptr[1:]):
+        # stencil row r fills the block rows (r, a), entry k at (a, k)
+        part = slice(lo * after, hi * after)
+        np.add(a, m.indices[lo:hi].astype(idx) * after,
+               out=indices[0, part].reshape(after, hi - lo))
+        data[0, part].reshape(after, hi - lo)[...] = m.data[lo:hi]
+    np.add(indices[0], (np.arange(1, before, dtype=idx) * (n * after))[:, None],
+           out=indices[1:])
+    data[1:] = data[0]
+    indptr = np.zeros(grid.size + 1, dtype=idx)
+    np.cumsum(np.tile(np.repeat(np.diff(m.indptr).astype(idx), after), before),
+              out=indptr[1:])
+    return sp.csr_matrix((data.ravel(), indices.ravel(), indptr),
                          shape=(grid.size, grid.size))
