@@ -17,6 +17,7 @@ one-form matrices).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -112,9 +113,9 @@ def make_frame_spec(name, c, j, lattice_volumes) -> LieFrameSpec:
     vols = tuple(lattice_volumes)
     if len(vols) != m:
         raise ValueError(f"need {m} lattice circumferences, got {len(vols)}")
-    if not all(0 < v < math.inf for v in vols):
-        raise ValueError(f"lattice circumferences must be positive and finite, "
-                         f"got {', '.join(map(str, vols))}")
+    if not all(isinstance(v, numbers.Real) and 0 < v < math.inf for v in vols):
+        raise ValueError(f"lattice circumferences must be positive and finite "
+                         f"reals, got {', '.join(map(str, vols))}")
     return LieFrameSpec(str(name), c, j, vols)
 
 

@@ -172,12 +172,15 @@ def test_parse_errors_name_the_line(old, new, match):
 
 
 def test_non_finite_data_refused():
+    spec = lie.kt_spec()
     for d in (float("nan"), float("inf"), -1.0, 0):
         with pytest.raises(ValueError, match="positive and finite"):
             lie.kt_spec(d)
     with pytest.raises(ValueError, match="positive and finite"):
         lie.parse_frame_spec(KT_TEXT.replace("vol 1 1 1 1", "vol 1 1 1 nan"))
-    spec = lie.kt_spec()
+    for vol in ("1", None, 1j):
+        with pytest.raises(ValueError, match="positive and finite"):
+            lie.make_frame_spec("bad", spec.c, spec.j, (1, 1, 1, vol))
     for bad in ("c", "j"):
         c, j = exact.to_float(spec.c), exact.to_float(spec.j)
         {"c": c, "j": j}[bad][0, 0, ...] = np.nan
