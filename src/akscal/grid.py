@@ -178,7 +178,7 @@ def lift_axis(m1d: sp.spmatrix, axis: str, grid: QuotientGrid) -> sp.csr_matrix:
     indices = np.empty((before, block), dtype=idx)
     data = np.empty((before, block))
     a = np.arange(after, dtype=idx)[:, None]
-    for lo, hi in zip(m.indptr[:-1], m.indptr[1:]):
+    for lo, hi in zip(m.indptr[:-1].tolist(), m.indptr[1:].tolist()):
         # stencil row r fills the block rows (r, a), entry k at (a, k)
         part = slice(lo * after, hi * after)
         np.add(a, m.indices[lo:hi].astype(idx) * after,
