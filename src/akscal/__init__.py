@@ -33,7 +33,7 @@ _EXPORTS = {
                      "random_invariant_field"),
     "rearrange": ("RearrangementPlan", "PiecewiseDiffeo", "PlanError",
                   "feasible", "build_plan", "realize_diffeo",
-                  "rearrange_error", "infeasibility_gap", "random_diffeo"),
+                  "rearrange_error"),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items()
            for name in names}

@@ -47,8 +47,6 @@ def _fmt(v) -> str:
         return str(v)
     if isinstance(v, (int, np.integer)):
         return str(int(v))
-    if isinstance(v, float) and math.isinf(v):
-        return "inf" if v > 0 else "-inf"
     return format(float(v), ".17g")
 
 

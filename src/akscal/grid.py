@@ -7,6 +7,9 @@ vertex grid; all operators below are sparse matrices acting on the flattened
 array, so compositions, transposes, and permutation conjugations stay exact.
 
 With twisted=False the same machinery produces the plain 4-torus.
+
+Each grid caches the centered differences `diff(axis)` and `diff2(axis)` it
+has built, and nothing else: a shift permutation is rebuilt on every call.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ class QuotientGrid:
         self.shape = (self.n, self.n, self.n, self.nt)
         self.size = self.n ** 3 * self.nt
         self.cell_volume = self.hx * self.hy * self.hz * self.ht
-        self._shift_cache: dict[tuple[str, int], sp.csr_matrix] = {}
+        self._diffs: dict[tuple[str, int], sp.csr_matrix] = {}
 
     def spacing(self, axis: str) -> float:
         return {"x": self.hx, "y": self.hy, "z": self.hz, "t": self.ht}[axis]
@@ -81,31 +84,48 @@ class QuotientGrid:
 
     # -- shifts and differences ---------------------------------------------
 
-    def shift(self, axis: str, step: int = 1) -> sp.csr_matrix:
-        """Permutation matrix of psi -> psi(. + step h_axis along axis)."""
-        key = (axis, int(step))
-        if key in self._shift_cache:
-            return self._shift_cache[key]
+    def _neighbours(self, axis: str, step: int) -> np.ndarray:
+        """Flat index of the node step h_axis along axis from each node."""
         i, j, k, l = self._open_indices()
         moved = {"x": (i + step, j, k, l), "y": (i, j + step, k, l),
                  "z": (i, j, k + step, l), "t": (i, j, k, l + step)}[axis]
-        cols = self.flat(*moved).ravel()
-        rows = np.arange(self.size)
-        mat = sp.csr_matrix((np.ones(self.size), (rows, cols)),
-                            shape=(self.size, self.size))
-        self._shift_cache[key] = mat
-        return mat
+        return self.flat(*moved).ravel()
+
+    def _stencil(self, axis: str, weights: dict) -> sp.csr_matrix:
+        """The cached difference with weights[s] on the neighbour s steps
+        along axis, in canonical CSR."""
+        key = (axis, len(weights))
+        if key not in self._diffs:
+            cols = np.stack([self._neighbours(axis, s) for s in weights], axis=1)
+            idx = np.int32 if cols.size < 2 ** 31 else np.int64
+            m = sp.csr_matrix(
+                (np.tile(list(weights.values()), self.size),
+                 cols.astype(idx).ravel(),
+                 np.arange(0, cols.size + 1, len(weights), dtype=idx)),
+                shape=(self.size, self.size))
+            m.sort_indices()
+            self._diffs[key] = m
+        return self._diffs[key]
+
+    def shift(self, axis: str, step: int = 1) -> sp.csr_matrix:
+        """Permutation matrix of psi -> psi(. + step h_axis along axis),
+        built anew on each call: the grid caches only its differences."""
+        cols = self._neighbours(axis, int(step))
+        return sp.csr_matrix((np.ones(self.size), (np.arange(self.size), cols)),
+                             shape=(self.size, self.size))
 
     def diff(self, axis: str) -> sp.csr_matrix:
-        """Centered first difference along one axis (wrap per the quotient)."""
+        """Centered first difference along one axis (wrap per the quotient),
+        cached on the grid: callers share it and must not modify it.  Its
+        arrays are those of (shift(axis, 1) - shift(axis, -1)) * (0.5 / h)."""
         h = self.spacing(axis)
-        return ((self.shift(axis, 1) - self.shift(axis, -1)) * (0.5 / h)).tocsr()
+        return self._stencil(axis, {-1: -0.5 / h, 1: 0.5 / h})
 
     def diff2(self, axis: str) -> sp.csr_matrix:
-        """Narrow (3-point) second difference along one axis."""
-        h = self.spacing(axis)
-        return ((self.shift(axis, 1) - 2.0 * sp.identity(self.size)
-                 + self.shift(axis, -1)) * (1.0 / h ** 2)).tocsr()
+        """Narrow (3-point) second difference, cached as diff is; its arrays
+        are those of (shift(axis, 1) - 2 I + shift(axis, -1)) * (1 / h^2)."""
+        c = 1.0 / self.spacing(axis) ** 2
+        return self._stencil(axis, {-1: c, 0: -2.0 * c, 1: c})
 
     def x_matrix(self) -> sp.dia_matrix:
         """Multiplication by the chart coordinate x (values in [0, 1))."""
@@ -141,22 +161,15 @@ def _grid_size(v, name: str) -> int:
 
 def d1_sided(n: int, h: float) -> sp.csr_matrix:
     """Centered first difference with 2nd-order one-sided rows at both ends."""
-    m = sp.lil_matrix((n, n))
-    for i in range(1, n - 1):
-        m[i, i - 1], m[i, i + 1] = -0.5, 0.5
-    m[0, 0], m[0, 1], m[0, 2] = -1.5, 2.0, -0.5
-    m[n - 1, n - 1], m[n - 1, n - 2], m[n - 1, n - 3] = 1.5, -2.0, 0.5
+    m = sp.diags([-0.5, 0.5], [-1, 1], shape=(n, n), format="lil")
+    m[0, :3], m[n - 1, n - 3:] = [-1.5, 2.0, -0.5], [0.5, -2.0, 1.5]
     return (m * (1.0 / h)).tocsr()
 
 
 def d2_sided(n: int, h: float) -> sp.csr_matrix:
     """3-point second difference with 2nd-order one-sided rows at both ends."""
-    m = sp.lil_matrix((n, n))
-    for i in range(1, n - 1):
-        m[i, i - 1], m[i, i], m[i, i + 1] = 1.0, -2.0, 1.0
-    m[0, 0], m[0, 1], m[0, 2], m[0, 3] = 2.0, -5.0, 4.0, -1.0
-    m[n - 1, n - 1], m[n - 1, n - 2], m[n - 1, n - 3], m[n - 1, n - 4] = \
-        2.0, -5.0, 4.0, -1.0
+    m = sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(n, n), format="lil")
+    m[0, :4], m[n - 1, n - 4:] = [2.0, -5.0, 4.0, -1.0], [-1.0, 4.0, -5.0, 2.0]
     return (m * (1.0 / h ** 2)).tocsr()
 
 

@@ -212,7 +212,7 @@ def hessian_ops_frame(g: QuotientGrid, variant: OperatorVariant,
 
 
 def hessian_ops_chart(g: QuotientGrid, variant: OperatorVariant,
-                      psi: np.ndarray) -> dict:
+                      psi: np.ndarray):
     """Chart-route Hessian slots applied to the (size, m) field block psi.
 
     The ten chart Hessian formulas in narrow 3-point second and centered
@@ -223,44 +223,56 @@ def hessian_ops_chart(g: QuotientGrid, variant: OperatorVariant,
     Hessian formula (frame composition with connection terms vs the chart
     formulas).  Shared differences of psi are formed once; x multiplies
     elementwise.
+
+    The difference matrices are built here; the slots are not.  The result
+    is an iterator of ((i, j), block) pairs in the frame route's row-major
+    key order, and each block is formed only when it is asked for.  Each
+    difference of psi and each lifted x-stencil is dropped soon after the
+    last slot that reads it, so at most five field blocks of intermediates
+    (kt; one on the flat torus) are held between slots.
     """
     if variant.twisted != g.twisted:
         raise ValueError(f"variant {variant.name!r} expects twisted={variant.twisted}")
-    if variant.name == "kt":
-        dx = lift_axis(d1_sided(g.n, g.hx), "x", g)
-        dxx = lift_axis(d2_sided(g.n, g.hx), "x", g)
-    else:
-        dx, dxx = g.diff("x"), g.diff2("x")
     dy, dz, dt = (g.diff(a) for a in AXES[1:])
     dyy, dzz, dtt = (g.diff2(a) for a in AXES[1:])
-    px, py, pz = dx @ psi, dy @ psi, dz @ psi
     if variant.name == "flat":
-        first = (dx, dy, dz, dt)
-        once = (px, py, pz)
-        second = (dxx, dyy, dzz, dtt)
-        ops = {}
-        for i in range(4):
-            for jj in range(i, 4):
-                ops[(i, jj)] = (second[i] @ psi if i == jj
-                                else first[jj] @ once[i])
-        return ops
+        return _flat_chart_slots(psi, (g.diff("x"), dy, dz, dt),
+                                 (g.diff2("x"), dyy, dzz, dtt))
+    dx = lift_axis(d1_sided(g.n, g.hx), "x", g)
+    dxx = lift_axis(d2_sided(g.n, g.hx), "x", g)
     x = g.sample(lambda x, y, z, t: x)[:, None]
-    pzz = dzz @ psi
-    pyz = dy @ pz
+    return _kt_chart_slots(psi, x, dx, dxx, dy, dz, dt, dyy, dzz, dtt)
+
+
+def _flat_chart_slots(psi, first, second):
+    for i in range(4):
+        yield (i, i), second[i] @ psi
+        once = first[i] @ psi if i < 3 else None
+        for jj in range(i + 1, 4):
+            yield (i, jj), first[jj] @ once
+
+
+def _kt_chart_slots(psi, x, dx, dxx, dy, dz, dt, dyy, dzz, dtt):
+    yield (0, 0), dxx @ psi
+    px, pz = dx @ psi, dz @ psi
+    del dx, dxx
     pxz = dz @ px
+    yield (0, 1), dy @ px + x * pxz + 0.5 * pz
+    py = dy @ psi
+    yield (0, 2), pxz + 0.5 * py + 0.5 * (x * pz)
+    del pxz
+    yield (0, 3), dt @ px
+    pyz, pzz = dy @ pz, dzz @ psi
+    yield (1, 1), dyy @ psi + 2.0 * (x * pyz) + x * (x * pzz)
+    yield (1, 2), pyz + x * pzz + (-0.5) * px
     ptz = dt @ pz
-    return {
-        (0, 0): dxx @ psi,
-        (1, 1): dyy @ psi + 2.0 * (x * pyz) + x * (x * pzz),
-        (2, 2): pzz,
-        (3, 3): dtt @ psi,
-        (0, 1): dy @ px + x * pxz + 0.5 * pz,
-        (0, 2): pxz + 0.5 * py + 0.5 * (x * pz),
-        (0, 3): dt @ px,
-        (1, 2): pyz + x * pzz + (-0.5) * px,
-        (1, 3): dt @ py + x * ptz,
-        (2, 3): ptz,
-    }
+    del pyz, px, pz
+    yield (1, 3), dt @ py + x * ptz
+    yield (2, 2), pzz
+    del py, pzz
+    yield (2, 3), ptz
+    del ptz
+    yield (3, 3), dtt @ psi
 
 
 # ---------------------------------------------------------------------------
@@ -612,19 +624,25 @@ def route_difference(n: int, variant: str = "kt", d: float = 1.0,
     in the same order as a single-vector product, and each field's norms are
     taken from one contiguous row, so every entry is bit-identical to a
     one-field call.
+
+    The ten frame slots are formed at once; the chart slots are formed one
+    at a time, and each is reduced against its frame partner, which is then
+    dropped, before the next is formed.  So at most the frame slots, one
+    chart slot and the chart route's intermediates are held together.
     """
     fields, single = _field_list(field, d)
     v = get_variant(variant)
     g = QuotientGrid(n, n, d, twisted=v.twisted)
     psi = np.stack([g.sample(f) for f in fields], axis=1)
     frame = hessian_ops_frame(g, v, psi)
-    chart = hessian_ops_chart(g, v, psi)
     err_max = np.zeros(len(fields))
     err_sq = np.zeros(len(fields))
-    for key in frame:
-        diff = np.ascontiguousarray((frame[key] - chart[key]).T)
+    for key, chart in hessian_ops_chart(g, v, psi):
+        diff = np.ascontiguousarray((frame.pop(key) - chart).T)
+        del chart
         err_max = np.maximum(err_max, np.max(np.abs(diff), axis=1))
         err_sq += np.sum(diff * diff, axis=1)
+        del diff
     err_l2 = np.sqrt(g.cell_volume * err_sq)
     if single:
         return float(err_max[0]), float(err_l2[0])

@@ -35,11 +35,16 @@ _ERROR_BLOCK = 4096      # Simpson nodes per phi call in rearrange_error
 
 
 class PlanError(ValueError):
-    """Planning failed; required_cap carries the arc count that would do."""
+    """Planning failed; required_cap carries the arc count that would do,
+    reason the obstruction ("range": f1 leaves [inf f, sup f]) and bound the
+    L^p distance by which every diffeomorphism then misses f1, at least."""
 
-    def __init__(self, message: str, required_cap: Optional[int] = None):
+    def __init__(self, message: str, required_cap: Optional[int] = None,
+                 reason: Optional[str] = None, bound: Optional[float] = None):
         super().__init__(message)
         self.required_cap = required_cap
+        self.reason = reason
+        self.bound = bound
 
 
 def check_plan_parameters(eps: float, p: float, max_arcs: int) -> None:
@@ -67,6 +72,20 @@ def feasible(f: Callable, f1: Callable, tol: float = 1e-9,
     x = _sample_circle(samples)
     fv, gv = np.asarray(f(x), float), np.asarray(f1(x), float)
     return bool(gv.min() >= fv.min() - tol and gv.max() <= fv.max() + tol)
+
+
+def _range_escape(f: Callable, f1: Callable, p: float, tol: float) -> float:
+    """eta * m^(1/p): f o phi has the range of f for every diffeomorphism
+    phi, so where f1 leaves that range by more than tol (measure m, by at
+    least eta) every phi misses f1 by at least this much in L^p.  It reads
+    the samples feasible reads."""
+    x = _sample_circle(4096)
+    fv, gv = np.asarray(f(x), float), np.asarray(f1(x), float)
+    excess = np.maximum(gv - fv.max(), fv.min() - gv)
+    escaped = excess > tol
+    if not escaped.any():
+        return 0.0
+    return float(excess[escaped].min()) * (escaped.mean() * CIRCLE) ** (1.0 / p)
 
 
 @dataclass(frozen=True)
@@ -154,7 +173,10 @@ def build_plan(f: Callable, f1: Callable, eps: float, p: float = 2.0,
     """
     check_plan_parameters(eps, p, max_arcs)
     if not feasible(f, f1, tol):
-        raise ValueError("target is not within [inf f, sup f]: infeasible")
+        bound = _range_escape(f, f1, p, tol)
+        raise PlanError(f"target is not within [inf f, sup f]: infeasible; every "
+                        f"diffeomorphism misses it by >= {bound:.4g} in L^{p:g}",
+                        reason="range", bound=bound)
     x = _sample_circle(samples)
     fx = np.asarray(f(x), float)
     gx = np.asarray(f1(x), float)
@@ -415,55 +437,3 @@ def rearrange(f: Callable, f1: Callable, eps: float, p: float = 2.0,
     phi = realize_diffeo(plan)
     err = rearrange_error(f, f1, phi, p)
     return phi, err, plan
-
-
-# ---------------------------------------------------------------------------
-# infeasibility witness
-
-
-def random_diffeo(rng=None, harmonics: int = 4) -> Callable:
-    """Random smooth circle diffeomorphism: normalized positive trig-poly
-    derivative plus a rotation."""
-    rng = np.random.default_rng(rng)
-    amps = rng.uniform(-1.0, 1.0, size=harmonics) / (1 + np.arange(harmonics))
-    phases = rng.uniform(0.0, CIRCLE, size=harmonics)
-    rot = rng.uniform(0.0, CIRCLE)
-    floor = 1.0 + np.abs(amps).sum() * 1.05
-
-    def phi(x):
-        x = np.asarray(x, float)
-        out = floor * x
-        for k, (a, ph) in enumerate(zip(amps, phases), start=1):
-            # antiderivative of a*cos(kx + ph)
-            out = out + a / k * (np.sin(k * x + ph) - np.sin(ph))
-        return out / floor + rot
-
-    return phi
-
-
-def infeasibility_gap(f: Callable, f1: Callable, p: float = 2.0,
-                      trials: int = 100, rng=0, samples: int = 8192):
-    """Least L^p error over random diffeos vs the lower bound eta * m^(1/p)
-    forced on the set where the target escapes the range of f."""
-    x = _sample_circle(samples)
-    fv = np.asarray(f(x), float)
-    gv = np.asarray(f1(x), float)
-    hi_excess = np.maximum(gv - fv.max(), 0.0)
-    lo_excess = np.maximum(fv.min() - gv, 0.0)
-    excess = np.maximum(hi_excess, lo_excess)
-    mask = excess > 0
-    if not mask.any():
-        bound = 0.0
-    else:
-        eta = float(excess[mask].min())
-        m = float(mask.mean()) * CIRCLE
-        bound = eta * m ** (1.0 / p)
-    rng = np.random.default_rng(rng)
-    h = CIRCLE / samples
-    best = math.inf
-    for _ in range(trials):
-        phi = random_diffeo(rng)
-        err = float((np.abs(fv[np.searchsorted(x, phi(x) % CIRCLE) % samples]
-                            - gv) ** p).sum() * h) ** (1.0 / p)
-        best = min(best, err)
-    return best, bound

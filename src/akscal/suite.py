@@ -231,8 +231,10 @@ def check_rearrangement(seed: int = 0) -> CheckResult:
         rearrange.build_plan(np.sin, lambda x: 0 * np.asarray(x) + 2.0, 0.1)
         ok = False
         parts.append("infeasible target NOT rejected")
-    except ValueError:
-        parts.append("infeasible target rejected")
+    except rearrange.PlanError as e:
+        ok &= e.reason == "range" and e.bound > 0
+        parts.append(f"infeasible target rejected ({e.reason}: every "
+                     f"diffeomorphism misses by >= {e.bound:.4g})")
     return _result("rearrangement", 10.0, t0, ok, "; ".join(parts))
 
 

@@ -240,7 +240,8 @@ def cutoff_blend(g_outer, g_inner, eta, r, omega=None):
 
     Fields are arrays of shape batch + (2n, 2n); r has the batch shape.  The
     blend equals g_inner where eta = 0 and reconstructs g_outer where eta = 1,
-    staying SPD (and omega-compatible when omega is given) in between.
+    staying SPD (and omega-compatible when omega is given) in between.  The
+    whole batch runs as one stack, so a refusal reports its worst point.
     """
     g_outer = np.asarray(g_outer, dtype=float)
     g_inner = np.asarray(g_inner, dtype=float)
@@ -248,14 +249,11 @@ def cutoff_blend(g_outer, g_inner, eta, r, omega=None):
         raise ValueError("field shapes differ")
     batch = g_outer.shape[:-2]
     r = np.broadcast_to(np.asarray(r, dtype=float), batch)
-    eta_vals = np.broadcast_to(np.asarray(eta(r), dtype=float), batch)
-    out = np.empty_like(g_inner)
-    for idx in np.ndindex(*batch) if batch else [()]:
-        gi, go = g_inner[idx], g_outer[idx]
-        h_full = log_recover(gi, go, omega)
-        e = eta_vals[idx] if batch else float(eta_vals)
-        out[idx] = gi if e == 0.0 else (go if e == 1.0 else exp_metric(gi, e * h_full))
-        check_metric(out[idx], "blended metric")
-        if omega is not None:
-            check_compatibility(out[idx], omega)
+    e = np.broadcast_to(np.asarray(eta(r), dtype=float), batch)[..., None, None]
+    h = log_recover(g_inner, g_outer, omega)
+    out = np.where(e == 0.0, g_inner,
+                   np.where(e == 1.0, g_outer, exp_metric(g_inner, e * h)))
+    check_metric(out, "blended metric")
+    if omega is not None:
+        check_compatibility(out, omega)
     return out

@@ -179,7 +179,7 @@ def serialize_model(m: IntersectionModel) -> str:
     if m.tau is not None:
         out.append(f"tau {m.tau}")
     if m.seed is not None:
-        out.append("seed " + " ".join(f"{v:g}" for v in m.seed))
+        out.append("seed " + " ".join(map(repr, m.seed)))
     return "\n".join(out) + "\n"
 
 

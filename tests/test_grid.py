@@ -170,6 +170,29 @@ def test_lift_axis_matches_kron_lift(n, nt, twisted):
         assert new.has_canonical_format and (new != ref).nnz == 0
 
 
+def _shift_diffs(g, axis):
+    """The shift arithmetic that diff and diff2 replace, as a reference."""
+    h = g.spacing(axis)
+    up, down = g.shift(axis, 1), g.shift(axis, -1)
+    return (((up - down) * (0.5 / h)).tocsr(),
+            ((up - 2.0 * sp.identity(g.size) + down) * (1.0 / h ** 2)).tocsr())
+
+
+@pytest.mark.parametrize("n, nt", [(4, 4), (5, 7), (8, 16), (12, 12)])
+@pytest.mark.parametrize("twisted", [True, False])
+def test_diffs_match_shift_arithmetic(n, nt, twisted):
+    g = gr.QuotientGrid(n, nt=nt, twisted=twisted)
+    for axis in gr.AXES:
+        for new, ref in zip((g.diff(axis), g.diff2(axis)), _shift_diffs(g, axis)):
+            for a in ("indptr", "indices", "data"):
+                got, want = getattr(new, a), getattr(ref, a)
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+        # the grid caches each difference and hands out the same object
+        assert g.diff(axis) is g.diff(axis)
+        assert g.diff2(axis) is g.diff2(axis)
+
+
 def test_l2_normalization():
     g = gr.QuotientGrid(4, d=2.0)
     assert g.l2(np.ones(g.size)) == pytest.approx(np.sqrt(2.0))

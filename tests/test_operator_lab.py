@@ -1,5 +1,7 @@
 """Discrete adjoint system: slot algebra, symbols, spectra, route orders."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -122,7 +124,7 @@ def test_applied_routes_match_product_assembly(variant, n):
     psi = np.random.default_rng(5).standard_normal((g.size, 3))
     for applied, ref in ((ol.hessian_ops_frame(g, v, psi),
                           product_frame_slots(g, v)),
-                         (ol.hessian_ops_chart(g, v, psi),
+                         (dict(ol.hessian_ops_chart(g, v, psi)),
                           product_chart_slots(g, v))):
         assert applied.keys() == ref.keys()
         for key, got in applied.items():
@@ -427,6 +429,59 @@ def test_richardson_order_on_theta_field():
     assert fit.order_l2 >= 1.9
     assert fit.order_max >= 1.7
     assert len(fit.err_l2) == 3 and (np.diff(fit.err_l2) < 0).all()
+
+
+def materialized_route_difference(n, variant, fields):
+    """route_difference with both routes held as whole slot dicts, as a
+    reference for the streamed chart route."""
+    v = ol.get_variant(variant)
+    g = QuotientGrid(n, n, 1.0, twisted=v.twisted)
+    psi = np.stack([g.sample(f) for f in fields], axis=1)
+    frame = ol.hessian_ops_frame(g, v, psi)
+    chart = dict(ol.hessian_ops_chart(g, v, psi))
+    assert list(chart) == list(frame)
+    err_max = np.zeros(len(fields))
+    err_sq = np.zeros(len(fields))
+    for key in frame:
+        diff = np.ascontiguousarray((frame[key] - chart[key]).T)
+        err_max = np.maximum(err_max, np.max(np.abs(diff), axis=1))
+        err_sq += np.sum(diff * diff, axis=1)
+    return err_max, np.sqrt(g.cell_volume * err_sq)
+
+
+@pytest.mark.parametrize("variant", ["kt", "flat"])
+@pytest.mark.parametrize("n", [8, 12])
+def test_streamed_routes_match_materialized_routes(variant, n):
+    one = [ol.theta_test_field(1.0)]
+    three = [ol.random_invariant_field(1.0, s) for s in (1, 2, 3)]
+    want = materialized_route_difference(n, variant, one)
+    got = ol.route_difference(n, variant, field=one[0])
+    assert got == (float(want[0][0]), float(want[1][0]))
+    want = materialized_route_difference(n, variant, three)
+    got = ol.route_difference(n, variant, field=three)
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_chart_route_refuses_a_mismatched_grid_when_called():
+    with pytest.raises(ValueError, match="expects twisted=True"):
+        ol.hessian_ops_chart(QuotientGrid(4, twisted=False),
+                             ol.get_variant("kt"), np.zeros((256, 1)))
+
+
+def test_route_difference_traced_peak():
+    # one chart slot is formed at a time, and the grid caches differences,
+    # not shift matrices: the peak is bounded in (size, 3) float blocks
+    n = 12
+    fields = [ol.random_invariant_field(1.0, s) for s in range(3)]
+    ol.route_difference(4, field=fields)  # the kt variant is built once
+    tracemalloc.start()
+    try:
+        ol.route_difference(n, field=fields)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * (n ** 4 * 3 * 8)
 
 
 @pytest.mark.parametrize("ns", [(8,), (8, 8), (), (8.0, 12.0), (3, 8), 8])

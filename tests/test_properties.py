@@ -1,5 +1,5 @@
 """Property tests of the slot algebra, the exact contraction, stacked
-tensor calls and the frame-spec round trip, drawn by hypothesis."""
+tensor calls and the frame-spec and model round trips, drawn by hypothesis."""
 
 from fractions import Fraction
 
@@ -9,7 +9,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from akscal import exact, lie, tensor  # noqa: E402
+from akscal import exact, lie, tensor, zbound  # noqa: E402
 from akscal import operator_lab as ol  # noqa: E402
 
 STRUCTURES = {"kt": ol.J_KT, "flat": ol.J_FLAT}
@@ -189,3 +189,56 @@ def test_frame_spec_round_trip_is_lossless(spec):
     # a float comes back as itself, not as the Fraction of its short decimal
     assert _same_entries(np.array(back.lattice_volumes, dtype=object),
                          np.array(spec.lattice_volumes, dtype=object))
+
+
+# -- intersection models --------------------------------------------------------
+
+
+@st.composite
+def models(draw):
+    """Valid models: Q = P^T D P with D a sum of +-1 and hyperbolic blocks
+    and P unimodular (a few integer row additions), so Q stays unimodular."""
+    blocks = draw(st.lists(st.sampled_from(["+", "-", "H"]), min_size=1,
+                           max_size=3))
+    rank = sum(2 if b == "H" else 1 for b in blocks)
+    q = np.zeros((rank, rank), dtype=np.int64)
+    at = 0
+    for b in blocks:
+        if b == "H":
+            q[at, at + 1] = q[at + 1, at] = 1
+            at += 2
+        else:
+            q[at, at] = 1 if b == "+" else -1
+            at += 1
+    for _ in range(draw(st.integers(0, 3)) if rank > 1 else 0):
+        i, j = draw(st.permutations(range(rank)))[:2]
+        p = np.eye(rank, dtype=np.int64)
+        p[i, j] = draw(st.integers(-2, 2))
+        q = p.T @ q @ p
+    n = draw(st.sampled_from([2, 3]))
+    ints = st.integers(-50, 50)
+    seed = draw(st.none() | st.lists(
+        st.floats(allow_nan=False, allow_infinity=False),
+        min_size=rank + (n == 3), max_size=rank + (n == 3)))
+    words = st.text("abcdefghijklmnopqrstuvwxyz0123456789_-./", min_size=1,
+                    max_size=8)
+    name = " ".join(draw(st.lists(words, max_size=3)))
+    return zbound.make_model(
+        name, q, draw(st.lists(ints, min_size=rank, max_size=rank)), n=n,
+        fiber_chern=draw(ints) if n == 3 else None,
+        chi=draw(st.none() | ints), tau=draw(st.none() | ints), seed=seed)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(model=models())
+def test_model_round_trip_is_lossless(model):
+    back = zbound.parse_model(zbound.serialize_model(model))
+    assert back.name == model.name and back.n == model.n
+    for a, b in ((back.q, model.q), (back.c1, model.c1)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert (back.fiber_chern, back.chi, back.tau) == \
+        (model.fiber_chern, model.chi, model.tau)
+    # every seed entry comes back bit for bit, a -0.0 included
+    hexes = (lambda m: None if m.seed is None
+             else [float.hex(v) for v in m.seed])
+    assert hexes(back) == hexes(model)

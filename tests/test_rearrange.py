@@ -279,18 +279,24 @@ def test_piecewise_diffeo_validation():
         rr.PiecewiseDiffeo(np.array([0.0, TWO_PI + 1.0]), np.array([0.0, 1.0]))
 
 
-def test_random_diffeo_is_a_diffeo():
-    rng = np.random.default_rng(0)
-    xs = np.linspace(0, TWO_PI, 2001)
-    for _ in range(20):
-        phi = rr.random_diffeo(rng)
-        vals = phi(xs)
-        assert (np.diff(vals) > 0).all()
-        assert vals[-1] - vals[0] == pytest.approx(TWO_PI)
-
-
-def test_infeasibility_gap_certifies():
-    best, bound = rr.infeasibility_gap(f_sin, lambda x: 2.0 + 0 * x,
-                                       p=2.0, trials=20)
-    assert bound > 0
-    assert best >= bound
+def test_range_escape_refused_with_its_bound():
+    # f1 = 2 sits 1 above sup sin everywhere: every diffeo misses by
+    # 1 * (2 pi)^(1/p); f1 = 1.5 sin escapes by less on part of the circle
+    for p in (2.0, 3.0):
+        with pytest.raises(rr.PlanError, match="infeasible") as info:
+            rr.build_plan(f_sin, lambda x: 2.0 + 0 * x, eps=0.1, p=p)
+        assert info.value.reason == "range"
+        assert info.value.required_cap is None
+        assert info.value.bound == pytest.approx(TWO_PI ** (1 / p), rel=1e-12)
+        assert f"{info.value.bound:.4g} in L^{p:g}" in str(info.value)
+    with pytest.raises(rr.PlanError) as info:
+        rr.build_plan(f_sin, lambda x: 1.5 * np.sin(x), eps=0.1)
+    assert info.value.reason == "range" and 0 < info.value.bound < 0.5
+    # the bound is a true lower bound: the identity misses by more
+    x = np.arange(4096) * (TWO_PI / 4096)
+    miss = np.sqrt(np.sum((np.sin(x) - 1.5 * np.sin(x)) ** 2) * TWO_PI / 4096)
+    assert miss >= info.value.bound
+    # other refusals carry no reason
+    with pytest.raises(rr.PlanError) as info:
+        rr.build_plan(f_sin, f_zero, eps=0.1, p=15)
+    assert info.value.reason is None and info.value.bound is None
