@@ -15,6 +15,7 @@ has built, and nothing else: a shift permutation is rebuilt on every call.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 
 import numpy as np
@@ -34,6 +35,8 @@ class QuotientGrid:
             raise ValueError("need n >= 4")
         if self.nt < 4:
             raise ValueError("need nt >= 4")
+        if not isinstance(d, numbers.Real):
+            raise ValueError(f"need a real d, got {d!r}")
         if not (d > 0 and math.isfinite(d)):
             raise ValueError("need finite d > 0")
         self.d = float(d)
@@ -84,33 +87,52 @@ class QuotientGrid:
 
     # -- shifts and differences ---------------------------------------------
 
-    def _neighbours(self, axis: str, step: int) -> np.ndarray:
-        """Flat index of the node step h_axis along axis from each node."""
-        i, j, k, l = self._open_indices()
-        moved = {"x": (i + step, j, k, l), "y": (i, j + step, k, l),
-                 "z": (i, j, k + step, l), "t": (i, j, k, l + step)}[axis]
-        return self.flat(*moved).ravel()
-
     def _stencil(self, axis: str, weights: dict) -> sp.csr_matrix:
         """The cached difference with weights[s] on the neighbour s steps
-        along axis, in canonical CSR."""
+        along axis, for steps -1, (0,) 1 in that order, in canonical CSR.
+
+        Each row's columns are written in ascending order, with no sort.
+        Off the two wrap slabs the neighbour s steps along is the node's own
+        flat index plus s strides.  On the first slab the step -1 neighbour
+        wraps to the last slab, and on the last slab the step +1 neighbour
+        wraps to the first (through the shear, on the sheared x-axis): there
+        the row is rotated by one so the wrapped column, which alone comes
+        from the quotient's index reduction, lands at its sorted place.
+        """
         key = (axis, len(weights))
         if key not in self._diffs:
-            cols = np.stack([self._neighbours(axis, s) for s in weights], axis=1)
-            idx = np.int32 if cols.size < 2 ** 31 else np.int64
-            m = sp.csr_matrix(
-                (np.tile(list(weights.values()), self.size),
-                 cols.astype(idx).ravel(),
-                 np.arange(0, cols.size + 1, len(weights), dtype=idx)),
+            pos = AXES.index(axis)
+            along = self.shape[pos]
+            stride = math.prod(self.shape[pos + 1:])
+            w = len(weights)
+            idx = np.int32 if self.size * w < 2 ** 31 else np.int64
+            vals = np.array(list(weights.values()))
+            cols = np.empty((math.prod(self.shape[:pos]), along, stride, w),
+                            dtype=idx)
+            np.add(np.arange(self.size, dtype=idx).reshape(cols.shape[:3] + (1,)),
+                   np.array(list(weights), dtype=idx) * stride, out=cols)
+            data = np.empty(cols.shape)
+            data[...] = vals
+            for slab, past, turn in ((0, -1, -1), (along - 1, along, 1)):
+                moved = list(self._open_indices())
+                moved[pos] = np.full((1, 1, 1, 1), past)
+                edge = cols[:, slab]
+                edge[...] = np.roll(edge, turn, axis=-1)
+                edge[..., -1 if turn < 0 else 0] = \
+                    self.flat(*moved).reshape(edge.shape[:2])
+                data[:, slab] = np.roll(vals, turn)
+            self._diffs[key] = sp.csr_matrix(
+                (data.ravel(), cols.ravel(),
+                 np.arange(0, self.size * w + 1, w, dtype=idx)),
                 shape=(self.size, self.size))
-            m.sort_indices()
-            self._diffs[key] = m
         return self._diffs[key]
 
     def shift(self, axis: str, step: int = 1) -> sp.csr_matrix:
         """Permutation matrix of psi -> psi(. + step h_axis along axis),
         built anew on each call: the grid caches only its differences."""
-        cols = self._neighbours(axis, int(step))
+        moved = list(self._open_indices())
+        moved[AXES.index(axis)] = moved[AXES.index(axis)] + int(step)
+        cols = self.flat(*moved).ravel()
         return sp.csr_matrix((np.ones(self.size), (np.arange(self.size), cols)),
                              shape=(self.size, self.size))
 

@@ -213,7 +213,8 @@ def hessian_ops_frame(g: QuotientGrid, variant: OperatorVariant,
 
 def hessian_ops_chart(g: QuotientGrid, variant: OperatorVariant,
                       psi: np.ndarray):
-    """Chart-route Hessian slots applied to the (size, m) field block psi.
+    """Chart-route Hessian slots applied to psi, a (size, m) array of m field
+    columns (route_difference passes one column at a time).
 
     The ten chart Hessian formulas in narrow 3-point second and centered
     first differences.  On the sheared quotient x is one-sided at the faces
@@ -225,11 +226,11 @@ def hessian_ops_chart(g: QuotientGrid, variant: OperatorVariant,
     elementwise.
 
     The difference matrices are built here; the slots are not.  The result
-    is an iterator of ((i, j), block) pairs in the frame route's row-major
-    key order, and each block is formed only when it is asked for.  Each
-    difference of psi and each lifted x-stencil is dropped soon after the
-    last slot that reads it, so at most five field blocks of intermediates
-    (kt; one on the flat torus) are held between slots.
+    is an iterator of ((i, j), slot) pairs in the frame route's row-major
+    key order, each slot an array of psi's shape formed only when it is
+    asked for.  Each difference of psi and each lifted x-stencil is dropped
+    soon after the last slot that reads it, so at most five arrays of psi's
+    shape (kt; one on the flat torus) are held between slots.
     """
     if variant.twisted != g.twisted:
         raise ValueError(f"variant {variant.name!r} expects twisted={variant.twisted}")
@@ -486,6 +487,9 @@ def spectral_floor(system: AdjointSystem, k: int = 2) -> SpectralReport:
     """
     g = system.grid
     n, nt, nxy = g.n, g.nt, g.n * g.n
+    if not isinstance(k, numbers.Integral):
+        raise ValueError(f"need an integer k, got {k!r}")
+    k = int(k)
     if not 1 <= k <= g.size:
         raise ValueError(f"need 1 <= k <= {g.size} eigenpairs, got {k}")
     rows = system.normal_rows(np.arange(nxy) * (n * nt)).tocoo()
@@ -618,31 +622,36 @@ def route_difference(n: int, variant: str = "kt", d: float = 1.0,
 
     field is one callable (default theta_test_field(d)), which gives two
     floats, or a sequence of callables, which gives two arrays with one entry
-    per field.  Every field is sampled into one (size, m) block and both
-    routes are applied to it as chains of sparse matrix-block products, so
-    no slot matrix is assembled.  A sparse-times-dense product sums each row
-    in the same order as a single-vector product, and each field's norms are
-    taken from one contiguous row, so every entry is bit-identical to a
-    one-field call.
+    per field.  The fields stream through one grid, whose cached differences
+    they share: each is sampled as a (size, 1) column, both routes are
+    applied to it as chains of sparse matrix-column products, so no slot
+    matrix is assembled, and everything built for it is dropped before the
+    next field is sampled.  A complex-valued field is refused before its
+    slots are formed.
 
     The ten frame slots are formed at once; the chart slots are formed one
     at a time, and each is reduced against its frame partner, which is then
     dropped, before the next is formed.  So at most the frame slots, one
-    chart slot and the chart route's intermediates are held together.
+    chart slot and the chart route's intermediates of one field are held
+    together.
     """
     fields, single = _field_list(field, d)
     v = get_variant(variant)
     g = QuotientGrid(n, n, d, twisted=v.twisted)
-    psi = np.stack([g.sample(f) for f in fields], axis=1)
-    frame = hessian_ops_frame(g, v, psi)
     err_max = np.zeros(len(fields))
     err_sq = np.zeros(len(fields))
-    for key, chart in hessian_ops_chart(g, v, psi):
-        diff = np.ascontiguousarray((frame.pop(key) - chart).T)
-        del chart
-        err_max = np.maximum(err_max, np.max(np.abs(diff), axis=1))
-        err_sq += np.sum(diff * diff, axis=1)
-        del diff
+    for f, fn in enumerate(fields):
+        psi = g.sample(fn)[:, None]
+        if np.iscomplexobj(psi):
+            raise ValueError("field must be real-valued")
+        frame = hessian_ops_frame(g, v, psi)
+        for key, chart in hessian_ops_chart(g, v, psi):
+            diff = frame.pop(key) - chart
+            del chart
+            err_max[f] = np.maximum(err_max[f], np.max(np.abs(diff)))
+            err_sq[f] += np.sum(diff * diff)
+            del diff
+        del psi
     err_l2 = np.sqrt(g.cell_volume * err_sq)
     if single:
         return float(err_max[0]), float(err_l2[0])
@@ -665,8 +674,9 @@ def richardson_orders(ns=(8, 12, 16, 20), variant: str = "kt", d: float = 1.0,
 
     ns must hold at least two distinct integer grid sizes >= 4.  field is
     as in route_difference.  One callable gives one OrderFit; a sequence
-    gives one OrderFit per field, all fitted from a single route_difference
-    call per grid size, and each equal to its one-field fit.
+    gives one OrderFit per field, all fitted from one route_difference call
+    per grid size, which streams the fields through one grid; each fit is
+    bit-identical to its one-field fit.
     """
     try:
         ns = tuple(ns)

@@ -30,6 +30,18 @@ def test_constructor_validation():
         gr.QuotientGrid(8, nt=6.5)
 
 
+@pytest.mark.parametrize("d", ["1", None, 1j, [1.0]])
+def test_non_real_d_is_refused_by_name(d):
+    # every entry point that builds a grid refuses it before comparing d
+    for build in (lambda: gr.QuotientGrid(4, d=d),
+                  lambda: ol.build_system(4, d=d),
+                  lambda: ol.kernel_gap(4, d=d),
+                  lambda: ol.route_difference(4, d=d),
+                  lambda: ol.richardson_orders(ns=(4, 5), d=d)):
+        with pytest.raises(ValueError, match="need a real d"):
+            build()
+
+
 def test_reduce_index_twisted_wrap():
     g = gr.QuotientGrid(4, twisted=True)
     # crossing x by one period shears the z index by -j
@@ -178,7 +190,8 @@ def _shift_diffs(g, axis):
             ((up - 2.0 * sp.identity(g.size) + down) * (1.0 / h ** 2)).tocsr())
 
 
-@pytest.mark.parametrize("n, nt", [(4, 4), (5, 7), (8, 16), (12, 12)])
+@pytest.mark.parametrize("n, nt", [(4, 4), (5, 7), (8, 16), (12, 12), (6, 20),
+                                   (20, 20)])
 @pytest.mark.parametrize("twisted", [True, False])
 def test_diffs_match_shift_arithmetic(n, nt, twisted):
     g = gr.QuotientGrid(n, nt=nt, twisted=twisted)
