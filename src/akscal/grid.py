@@ -8,8 +8,8 @@ array, so compositions, transposes, and permutation conjugations stay exact.
 
 With twisted=False the same machinery produces the plain 4-torus.
 
-Each grid caches the centered differences `diff(axis)` and `diff2(axis)` it
-has built, and nothing else: a shift permutation is rebuilt on every call.
+Every difference is a one-axis stencil lifted to the grid by `lift_axis`;
+each grid caches the centered ones it has built, and nothing else.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ class QuotientGrid:
         self._diffs: dict[tuple[str, int], sp.csr_matrix] = {}
 
     def spacing(self, axis: str) -> float:
-        return {"x": self.hx, "y": self.hy, "z": self.hz, "t": self.ht}[axis]
+        return (self.hx, self.hy, self.hz, self.ht)[_axis(axis)]
 
     def reduce_index(self, i, j, k, l):
         """Canonical representative of a (possibly out-of-range) index tuple."""
@@ -89,56 +89,36 @@ class QuotientGrid:
 
     def _stencil(self, axis: str, weights: dict) -> sp.csr_matrix:
         """The cached difference with weights[s] on the neighbour s steps
-        along axis, for steps -1, (0,) 1 in that order, in canonical CSR.
-
-        Each row's columns are written in ascending order, with no sort.
-        Off the two wrap slabs the neighbour s steps along is the node's own
-        flat index plus s strides.  On the first slab the step -1 neighbour
-        wraps to the last slab, and on the last slab the step +1 neighbour
-        wraps to the first (through the shear, on the sheared x-axis): there
-        the row is rotated by one so the wrapped column, which alone comes
-        from the quotient's index reduction, lands at its sorted place.
-        """
+        along axis: the periodic one-axis ring, lifted.  On the sheared x-wrap
+        the one wrapped column of each first- and last-slab row is re-pointed
+        through the index reduction; the shear moves k alone and CSR column
+        order is fixed by i, so every row stays sorted."""
         key = (axis, len(weights))
         if key not in self._diffs:
-            pos = AXES.index(axis)
-            along = self.shape[pos]
-            stride = math.prod(self.shape[pos + 1:])
-            w = len(weights)
-            idx = np.int32 if self.size * w < 2 ** 31 else np.int64
-            vals = np.array(list(weights.values()))
-            cols = np.empty((math.prod(self.shape[:pos]), along, stride, w),
-                            dtype=idx)
-            np.add(np.arange(self.size, dtype=idx).reshape(cols.shape[:3] + (1,)),
-                   np.array(list(weights), dtype=idx) * stride, out=cols)
-            data = np.empty(cols.shape)
-            data[...] = vals
-            for slab, past, turn in ((0, -1, -1), (along - 1, along, 1)):
-                moved = list(self._open_indices())
-                moved[pos] = np.full((1, 1, 1, 1), past)
-                edge = cols[:, slab]
-                edge[...] = np.roll(edge, turn, axis=-1)
-                edge[..., -1 if turn < 0 else 0] = \
-                    self.flat(*moved).reshape(edge.shape[:2])
-                data[:, slab] = np.roll(vals, turn)
-            self._diffs[key] = sp.csr_matrix(
-                (data.ravel(), cols.ravel(),
-                 np.arange(0, self.size * w + 1, w, dtype=idx)),
-                shape=(self.size, self.size))
+            along = self.shape[_axis(axis)]
+            ring = sum(c * np.roll(np.eye(along), s, axis=1)
+                       for s, c in weights.items())
+            m = lift_axis(sp.csr_matrix(ring), axis, self)
+            if axis == "x" and self.twisted:
+                _, j, k, l = self._open_indices()
+                cols = m.indices.reshape(along, -1, len(weights))
+                cols[0, :, -1] = self.flat(-1, j, k, l).ravel()
+                cols[-1, :, 0] = self.flat(along, j, k, l).ravel()
+            self._diffs[key] = m
         return self._diffs[key]
 
     def shift(self, axis: str, step: int = 1) -> sp.csr_matrix:
         """Permutation matrix of psi -> psi(. + step h_axis along axis),
         built anew on each call: the grid caches only its differences."""
         moved = list(self._open_indices())
-        moved[AXES.index(axis)] = moved[AXES.index(axis)] + int(step)
+        moved[_axis(axis)] += int(step)
         cols = self.flat(*moved).ravel()
         return sp.csr_matrix((np.ones(self.size), (np.arange(self.size), cols)),
                              shape=(self.size, self.size))
 
     def diff(self, axis: str) -> sp.csr_matrix:
         """Centered first difference along one axis (wrap per the quotient),
-        cached on the grid: callers share it and must not modify it.  Its
+        a lifted periodic ring that callers share and must not modify.  Its
         arrays are those of (shift(axis, 1) - shift(axis, -1)) * (0.5 / h)."""
         h = self.spacing(axis)
         return self._stencil(axis, {-1: -0.5 / h, 1: 0.5 / h})
@@ -160,14 +140,19 @@ class QuotientGrid:
         i, j, k, l = np.meshgrid(*(np.arange(s) for s in self.shape), indexing="ij")
         kk = np.mod(k - j, self.n) if self.twisted else k
         cols = np.ravel_multi_index((i, j, kk, l), self.shape).ravel()
-        mat = sp.csr_matrix((np.ones(self.size), (np.arange(self.size), cols)),
-                            shape=(self.size, self.size))
-        return mat
+        return sp.csr_matrix((np.ones(self.size), (np.arange(self.size), cols)),
+                             shape=(self.size, self.size))
 
     # -- norms ----------------------------------------------------------------
 
     def l2(self, v) -> float:
         return float(np.sqrt(self.cell_volume) * np.linalg.norm(np.asarray(v).ravel()))
+
+
+def _axis(axis: str) -> int:
+    if axis not in AXES:
+        raise ValueError(f"unknown axis {axis!r}; choose from x, y, z, t")
+    return AXES.index(axis)
 
 
 def _grid_size(v, name: str) -> int:
@@ -198,12 +183,12 @@ def d2_sided(n: int, h: float) -> sp.csr_matrix:
 def lift_axis(m1d: sp.spmatrix, axis: str, grid: QuotientGrid) -> sp.csr_matrix:
     """Promote a one-axis stencil to the full grid: I (x) m1d (x) I in C order.
 
-    Built from index arithmetic, as `QuotientGrid.shift` is: grid row
+    The one builder of grid stencils, from index arithmetic: grid row
     (b, r, a) holds row r of the stencil, its column c moved to (b, c, a),
     which is the canonical CSR the Kronecker products give.  The arrays are
     filled in place, so nothing but the result is allocated at full size.
     """
-    pos = AXES.index(axis)
+    pos = _axis(axis)
     before = math.prod(grid.shape[:pos])
     after = math.prod(grid.shape[pos + 1:])
     m = sp.csr_matrix(m1d, copy=True)

@@ -369,13 +369,26 @@ def build_system(n: int, nt: Optional[int] = None, d: float = 1.0,
 # symbol checks
 
 
+def _frequencies(k) -> tuple:
+    """(kx, ky, kz, kt) as ints: anything but four integers is refused, not
+    truncated, so no caller reads a different mode than it asked for."""
+    try:
+        ks = tuple(k)
+    except TypeError:
+        ks = ()
+    if len(ks) != 4 or not all(isinstance(v, numbers.Integral) for v in ks):
+        raise ValueError(f"need four integer frequencies (kx, ky, kz, kt), "
+                         f"got {k!r}")
+    return tuple(int(v) for v in ks)
+
+
 def fourier_mode(g: QuotientGrid, k: tuple) -> np.ndarray:
     """Complex plane wave with integer frequencies (kx, ky, kz, kt).
 
     On the sheared quotient only kz = 0 modes descend (the z-frequency would
     have to twist with y), so anything else is rejected there.
     """
-    kx, ky, kz, kt = (int(v) for v in k)
+    kx, ky, kz, kt = _frequencies(k)
     if g.twisted and kz != 0:
         raise ValueError("sheared quotient admits plane waves with kz = 0 only")
     return g.sample(lambda x, y, z, t: np.exp(
@@ -384,7 +397,7 @@ def fourier_mode(g: QuotientGrid, k: tuple) -> np.ndarray:
 
 def mode_xi(g: QuotientGrid, k: tuple) -> float:
     """Continuum wavevector length 2 pi |(kx, ky, kz, kt/d)|."""
-    kx, ky, kz, kt = (int(v) for v in k)
+    kx, ky, kz, kt = _frequencies(k)
     return 2.0 * math.pi * math.sqrt(kx * kx + ky * ky + kz * kz
                                      + (kt / g.d) ** 2)
 

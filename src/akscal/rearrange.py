@@ -32,6 +32,7 @@ _DERIVATIVE_FLOOR = 1e-6
 _FIRST_ARCS = 4          # the first partition; refinement doubles it
 _SCAN_CHUNK = 64         # samples in the first chunk of a source-window scan
 _ERROR_BLOCK = 4096      # Simpson nodes per phi call in rearrange_error
+_RANGE_SAMPLES = 4096    # samples feasible and _range_escape read
 
 
 class PlanError(ValueError):
@@ -66,10 +67,9 @@ def _sample_circle(n: int) -> np.ndarray:
     return np.arange(n) * (CIRCLE / n)
 
 
-def feasible(f: Callable, f1: Callable, tol: float = 1e-9,
-             samples: int = 4096) -> bool:
+def feasible(f: Callable, f1: Callable, tol: float = 1e-9) -> bool:
     """inf f - tol <= f1 <= sup f + tol on a dense sample."""
-    x = _sample_circle(samples)
+    x = _sample_circle(_RANGE_SAMPLES)
     fv, gv = np.asarray(f(x), float), np.asarray(f1(x), float)
     return bool(gv.min() >= fv.min() - tol and gv.max() <= fv.max() + tol)
 
@@ -77,9 +77,8 @@ def feasible(f: Callable, f1: Callable, tol: float = 1e-9,
 def _range_escape(f: Callable, f1: Callable, p: float, tol: float) -> float:
     """eta * m^(1/p): f o phi has the range of f for every diffeomorphism
     phi, so where f1 leaves that range by more than tol (measure m, by at
-    least eta) every phi misses f1 by at least this much in L^p.  It reads
-    the samples feasible reads."""
-    x = _sample_circle(4096)
+    least eta) every phi misses f1 by at least this much in L^p."""
+    x = _sample_circle(_RANGE_SAMPLES)
     fv, gv = np.asarray(f(x), float), np.asarray(f1(x), float)
     excess = np.maximum(gv - fv.max(), fv.min() - gv)
     escaped = excess > tol

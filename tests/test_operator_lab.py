@@ -230,6 +230,24 @@ def test_fourier_mode_rejects_twisted_kz():
     ol.fourier_mode(QuotientGrid(4, twisted=False), (0, 0, 1, 0))
 
 
+@pytest.mark.parametrize("k", [(1.7, 0, 0, 1.2), ("1", 0, 0, "2"),
+                               (None, 0, 0, 1), (1, 0, 0), 3])
+def test_non_integer_frequencies_are_refused_by_name(k):
+    flat = ol.build_system(6, variant="flat")
+    for call in (lambda: ol.fourier_mode(flat.grid, k),
+                 lambda: ol.mode_xi(flat.grid, k),
+                 lambda: ol.symbol_check(flat, k)):
+        with pytest.raises(ValueError, match="need four integer frequencies"):
+            call()
+
+
+def test_numpy_integer_frequencies_read_the_same_mode():
+    flat = ol.build_system(6, variant="flat")
+    k = np.array([1, 0, 2, 1])
+    assert ol.symbol_check(flat, k) == ol.symbol_check(flat, (1, 0, 2, 1))
+    assert ol.mode_xi(flat.grid, k) == ol.mode_xi(flat.grid, (1, 0, 2, 1))
+
+
 def test_mode_xi():
     g = QuotientGrid(8, d=0.5, twisted=False)
     assert ol.mode_xi(g, (1, 0, 0, 0)) == pytest.approx(2 * np.pi)
