@@ -32,8 +32,7 @@ _EXPORTS = {
                      "richardson_orders", "theta_test_field",
                      "random_invariant_field"),
     "rearrange": ("RearrangementPlan", "PiecewiseDiffeo", "PlanError",
-                  "feasible", "build_plan", "realize_diffeo",
-                  "rearrange_error"),
+                  "build_plan", "realize_diffeo", "rearrange_error"),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items()
            for name in names}

@@ -278,18 +278,11 @@ def _compile_expr(node):
 
 
 def cmd_rearrange(args) -> int:
-    rearrange.check_plan_parameters(args.eps, args.p, args.max_arcs)
     f = _parse_field(args.f)
     f1 = _parse_field(args.f1)
+    # solve first, so a refused plan leaves no partial artifacts
+    phi, err, plan = rearrange.rearrange(f, f1, args.eps, args.p, args.max_arcs)
     out = _out_dir(args)
-    if not rearrange.feasible(f, f1):
-        print("infeasible: target leaves the closed range of f",
-              file=sys.stderr)
-        return 1
-    plan = rearrange.build_plan(f, f1, args.eps, args.p,
-                                max_arcs=args.max_arcs)
-    phi = rearrange.realize_diffeo(plan)
-    err = rearrange.rearrange_error(f, f1, phi, args.p)
     dmin = phi.min_derivative()
     rows = [("arc", _fmt(a.lo), _fmt(a.hi), _fmt(a.level))
             for a in plan.arcs]

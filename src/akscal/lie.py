@@ -66,6 +66,7 @@ class LieFrameSpec:
 # J of kt_spec and abelian_spec on the frame: e1 -> -e4, e2 -> e3
 KT_J = ((0, 0, 0, 1), (0, 0, -1, 0), (0, 1, 0, 0), (-1, 0, 0, 0))
 _TOL = 1e-12     # float specs: structure identities hold to this size
+_BLAIR_TOL = 1e-9   # blair_check: relative to 1 + |lhs| + |rhs|
 
 
 def make_frame_spec(name, c, j, lattice_volumes) -> LieFrameSpec:
@@ -380,8 +381,7 @@ class BlairReport:
     matches: bool
 
 
-def blair_check(spec: LieFrameSpec, c1_dot_omega_power: float,
-                tol: float = 1e-9) -> BlairReport:
+def blair_check(spec: LieFrameSpec, c1_dot_omega_power: float) -> BlairReport:
     """Compare the total Hermitian scalar against its cohomological value.
 
     `c1_dot_omega_power` is the pairing c1 . [omega]^(n-1) supplied by the
@@ -392,4 +392,5 @@ def blair_check(spec: LieFrameSpec, c1_dot_omega_power: float,
     lhs = float(tables.hermitian_scalar) * float(spec.volume)
     rhs = 4.0 * math.pi * float(c1_dot_omega_power) / math.factorial(spec.n - 1)
     mismatch = abs(lhs - rhs)
-    return BlairReport(lhs, rhs, mismatch, mismatch <= tol * (1.0 + abs(lhs) + abs(rhs)))
+    return BlairReport(lhs, rhs, mismatch,
+                       mismatch <= _BLAIR_TOL * (1.0 + abs(lhs) + abs(rhs)))

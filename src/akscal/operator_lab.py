@@ -340,15 +340,11 @@ class AdjointSystem:
 
     @cached_property
     def laplacian(self) -> sp.csr_matrix:
-        """Frame Laplacian sum_i E_i E_i - (trace connection term, zero here)."""
-        e = frame_fields(self.grid, self.variant)
+        """Frame Laplacian: the trace sum_i H_ii of the frame Hessian."""
+        hess = hessian_ops_frame(self.grid, self.variant)
         lap = sp.csr_matrix((self.grid.size, self.grid.size))
         for i in range(4):
-            lap = lap + e[i] @ e[i]
-        for k in range(4):
-            tr = sum(self.variant.gamma[i][i][k] for i in range(4))
-            if tr != 0.0:
-                lap = lap - tr * e[k]
+            lap = lap + hess[(i, i)]
         return lap.tocsr()
 
     def slot_residual_norms(self, psi: np.ndarray) -> np.ndarray:

@@ -32,7 +32,12 @@ _DERIVATIVE_FLOOR = 1e-6
 _FIRST_ARCS = 4          # the first partition; refinement doubles it
 _SCAN_CHUNK = 64         # samples in the first chunk of a source-window scan
 _ERROR_BLOCK = 4096      # Simpson nodes per phi call in rearrange_error
-_RANGE_SAMPLES = 4096    # samples feasible and _range_escape read
+_SIMPSON_PANELS = 32     # two-interval Simpson panels per linear piece
+_RANGE_SAMPLES = 4096    # samples _range_escape reads
+_RANGE_TOL = 1e-9        # slack of the range test at either end
+_PLAN_SAMPLES = 16384    # samples the partition and source windows read
+_BUMP_NODES = 48         # Gauss-Legendre nodes of the smoothing bump
+_INVERSE_TOL = 1e-12     # bisection stops once every bracket is this narrow
 
 
 class PlanError(ValueError):
@@ -67,23 +72,26 @@ def _sample_circle(n: int) -> np.ndarray:
     return np.arange(n) * (CIRCLE / n)
 
 
-def feasible(f: Callable, f1: Callable, tol: float = 1e-9) -> bool:
-    """inf f - tol <= f1 <= sup f + tol on a dense sample."""
-    x = _sample_circle(_RANGE_SAMPLES)
-    fv, gv = np.asarray(f(x), float), np.asarray(f1(x), float)
-    return bool(gv.min() >= fv.min() - tol and gv.max() <= fv.max() + tol)
+def _sample(fn: Callable, name: str, x: np.ndarray) -> np.ndarray:
+    """fn at the angles x as floats; ValueError naming fn when a value is
+    NaN or infinite, which no range test or level band can judge."""
+    v = np.asarray(fn(x), float)
+    if not np.isfinite(v).all():
+        raise ValueError(f"{name} is not finite on the circle")
+    return v
 
 
-def _range_escape(f: Callable, f1: Callable, p: float, tol: float) -> float:
-    """eta * m^(1/p): f o phi has the range of f for every diffeomorphism
-    phi, so where f1 leaves that range by more than tol (measure m, by at
-    least eta) every phi misses f1 by at least this much in L^p."""
+def _range_escape(f: Callable, f1: Callable, p: float) -> float:
+    """0 when inf f - tol <= f1 <= sup f + tol on a dense sample, else
+    eta * m^(1/p): f o phi has the range of f for every diffeomorphism
+    phi, so where f1 leaves that range (measure m, by at least eta) every
+    phi misses f1 by at least this much in L^p."""
     x = _sample_circle(_RANGE_SAMPLES)
-    fv, gv = np.asarray(f(x), float), np.asarray(f1(x), float)
-    excess = np.maximum(gv - fv.max(), fv.min() - gv)
-    escaped = excess > tol
+    fv, gv = _sample(f, "f", x), _sample(f1, "f1", x)
+    escaped = (gv < fv.min() - _RANGE_TOL) | (gv > fv.max() + _RANGE_TOL)
     if not escaped.any():
         return 0.0
+    excess = np.maximum(gv - fv.max(), fv.min() - gv)
     return float(excess[escaped].min()) * (escaped.mean() * CIRCLE) ** (1.0 / p)
 
 
@@ -161,24 +169,23 @@ def _source_window(fx: np.ndarray, x: np.ndarray, level: float,
 
 
 def build_plan(f: Callable, f1: Callable, eps: float, p: float = 2.0,
-               max_arcs: int = 4096, samples: int = 16384,
-               tol: float = 1e-9) -> RearrangementPlan:
+               max_arcs: int = 4096) -> RearrangementPlan:
     """Partition, levels, and cyclically ordered source intervals.
 
     Arcs are refined by doubling until f1 oscillates less than 0.9*delta on
     each; source intervals are allocated in one forward sweep so they sit in
     the same cyclic order as the arcs (in one dimension disjoint intervals
     cannot pass through each other, so order compatibility is mandatory).
+    A NaN or infinite value of f or f1 raises ValueError naming it.
     """
     check_plan_parameters(eps, p, max_arcs)
-    if not feasible(f, f1, tol):
-        bound = _range_escape(f, f1, p, tol)
+    escape = _range_escape(f, f1, p)
+    if escape > 0:
         raise PlanError(f"target is not within [inf f, sup f]: infeasible; every "
-                        f"diffeomorphism misses it by >= {bound:.4g} in L^{p:g}",
-                        reason="range", bound=bound)
-    x = _sample_circle(samples)
-    fx = np.asarray(f(x), float)
-    gx = np.asarray(f1(x), float)
+                        f"diffeomorphism misses it by >= {escape:.4g} in L^{p:g}",
+                        reason="range", bound=escape)
+    x = _sample_circle(_PLAN_SAMPLES)
+    fx, gx = _sample(f, "f", x), _sample(f1, "f1", x)
     bound = float(np.abs(fx).max() + np.abs(gx).max())
     delta = eps / (2.0 * (2.0 * CIRCLE) ** (1.0 / p))
 
@@ -223,8 +230,8 @@ def build_plan(f: Callable, f1: Callable, eps: float, p: float = 2.0,
             # levels that return to the first arc's level squeeze their
             # windows against the lap limit; rescan those slivers finely
             if x_fine is None:
-                x_fine = _sample_circle(16 * samples)
-                fx_fine = np.asarray(f(x_fine), float)
+                x_fine = _sample_circle(16 * _PLAN_SAMPLES)
+                fx_fine = _sample(f, "f", x_fine)
             win = _source_window(fx_fine, x_fine, arc.level,
                                  _OSC_MARGIN * delta, cursor, limit)
         if win is None:
@@ -277,10 +284,10 @@ def build_plan(f: Callable, f1: Callable, eps: float, p: float = 2.0,
 # realization
 
 
-def _bump_quadrature(radius: float, order: int = 48):
+def _bump_quadrature(radius: float):
     """Gauss-Legendre nodes/weights for the unit-mass C-infinity bump
     exp(-1/(1-(s/r)^2)) on (-r, r)."""
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes, weights = np.polynomial.legendre.leggauss(_BUMP_NODES)
     s = nodes * radius
     with np.errstate(divide="ignore", over="ignore"):
         vals = np.exp(-1.0 / (1.0 - (s / radius) ** 2))
@@ -342,7 +349,7 @@ class PiecewiseDiffeo:
         sl = (self._pl_slope(x[..., None] - self._qs) @ self._qw)
         return (1.0 - float(t)) + float(t) * sl
 
-    def inverse(self, y, t: float = 1.0, tol: float = 1e-12):
+    def inverse(self, y, t: float = 1.0):
         """Bisection on the lifted increasing map."""
         y = np.asarray(y, float)
         lo = y - CIRCLE
@@ -352,7 +359,7 @@ class PiecewiseDiffeo:
             val = self(mid, t)
             lo = np.where(val < y, mid, lo)
             hi = np.where(val < y, hi, mid)
-            if float(np.max(hi - lo)) < tol:
+            if float(np.max(hi - lo)) < _INVERSE_TOL:
                 break
         return 0.5 * (lo + hi)
 
@@ -398,7 +405,7 @@ def realize_diffeo(plan: RearrangementPlan) -> PiecewiseDiffeo:
 
 
 def rearrange_error(f: Callable, f1: Callable, phi: PiecewiseDiffeo,
-                    p: float = 2.0, subdivisions: int = 32) -> float:
+                    p: float = 2.0) -> float:
     """L^p norm of f(phi_1(x)) - f1(x), composite Simpson per linear piece.
 
     phi, f and f1 are called once per block of about 4096 Simpson nodes,
@@ -406,7 +413,7 @@ def rearrange_error(f: Callable, f1: Callable, phi: PiecewiseDiffeo,
     """
     edges = np.concatenate([phi.nodes_from,
                             [phi.nodes_from[0] + CIRCLE]])
-    m = 2 * subdivisions
+    m = 2 * _SIMPSON_PANELS
     weights = np.ones(m + 1)
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0

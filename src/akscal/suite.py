@@ -145,11 +145,12 @@ def check_collapsing(seed: int = 0) -> CheckResult:
                    + " -> 0 monotonically")
 
 
-def check_symbol(seed: int = 0, n: int = 8) -> CheckResult:
-    """Flat symbol identity to rounding; sheared correction decay."""
+def check_symbol(seed: int = 0) -> CheckResult:
+    """Flat symbol identity to rounding; sheared correction decay, at N = 8."""
     from . import operator_lab
 
     t0 = time.perf_counter()
+    n = 8
     flat = operator_lab.build_system(n, 2 * n, 1.0, "flat")
     worst = 0.0
     for kx in range(n // 4 + 1):

@@ -86,16 +86,16 @@ def check_metric(g, name="metric"):
     return g
 
 
-def check_acs(j, g=None, tol=ACS_TOL):
+def check_acs(j, g=None):
     """Verify J^2 = -I (and J^T g J = g when g is given)."""
     j, g = _coerce(j, g) if g is not None else (*_coerce(j), None)
     n = _check_square(j, "J")
     d_acs = j @ j + exact.eye_as(j, n)
-    if exact.nonzero(d_acs, tol):
-        raise ValueError(f"J^2 != -I (defect {_size(d_acs):.3g} > {tol:g})")
+    if exact.nonzero(d_acs, ACS_TOL):
+        raise ValueError(f"J^2 != -I (defect {_size(d_acs):.3g} > {ACS_TOL:g})")
     if g is not None:
         d_iso = _t(j) @ g @ j - g
-        if exact.nonzero(d_iso, np.maximum(tol, COMPAT_TOL * _scale(g))):
+        if exact.nonzero(d_iso, np.maximum(ACS_TOL, COMPAT_TOL * _scale(g))):
             raise ValueError(f"J is not a g-isometry (defect {_size(d_iso):.3g})")
     return j
 
@@ -180,7 +180,7 @@ def log_recover(g, g_tilde, omega=None):
     return h
 
 
-def check_compatibility(g, omega, tol=COMPAT_TOL):
+def check_compatibility(g, omega):
     """The unique J with g(X, Y) = omega(X, JY), verified almost-complex.
 
     Returns J; raises CompatibilityError (with the J^2+I and isometry defect
@@ -191,19 +191,19 @@ def check_compatibility(g, omega, tol=COMPAT_TOL):
     n = _check_square(omega, "omega")
     if g.shape[-1] != omega.shape[-1]:
         raise ValueError("dimension mismatch between g and omega")
-    if exact.nonzero(omega + _t(omega), tol):
+    if exact.nonzero(omega + _t(omega), COMPAT_TOL):
         raise ValueError("omega is not skew-symmetric")
     try:
         j = exact.solve(omega, g)
     except ZeroDivisionError:
         raise CompatibilityError("omega is degenerate") from None
-    scale = _scale(g)
     d_acs = j @ j + exact.eye_as(j, n)
     d_iso = _t(j) @ g @ j - g
-    if exact.nonzero(d_acs, tol * scale) or exact.nonzero(d_iso, tol * scale):
+    tol = COMPAT_TOL * _scale(g)
+    if exact.nonzero(d_acs, tol) or exact.nonzero(d_iso, tol):
         raise CompatibilityError(
             f"derived J fails compatibility: max|J^2+I| = {_size(d_acs):.3g}, "
-            f"max|J^T g J - g| = {_size(d_iso):.3g} (tol {tol:g})"
+            f"max|J^T g J - g| = {_size(d_iso):.3g} (tol {COMPAT_TOL:g})"
         )
     return j
 

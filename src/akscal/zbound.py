@@ -32,6 +32,8 @@ __all__ = [
 
 CONE_EPS = 1e-9
 UNBOUNDED_THRESHOLD = 1e6
+_MAX_ASCENT_STEPS = 5000
+_GRAD_TOL = 1e-8         # stop once |grad| <= this * (1 + |value|)
 
 
 class ConeError(ValueError):
@@ -281,8 +283,7 @@ class ZBoundResult:
     grad_norm: float
 
 
-def optimize_z_bound(m: IntersectionModel, seed=None, max_iter: int = 5000,
-                     grad_tol: float = 1e-8) -> ZBoundResult:
+def optimize_z_bound(m: IntersectionModel, seed=None) -> ZBoundResult:
     """Maximize the bound over the cone component of the seed class.
 
     Backtracking gradient ascent with the scale pinned each step (fiber
@@ -307,9 +308,9 @@ def optimize_z_bound(m: IntersectionModel, seed=None, max_iter: int = 5000,
     val, g = _grad(m, x)
     step = 1.0
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ASCENT_STEPS + 1):
         gn = float(np.linalg.norm(g))
-        if gn <= grad_tol * (1.0 + abs(val)):
+        if gn <= _GRAD_TOL * (1.0 + abs(val)):
             break
         accepted = False
         t = step

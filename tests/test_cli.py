@@ -112,9 +112,27 @@ def test_rearrange_csv_samples_input(tmp_path):
 
 
 def test_rearrange_infeasible(tmp_path, capsys):
-    assert run(tmp_path, "rearrange", "--f", "sin(x)", "--f1", "2+0*x",
-               "--eps", "0.1") == 1
-    assert "infeasible" in capsys.readouterr().err
+    # the library's range refusal, with its L^2 bound 1 * (2 pi)^(1/2),
+    # before any output directory is made
+    out = tmp_path / "out"
+    assert run(out, "rearrange", "--f", "sin(x)", "--f1", "2+0*x",
+               "--eps", "0.1") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error [rearrange]: ") and "infeasible" in err
+    assert f"misses it by >= {np.sqrt(2 * np.pi):.4g} in L^2" in err
+    assert not out.exists()
+
+
+def test_rearrange_refuses_non_finite_fields(tmp_path, capsys):
+    out = tmp_path / "out"
+    for f, f1, name in (("sin(x)", "sqrt(x - 10)", "f1"),
+                        ("log(x - 10)", "0*x", "f"),
+                        ("sin(x)", "1/(x - x)", "f1")):
+        with np.errstate(invalid="ignore", divide="ignore"):
+            assert run(out, "rearrange", "--f", f, "--f1", f1) == 2
+        err = capsys.readouterr().err
+        assert err == f"error [rearrange]: {name} is not finite on the circle\n"
+    assert not out.exists()
 
 
 def test_rearrange_rejects_code_injection(tmp_path, capsys):

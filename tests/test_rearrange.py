@@ -16,11 +16,36 @@ def f_zero(x):
     return np.zeros_like(np.asarray(x, dtype=float))
 
 
-def test_feasible_is_a_range_test():
-    assert rr.feasible(f_sin, f_zero)
-    assert rr.feasible(f_sin, lambda x: 0.7 * np.cos(3 * x))
-    assert not rr.feasible(f_sin, lambda x: 2.0 + 0 * x)
-    assert not rr.feasible(f_zero, f_sin)
+def test_build_plan_refuses_exactly_the_range_escapes():
+    for f, f1 in ((f_sin, lambda x: 2.0 + 0 * x), (f_zero, f_sin)):
+        with pytest.raises(rr.PlanError) as info:
+            rr.build_plan(f, f1, eps=0.1)
+        assert info.value.reason == "range"
+    # in range: 0.7 cos 3x is refused, but for its cyclic order, not range
+    for f1 in (f_zero, lambda x: 0.7 * np.cos(3 * x)):
+        try:
+            rr.build_plan(f_sin, f1, eps=0.1)
+        except rr.PlanError as e:
+            assert e.reason != "range"
+
+
+def test_non_finite_fields_refused_by_name():
+    # NaN or infinite samples are neither in nor out of the range of f, so
+    # they are refused by name before any range test or level band
+    nan_f1 = lambda x: np.sqrt(x - 10)      # NaN on the whole circle
+    inf_f1 = lambda x: 1 / np.where(x > 3, 0.0, 1.0)
+    # one infinite value on the planning sample, off the coarser range sample
+    spike = lambda x: np.where(x == 4097 * (TWO_PI / rr._PLAN_SAMPLES),
+                               np.inf, 0.0)
+    for f, f1, name in ((f_sin, nan_f1, "f1"), (nan_f1, f_sin, "f"),
+                        (f_sin, inf_f1, "f1"), (inf_f1, f_zero, "f"),
+                        (f_sin, spike, "f1")):
+        with np.errstate(invalid="ignore", divide="ignore"):
+            with pytest.raises(ValueError,
+                               match=f"^{name} is not finite on the circle"
+                               ) as info:
+                rr.build_plan(f, f1, eps=0.1)
+        assert not isinstance(info.value, rr.PlanError)
 
 
 def test_build_plan_validates_inputs():
@@ -223,15 +248,16 @@ def test_source_window_matches_sample_walk():
 
 
 def test_error_blocks_match_per_piece_simpson():
-    # one phi call per block of pieces gives the per-piece sum bit for bit
+    # one phi call per block of pieces gives the per-piece sum bit for bit,
+    # with 32 two-interval Simpson panels on each piece
     target = lambda x: 0.3 * np.cos(x)
     phi = rr.realize_diffeo(rr.build_plan(f_sin, target, eps=0.05))
     assert len(phi.nodes_from) > 4096 // 65
-    for p, sub in ((2.0, 32), (3.0, 7)):
-        m = 2 * sub
-        weights = np.ones(m + 1)
-        weights[1:-1:2] = 4.0
-        weights[2:-1:2] = 2.0
+    m = 64
+    weights = np.ones(m + 1)
+    weights[1:-1:2] = 4.0
+    weights[2:-1:2] = 2.0
+    for p in (2.0, 3.0):
         edges = np.append(phi.nodes_from, phi.nodes_from[0] + TWO_PI)
         total = 0.0
         for lo, hi in zip(edges[:-1], edges[1:]):
@@ -239,8 +265,7 @@ def test_error_blocks_match_per_piece_simpson():
             integrand = np.abs(f_sin(phi(xq) % TWO_PI)
                                - target(xq % TWO_PI)) ** p
             total += (hi - lo) / m / 3.0 * float(weights @ integrand)
-        assert rr.rearrange_error(f_sin, target, phi, p, sub) == \
-            total ** (1.0 / p)
+        assert rr.rearrange_error(f_sin, target, phi, p) == total ** (1.0 / p)
 
 
 def test_endpoint_lap_count():
