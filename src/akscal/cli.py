@@ -216,7 +216,8 @@ def _parse_field(arg: str):
 
     def f(x):
         x = np.asarray(x, dtype=float)
-        return np.broadcast_to(np.asarray(expr(x), dtype=float), x.shape)
+        with np.errstate(all="ignore"):  # NaN and inf are refused by name
+            return np.broadcast_to(np.asarray(expr(x), dtype=float), x.shape)
 
     return f
 

@@ -8,8 +8,8 @@ array, so compositions, transposes, and permutation conjugations stay exact.
 
 With twisted=False the same machinery produces the plain 4-torus.
 
-Every difference is a one-axis stencil lifted to the grid by `lift_axis`;
-each grid caches the centered ones it has built, and nothing else.
+Every difference is a one-axis stencil, applied along its axis by `apply_axis`
+or lifted by `lift_axis`; each grid caches its lifted first differences only.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ class QuotientGrid:
         self.shape = (self.n, self.n, self.n, self.nt)
         self.size = self.n ** 3 * self.nt
         self.cell_volume = self.hx * self.hy * self.hz * self.ht
-        self._diffs: dict[tuple[str, int], sp.csr_matrix] = {}
+        self._diffs: dict[str, sp.csr_matrix] = {}
 
     def spacing(self, axis: str) -> float:
         return (self.hx, self.hy, self.hz, self.ht)[_axis(axis)]
@@ -81,67 +81,44 @@ class QuotientGrid:
         fn must act elementwise: it is called once on the open coordinate
         grid, and its result is broadcast to the grid shape.
         """
+        if not callable(fn):
+            raise ValueError(f"need a callable field, got {fn!r}")
         vals = np.asarray(fn(*self.node_coordinates()))
         dtype = complex if np.iscomplexobj(vals) else float
         return np.array(np.broadcast_to(vals, self.shape), dtype=dtype).ravel()
 
-    # -- shifts and differences ---------------------------------------------
+    # -- differences ----------------------------------------------------------
 
-    def _stencil(self, axis: str, weights: dict) -> sp.csr_matrix:
-        """The cached difference with weights[s] on the neighbour s steps
-        along axis: the periodic one-axis ring, lifted.  On the sheared x-wrap
-        the one wrapped column of each first- and last-slab row is re-pointed
-        through the index reduction; the shear moves k alone and CSR column
-        order is fixed by i, so every row stays sorted."""
-        key = (axis, len(weights))
-        if key not in self._diffs:
-            along = self.shape[_axis(axis)]
-            ring = sum(c * np.roll(np.eye(along), s, axis=1)
-                       for s, c in weights.items())
-            m = lift_axis(sp.csr_matrix(ring), axis, self)
-            if axis == "x" and self.twisted:
-                _, j, k, l = self._open_indices()
-                cols = m.indices.reshape(along, -1, len(weights))
-                cols[0, :, -1] = self.flat(-1, j, k, l).ravel()
-                cols[-1, :, 0] = self.flat(along, j, k, l).ravel()
-            self._diffs[key] = m
-        return self._diffs[key]
-
-    def shift(self, axis: str, step: int = 1) -> sp.csr_matrix:
-        """Permutation matrix of psi -> psi(. + step h_axis along axis),
-        built anew on each call: the grid caches only its differences."""
-        moved = list(self._open_indices())
-        moved[_axis(axis)] += int(step)
-        cols = self.flat(*moved).ravel()
-        return sp.csr_matrix((np.ones(self.size), (np.arange(self.size), cols)),
-                             shape=(self.size, self.size))
+    def ring(self, axis: str, order: int = 1) -> sp.csr_matrix:
+        """The periodic centered first (order 1) or narrow 3-point second
+        (order 2) difference along axis, as an n x n one-axis stencil."""
+        if order not in (1, 2):
+            raise ValueError(f"need order 1 or 2, got {order!r}")
+        h, eye = self.spacing(axis), np.eye(self.shape[_axis(axis)])
+        c = 1.0 / h ** 2
+        weights = ({-1: -0.5 / h, 1: 0.5 / h}, {-1: c, 0: -2.0 * c, 1: c})
+        return sp.csr_matrix(sum(w * np.roll(eye, s, axis=1)
+                                 for s, w in weights[order - 1].items()))
 
     def diff(self, axis: str) -> sp.csr_matrix:
-        """Centered first difference along one axis (wrap per the quotient),
-        a lifted periodic ring that callers share and must not modify.  Its
-        arrays are those of (shift(axis, 1) - shift(axis, -1)) * (0.5 / h)."""
-        h = self.spacing(axis)
-        return self._stencil(axis, {-1: -0.5 / h, 1: 0.5 / h})
-
-    def diff2(self, axis: str) -> sp.csr_matrix:
-        """Narrow (3-point) second difference, cached as diff is; its arrays
-        are those of (shift(axis, 1) - 2 I + shift(axis, -1)) * (1 / h^2)."""
-        c = 1.0 / self.spacing(axis) ** 2
-        return self._stencil(axis, {-1: c, 0: -2.0 * c, 1: c})
+        """Centered first difference along one axis (wrap per the quotient):
+        ring(axis) lifted, cached and shared, so callers must not modify it.
+        On the sheared x-wrap the wrapped column of each first- and last-slab
+        row is re-pointed through the index reduction; the shear moves k
+        alone and CSR column order is fixed by i, so every row stays sorted."""
+        if axis not in self._diffs:
+            m = lift_axis(self.ring(axis), axis, self)
+            if axis == "x" and self.twisted:
+                _, j, k, l = self._open_indices()
+                cols = m.indices.reshape(self.n, -1, 2)
+                cols[0, :, -1] = self.flat(-1, j, k, l).ravel()
+                cols[-1, :, 0] = self.flat(self.n, j, k, l).ravel()
+            self._diffs[axis] = m
+        return self._diffs[axis]
 
     def x_matrix(self) -> sp.dia_matrix:
         """Multiplication by the chart coordinate x (values in [0, 1))."""
         return sp.diags(self.sample(lambda x, y, z, t: x))
-
-    # -- quotient symmetries -------------------------------------------------
-
-    def x_holonomy_shear(self) -> sp.csr_matrix:
-        """psi -> psi(x+1, ., .): the pure index shear k -> k - j."""
-        i, j, k, l = np.meshgrid(*(np.arange(s) for s in self.shape), indexing="ij")
-        kk = np.mod(k - j, self.n) if self.twisted else k
-        cols = np.ravel_multi_index((i, j, kk, l), self.shape).ravel()
-        return sp.csr_matrix((np.ones(self.size), (np.arange(self.size), cols)),
-                             shape=(self.size, self.size))
 
     # -- norms ----------------------------------------------------------------
 
@@ -212,3 +189,19 @@ def lift_axis(m1d: sp.spmatrix, axis: str, grid: QuotientGrid) -> sp.csr_matrix:
               out=indptr[1:])
     return sp.csr_matrix((data.ravel(), indices.ravel(), indptr),
                          shape=(grid.size, grid.size))
+
+
+def apply_axis(m1d: sp.spmatrix, axis: str, grid: QuotientGrid,
+               block: np.ndarray) -> np.ndarray:
+    """lift_axis(m1d, axis, grid) @ block, bit for bit, for a (size, m)
+    block, with no lift: the axis is moved to the front and the canonical
+    stencil acts there through the same CSR kernel, so each output sums its
+    stencil row in stored order, as the lifted row does."""
+    pos = _axis(axis)
+    before, n = math.prod(grid.shape[:pos]), grid.shape[pos]
+    m = sp.csr_matrix(m1d, copy=True)
+    m.sum_duplicates()
+    block = np.asarray(block)
+    moved = block.reshape(before, n, -1).transpose(1, 0, 2).reshape(n, -1)
+    out = m @ moved
+    return out.reshape(n, before, -1).transpose(1, 0, 2).reshape(block.shape)

@@ -13,7 +13,7 @@ in two independent discretizations:
 * the chart route: coordinate stencils of the ten chart Hessian formulas,
   applied to sampled fields: one-sided in x at the fundamental-domain faces
   so nothing crosses the sheared seam, and the grid's periodic y, z, t
-  differences, which the frame route shares.
+  rings, which the frame route's differences lift.
 
 Both routes are second order; their difference contracts like h^2, which the
 Richardson fit exposes.  Fourier modes feed the principal-symbol ratio check,
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
@@ -36,7 +37,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import exact, lie
-from .grid import AXES, QuotientGrid, d1_sided, d2_sided, lift_axis
+from .grid import AXES, QuotientGrid, apply_axis, d1_sided, d2_sided
 
 J_KT = np.array(lie.KT_J, dtype=float)
 J_FLAT = np.array([[0., -1., 0., 0.], [1., 0., 0., 0.],
@@ -168,16 +169,22 @@ def get_variant(name: str) -> OperatorVariant:
 # ---------------------------------------------------------------------------
 # the two discretization routes
 
+_FRAMES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
-def frame_fields(g: QuotientGrid, variant: OperatorVariant) -> list:
-    """Sparse frame derivatives E_i; for the sheared quotient the second field
-    is D_y + x D_z (the invariant field), the rest are plain axis differences."""
+
+def frame_fields(g: QuotientGrid, variant: OperatorVariant) -> tuple:
+    """Sparse frame derivatives E_i, built once per grid and variant, shared,
+    and not to be modified; for the sheared quotient the second field is
+    D_y + x D_z (the invariant field), the rest are plain axis differences."""
     if variant.twisted != g.twisted:
         raise ValueError(f"variant {variant.name!r} expects twisted={variant.twisted}")
-    dx, dy, dz, dt = (g.diff(a) for a in AXES)
-    if variant.name == "kt":
-        return [dx, (dy + g.x_matrix() @ dz).tocsr(), dz, dt]
-    return [dx, dy, dz, dt]
+    built = _FRAMES.setdefault(g, {})
+    if variant.name not in built:
+        dx, dy, dz, dt = (g.diff(a) for a in AXES)
+        if variant.name == "kt":
+            dy = (dy + g.x_matrix() @ dz).tocsr()
+        built[variant.name] = (dx, dy, dz, dt)
+    return built[variant.name]
 
 
 def hessian_ops_frame(g: QuotientGrid, variant: OperatorVariant,
@@ -219,61 +226,58 @@ def hessian_ops_chart(g: QuotientGrid, variant: OperatorVariant,
     The ten chart Hessian formulas in narrow 3-point second and centered
     first differences.  On the sheared quotient x is one-sided at the faces
     of the fundamental domain, so the route never crosses the seam and stays
-    second order; every other axis takes the grid's periodic diff/diff2, as
-    the frame route does.  The routes stay independent in x and in the
-    Hessian formula (frame composition with connection terms vs the chart
-    formulas).  Shared differences of psi are formed once; x multiplies
-    elementwise.
+    second order; every other axis takes the grid's periodic rings, which
+    the frame route's differences lift.  The routes stay independent in x
+    and in the Hessian formula (frame composition with connection terms vs
+    the chart formulas).  Each n x n stencil is applied along its axis by
+    apply_axis, so this route builds no grid-size matrix.
 
-    The difference matrices are built here; the slots are not.  The result
-    is an iterator of ((i, j), slot) pairs in the frame route's row-major
-    key order, each slot an array of psi's shape formed only when it is
-    asked for.  Each difference of psi and each lifted x-stencil is dropped
-    soon after the last slot that reads it, so at most five arrays of psi's
-    shape (kt; one on the flat torus) are held between slots.
+    The result iterates ((i, j), slot) pairs in the frame route's key order,
+    each slot of psi's shape formed only when asked for.  Each shared
+    difference of psi is formed once and dropped after its last slot, so at
+    most five arrays of psi's shape (kt; one flat) are held between slots.
     """
     if variant.twisted != g.twisted:
         raise ValueError(f"variant {variant.name!r} expects twisted={variant.twisted}")
-    dy, dz, dt = (g.diff(a) for a in AXES[1:])
-    dyy, dzz, dtt = (g.diff2(a) for a in AXES[1:])
     if variant.name == "flat":
-        return _flat_chart_slots(psi, (g.diff("x"), dy, dz, dt),
-                                 (g.diff2("x"), dyy, dzz, dtt))
-    dx = lift_axis(d1_sided(g.n, g.hx), "x", g)
-    dxx = lift_axis(d2_sided(g.n, g.hx), "x", g)
-    x = g.sample(lambda x, y, z, t: x)[:, None]
-    return _kt_chart_slots(psi, x, dx, dxx, dy, dz, dt, dyy, dzz, dtt)
+        return _flat_chart_slots(g, psi)
+    return _kt_chart_slots(g, psi)
 
 
-def _flat_chart_slots(psi, first, second):
-    for i in range(4):
-        yield (i, i), second[i] @ psi
-        once = first[i] @ psi if i < 3 else None
+def _flat_chart_slots(g, psi):
+    first = [g.ring(a) for a in AXES]
+    for i, a in enumerate(AXES):
+        yield (i, i), apply_axis(g.ring(a, 2), a, g, psi)
+        once = apply_axis(first[i], a, g, psi) if i < 3 else None
         for jj in range(i + 1, 4):
-            yield (i, jj), first[jj] @ once
+            yield (i, jj), apply_axis(first[jj], AXES[jj], g, once)
 
 
-def _kt_chart_slots(psi, x, dx, dxx, dy, dz, dt, dyy, dzz, dtt):
-    yield (0, 0), dxx @ psi
-    px, pz = dx @ psi, dz @ psi
-    del dx, dxx
-    pxz = dz @ px
-    yield (0, 1), dy @ px + x * pxz + 0.5 * pz
-    py = dy @ psi
+def _kt_chart_slots(g, psi):
+    x = g.sample(lambda x, y, z, t: x)[:, None]
+    dy, dz, dt = (g.ring(a) for a in AXES[1:])
+    yield (0, 0), apply_axis(d2_sided(g.n, g.hx), "x", g, psi)
+    px = apply_axis(d1_sided(g.n, g.hx), "x", g, psi)
+    pz = apply_axis(dz, "z", g, psi)
+    pxz = apply_axis(dz, "z", g, px)
+    yield (0, 1), apply_axis(dy, "y", g, px) + x * pxz + 0.5 * pz
+    py = apply_axis(dy, "y", g, psi)
     yield (0, 2), pxz + 0.5 * py + 0.5 * (x * pz)
     del pxz
-    yield (0, 3), dt @ px
-    pyz, pzz = dy @ pz, dzz @ psi
-    yield (1, 1), dyy @ psi + 2.0 * (x * pyz) + x * (x * pzz)
+    yield (0, 3), apply_axis(dt, "t", g, px)
+    pyz = apply_axis(dy, "y", g, pz)
+    pzz = apply_axis(g.ring("z", 2), "z", g, psi)
+    yield (1, 1), (apply_axis(g.ring("y", 2), "y", g, psi)
+                   + 2.0 * (x * pyz) + x * (x * pzz))
     yield (1, 2), pyz + x * pzz + (-0.5) * px
-    ptz = dt @ pz
+    ptz = apply_axis(dt, "t", g, pz)
     del pyz, px, pz
-    yield (1, 3), dt @ py + x * ptz
+    yield (1, 3), apply_axis(dt, "t", g, py) + x * ptz
     yield (2, 2), pzz
     del py, pzz
     yield (2, 3), ptz
     del ptz
-    yield (3, 3), dtt @ psi
+    yield (3, 3), apply_axis(g.ring("t", 2), "t", g, psi)
 
 
 # ---------------------------------------------------------------------------
@@ -632,17 +636,14 @@ def route_difference(n: int, variant: str = "kt", d: float = 1.0,
     field is one callable (default theta_test_field(d)), which gives two
     floats, or a sequence of callables, which gives two arrays with one entry
     per field.  The fields stream through one grid, whose cached differences
-    they share: each is sampled as a (size, 1) column, both routes are
-    applied to it as chains of sparse matrix-column products, so no slot
-    matrix is assembled, and everything built for it is dropped before the
-    next field is sampled.  A complex-valued field is refused before its
-    slots are formed.
+    and frame fields they share: each is sampled as a (size, 1) column, both
+    routes are applied to it, so no slot matrix is assembled, and everything
+    built for it is dropped before the next field is sampled.  A complex,
+    NaN or infinite field is refused before its slots are formed.
 
-    The ten frame slots are formed at once; the chart slots are formed one
-    at a time, and each is reduced against its frame partner, which is then
-    dropped, before the next is formed.  So at most the frame slots, one
-    chart slot and the chart route's intermediates of one field are held
-    together.
+    The ten frame slots are formed at once; the chart slots one at a time,
+    each reduced against its frame partner, which is then dropped, before
+    the next is formed.
     """
     fields, single = _field_list(field, d)
     v = get_variant(variant)
@@ -653,6 +654,8 @@ def route_difference(n: int, variant: str = "kt", d: float = 1.0,
         psi = g.sample(fn)[:, None]
         if np.iscomplexobj(psi):
             raise ValueError("field must be real-valued")
+        if not np.isfinite(psi).all():
+            raise ValueError("field must be finite at every grid node")
         frame = hessian_ops_frame(g, v, psi)
         for key, chart in hessian_ops_chart(g, v, psi):
             diff = frame.pop(key) - chart

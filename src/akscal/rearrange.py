@@ -57,9 +57,9 @@ def check_plan_parameters(eps: float, p: float, max_arcs: int) -> None:
     """ValueError naming the first of eps, p, max_arcs that no plan accepts:
     eps and p must be finite with eps > 0 and p > 1, and max_arcs an integer
     of at least the first partition's 4 arcs."""
-    if not (eps > 0 and math.isfinite(eps)):
+    if not (isinstance(eps, numbers.Real) and eps > 0 and math.isfinite(eps)):
         raise ValueError(f"eps must be finite and positive, not {eps}")
-    if not (p > 1 and math.isfinite(p)):
+    if not (isinstance(p, numbers.Real) and p > 1 and math.isfinite(p)):
         raise ValueError(f"p must be finite and exceed 1, not {p}")
     if not (isinstance(max_arcs, numbers.Integral)
             and max_arcs >= _FIRST_ARCS):
@@ -73,9 +73,12 @@ def _sample_circle(n: int) -> np.ndarray:
 
 
 def _sample(fn: Callable, name: str, x: np.ndarray) -> np.ndarray:
-    """fn at the angles x as floats; ValueError naming fn when a value is
-    NaN or infinite, which no range test or level band can judge."""
-    v = np.asarray(fn(x), float)
+    """fn at the angles x as floats, a scalar broadcast to every angle;
+    ValueError naming fn when it is not callable or a value is NaN or
+    infinite, which no range test or level band can judge."""
+    if not callable(fn):
+        raise ValueError(f"{name} must be a callable of the angle, got {fn!r}")
+    v = np.broadcast_to(np.asarray(fn(x), float), x.shape)
     if not np.isfinite(v).all():
         raise ValueError(f"{name} is not finite on the circle")
     return v

@@ -1,5 +1,7 @@
 """End-to-end command-line runs, in process via cli.main(argv)."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,19 @@ def test_rearrange_refuses_non_finite_fields(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err == f"error [rearrange]: {name} is not finite on the circle\n"
     assert not out.exists()
+
+
+def test_rearrange_domain_error_prints_only_the_refusal(tmp_path, capsys):
+    # the field expressions evaluate with numpy's warnings off: the NaN is
+    # refused by name, and nothing else reaches stderr
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(tmp_path / "out", "rearrange", "--f", "sin(x)",
+                   "--f1", "sqrt(x-10)", "--eps", "0.1")
+    assert code == 2
+    assert capsys.readouterr().err == \
+        "error [rearrange]: f1 is not finite on the circle\n"
+    assert caught == []
 
 
 def test_rearrange_rejects_code_injection(tmp_path, capsys):

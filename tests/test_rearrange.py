@@ -67,6 +67,29 @@ def test_build_plan_validates_inputs():
     assert len(rr.build_plan(f_sin, f_zero, eps=0.3, max_arcs=4).arcs) == 4
 
 
+def test_non_callable_fields_and_non_real_parameters_refused_by_name():
+    for kw, pattern in (({"f": 1.0}, "^f must be a callable"),
+                        ({"f1": "cos"}, "^f1 must be a callable"),
+                        ({"eps": "a"}, "^eps must be finite and positive"),
+                        ({"eps": None}, "^eps must be finite and positive"),
+                        ({"p": 1j}, "^p must be finite and exceed 1")):
+        args = {"f": f_sin, "f1": f_zero, "eps": 0.1, **kw}
+        with pytest.raises(ValueError, match=pattern) as info:
+            rr.build_plan(**args)
+        assert not isinstance(info.value, rr.PlanError)
+
+
+def test_scalar_valued_fields_are_broadcast():
+    # a field that ignores its angles still gets one sample per angle, as on
+    # the grid; its plan and error match the array-valued field's
+    want = rr.rearrange(f_sin, f_zero, 0.1)
+    got = rr.rearrange(f_sin, lambda x: 0.0, 0.1)
+    assert got[2] == want[2] and got[1] == want[1]
+    with pytest.raises(rr.PlanError) as info:
+        rr.build_plan(lambda x: 0.5, f_sin, eps=0.1)
+    assert info.value.reason == "range"
+
+
 def test_large_p_refused_by_name():
     # eps^p underflows at p = 700, and bound^p overflows a float at p = 3000;
     # either way the collar width is 0 and the plan is refused by name
