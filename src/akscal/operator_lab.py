@@ -506,6 +506,10 @@ def spectral_floor(system: AdjointSystem, k: int = 2) -> SpectralReport:
     if not 1 <= k <= g.size:
         raise ValueError(f"need 1 <= k <= {g.size} eigenpairs, got {k}")
     rows = system.normal_rows(np.arange(nxy) * (n * nt)).tocoo()
+    if not np.isfinite(rows.data).all():
+        raise ValueError(f"h_t = d/nt = {g.ht:.3g} is too small: the normal "
+                         f"operator's entries, of order 1/h_t^4, overflow a "
+                         f"float")
     xy, rest = np.divmod(rows.col, n * nt)
     kc, lc = np.divmod(rest, nt)
     flat = rows.row * nxy + xy

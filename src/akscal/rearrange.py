@@ -37,6 +37,7 @@ _RANGE_SAMPLES = 4096    # samples _range_escape reads
 _RANGE_TOL = 1e-9        # slack of the range test at either end
 _PLAN_SAMPLES = 16384    # samples the partition and source windows read
 _BUMP_NODES = 48         # Gauss-Legendre nodes of the smoothing bump
+_BUMP_SLAB = 1024        # points per fill of phi's bump-node block
 _INVERSE_TOL = 1e-12     # bisection stops once every bracket is this narrow
 
 
@@ -74,11 +75,14 @@ def _sample_circle(n: int) -> np.ndarray:
 
 def _sample(fn: Callable, name: str, x: np.ndarray) -> np.ndarray:
     """fn at the angles x as floats, a scalar broadcast to every angle;
-    ValueError naming fn when it is not callable or a value is NaN or
-    infinite, which no range test or level band can judge."""
+    ValueError naming fn when it is not callable or a value is complex, NaN
+    or infinite, which no range test or level band can judge."""
     if not callable(fn):
         raise ValueError(f"{name} must be a callable of the angle, got {fn!r}")
-    v = np.broadcast_to(np.asarray(fn(x), float), x.shape)
+    v = np.asarray(fn(x))
+    if np.iscomplexobj(v):
+        raise ValueError(f"{name} must be real-valued")
+    v = np.broadcast_to(np.asarray(v, float), x.shape)
     if not np.isfinite(v).all():
         raise ValueError(f"{name} is not finite on the circle")
     return v
@@ -133,42 +137,95 @@ class RearrangementPlan:
             math.log(0.5) + self.p * (math.log(self.eps) - math.log(self.bound)))
 
 
-def _source_window(fx: np.ndarray, x: np.ndarray, level: float,
-                   tol: float, start: float, stop: float):
-    """First maximal interval of {|f - level| < tol} inside the lifted
-    window [start, stop), scanning forward from start.  None if empty.
+def _lifted_span(start: float, stop: float, n: int) -> tuple:
+    """Lifted indices (i0, i1) of the first and last of the n samples per
+    lap that lie in [start, stop]: lifted index i is sample i % n on lap
+    i // n, at the angle i * 2 pi / n."""
+    return math.ceil(start / CIRCLE * n), math.floor(stop / CIRCLE * n)
 
-    Sample indices are lifted (index i is sample i % n on lap i // n), and
-    the band is tested on chunks that double in size from the cursor on, so
-    a search costs about the length of the run it finds, not n.  A run of a
-    single sample is no interval and is skipped.
+
+def _source_window(fs: np.ndarray, level: float, tol: float, i0: int,
+                   i1: int):
+    """(first, last): the first maximal run of {|fs - level| < tol} inside
+    fs[i0:i1 + 1], scanning forward from i0.  None if there is none.
+
+    The band is tested on slices that double in size from the cursor on,
+    so a search costs about the length of the run it finds, not the length
+    of fs.  A run of a single sample is no interval and is skipped.
     """
-    n = len(x)
-    i0 = int(np.ceil(start / CIRCLE * n))
-    i1 = int(np.floor(stop / CIRCLE * n))
     first = None                       # start of the run, once found
     a, size = i0, _SCAN_CHUNK
     while a <= i1:
-        # the chunk reaches one sample past [a, a + size) so that a pair
-        # straddling the seam is seen; the next chunk starts at a + size
-        b = min(a + size + 1, i1 + 1)
-        ok = np.abs(fx[np.arange(a, b) % n] - level) < tol
+        # the slice reaches one sample past [a, a + size) so that a pair
+        # straddling the seam is seen; the next slice starts at a + size
+        ok = np.abs(fs[a:min(a + size + 1, i1 + 1)] - level) < tol
         if first is None:
-            pairs = np.flatnonzero(ok[:-1] & ok[1:])
+            pairs = (ok[:-1] & ok[1:]).nonzero()[0]
             if len(pairs):
                 first = a + int(pairs[0])
         if first is not None:
             seek = max(first, a)
-            ends = np.flatnonzero(~ok[seek - a:])
+            ends = (~ok[seek - a:]).nonzero()[0]
             if len(ends):
-                last = seek + int(ends[0]) - 1
-                break
+                return first, seek + int(ends[0]) - 1
         a, size = a + size, 2 * size
-    else:
-        if first is None:
-            return None
-        last = i1
-    return x[0] + first * (CIRCLE / n), x[0] + last * (CIRCLE / n)
+    return None if first is None else (first, i1)
+
+
+def _allocate_sources(f: Callable, fx: np.ndarray, levels: list, tol: float,
+                      max_arcs: int) -> list:
+    """Source intervals (u, v) for the arcs at these levels, in one forward
+    sweep around the target circle: each starts after the previous one
+    ends, and the lap must close within 2*pi of the first.
+
+    fx holds f at the n plan samples.  Where no two adjacent ones fit a
+    level's band, f is sampled 16 times more finely on the rest of the lap
+    only, [cursor, limit]; later arcs reuse that sliver, which holds every
+    window they scan unless the miss came at the first arc (whose limit is
+    the shorter lap 2*pi).
+    """
+    n, n_fine = len(fx), 16 * len(fx)
+    n_arcs = len(levels)
+    # every window ends before 4*pi: the first source starts within a lap
+    laps = np.concatenate([fx, fx])
+    base, fine = 0, fx[:0]             # f at fine lifted indices base, ...
+    sources = []
+    cursor = 0.0
+    gap = 1e-4 * CIRCLE / n_arcs
+    for k, level in enumerate(levels):
+        limit = CIRCLE + (sources[0][0] if sources else 0.0)
+        run = _source_window(laps, level, tol, *_lifted_span(cursor, limit, n))
+        step = CIRCLE / n
+        if run is None:
+            # levels that return to the first arc's level squeeze their
+            # windows against the lap limit; rescan those slivers finely
+            j0, j1 = _lifted_span(cursor, limit, n_fine)
+            if j0 <= j1 and not base <= j0 <= j1 < base + len(fine):
+                angles = np.arange(j0, j1 + 1) % n_fine * (CIRCLE / n_fine)
+                base, fine = j0, _sample(f, "f", angles)
+            run = _source_window(fine, level, tol, j0 - base, j1 - base)
+            if run is not None:
+                run = base + run[0], base + run[1]
+            step = CIRCLE / n_fine
+        if run is None:
+            raise PlanError(
+                f"no source interval for arc {k} (level {level:.6g}) "
+                f"in cyclic order; the target geometry needs a finer "
+                f"partition than max_arcs={max_arcs}", required_cap=2 * n_arcs)
+        lo, hi = run[0] * step, run[1] * step
+        width = hi - lo
+        take = max(0.25 * width, 1e-7)
+        # near the lap limit many arcs share one level band (targets are flat
+        # at extrema); quarter-of-window consumption would exhaust the room
+        # geometrically, so cap each take by a fair share of what is left
+        remaining = n_arcs - k
+        fair = (limit - lo - remaining * gap) / (remaining + 1)
+        if 0 < fair < take:
+            take = max(fair, 1e-9)
+        hi = min(lo + min(width, take), limit)
+        sources.append((lo, hi))
+        cursor = hi + gap
+    return sources
 
 
 def build_plan(f: Callable, f1: Callable, eps: float, p: float = 2.0,
@@ -179,7 +236,11 @@ def build_plan(f: Callable, f1: Callable, eps: float, p: float = 2.0,
     each; source intervals are allocated in one forward sweep so they sit in
     the same cyclic order as the arcs (in one dimension disjoint intervals
     cannot pass through each other, so order compatibility is mandatory).
-    A NaN or infinite value of f or f1 raises ValueError naming it.
+    Where the plan samples miss a level's band, the sweep rescans f finely
+    on the rest of the lap only, so f is sampled at 4096 and 16384 points
+    per lap and at 262144 only on that sliver.  A NaN or infinite value of
+    f1, or of f where it is sampled, raises ValueError naming it; so does a
+    complex value.
     """
     check_plan_parameters(eps, p, max_arcs)
     escape = _range_escape(f, f1, p)
@@ -216,45 +277,10 @@ def build_plan(f: Callable, f1: Callable, eps: float, p: float = 2.0,
     fmin, fmax = float(fx.min()), float(fx.max())
     centres = 0.5 * (edges[:-1] + edges[1:])
     levels = np.clip(np.interp(centres, x, gx, period=CIRCLE), fmin, fmax)
+    sources = _allocate_sources(f, fx, levels.tolist(), _OSC_MARGIN * delta,
+                                max_arcs)
     arcs = [Arc(lo, hi, b, float(level))
             for lo, hi, b, level in zip(edges[:-1], edges[1:], centres, levels)]
-
-    # one forward sweep around the target circle: each source interval starts
-    # after the previous one ends, and the lap must close within 2*pi
-    sources = []
-    cursor = 0.0
-    gap = 1e-4 * CIRCLE / n_arcs
-    x_fine = fx_fine = None
-    for k, arc in enumerate(arcs):
-        limit = CIRCLE + (sources[0][0] if sources else 0.0)
-        win = _source_window(fx, x, arc.level, _OSC_MARGIN * delta,
-                             cursor, limit)
-        if win is None:
-            # levels that return to the first arc's level squeeze their
-            # windows against the lap limit; rescan those slivers finely
-            if x_fine is None:
-                x_fine = _sample_circle(16 * _PLAN_SAMPLES)
-                fx_fine = _sample(f, "f", x_fine)
-            win = _source_window(fx_fine, x_fine, arc.level,
-                                 _OSC_MARGIN * delta, cursor, limit)
-        if win is None:
-            raise PlanError(
-                f"no source interval for arc {k} (level {arc.level:.6g}) "
-                f"in cyclic order; the target geometry needs a finer "
-                f"partition than max_arcs={max_arcs}", required_cap=2 * n_arcs)
-        lo, hi = win
-        width = hi - lo
-        take = max(0.25 * width, 1e-7)
-        # near the lap limit many arcs share one level band (targets are flat
-        # at extrema); quarter-of-window consumption would exhaust the room
-        # geometrically, so cap each take by a fair share of what is left
-        remaining = len(arcs) - k
-        fair = (limit - lo - remaining * gap) / (remaining + 1)
-        if 0 < fair < take:
-            take = max(fair, 1e-9)
-        hi = min(lo + min(width, take), limit)
-        sources.append((lo, hi))
-        cursor = hi + gap
 
     cap = 0.25 * min(a.length for a in arcs)
     try:
@@ -339,17 +365,32 @@ class PiecewiseDiffeo:
                       0, len(self._slopes) - 1)
         return self._slopes[idx]
 
+    def _at_bump_nodes(self, fn, x: np.ndarray) -> np.ndarray:
+        """fn(x - s) for every bump node s, shape x.shape + (48,).
+
+        The block is filled _BUMP_SLAB points at a time.  Built in one go,
+        the offsets and fn of them are two live temporaries of the block's
+        size; glibc returns a free heap top larger than twice its largest
+        freed mapping to the system, so every call would fault that pair's
+        pages in again.
+        """
+        out = np.empty(x.shape + self._qs.shape)
+        flat, rows = x.reshape(-1), out.reshape(-1, len(self._qs))
+        for i in range(0, len(flat), _BUMP_SLAB):
+            rows[i:i + _BUMP_SLAB] = fn(flat[i:i + _BUMP_SLAB, None] - self._qs)
+        return out
+
     def __call__(self, x, t: float = 1.0):
         x = np.asarray(x, float)
         laps = np.floor(x / CIRCLE)
         base = x - laps * CIRCLE
-        sm = (self._pl(base[..., None] - self._qs) @ self._qw)
+        sm = self._at_bump_nodes(self._pl, base) @ self._qw
         out = base + float(t) * (sm - base)
         return out + laps * CIRCLE
 
     def derivative(self, x, t: float = 1.0):
         x = np.asarray(x, float) % CIRCLE
-        sl = (self._pl_slope(x[..., None] - self._qs) @ self._qw)
+        sl = self._at_bump_nodes(self._pl_slope, x) @ self._qw
         return (1.0 - float(t)) + float(t) * sl
 
     def inverse(self, y, t: float = 1.0):

@@ -79,6 +79,19 @@ def test_operator_validation(tmp_path, capsys):
     assert not list(tmp_path.glob("operator_*.csv"))
 
 
+def test_operator_refuses_an_overflowing_kernel_gap(tmp_path, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(tmp_path, "operator", "--N", "4", "--d", "1e-150",
+                   "--kernel-gap", "2")
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error [operator]: h_t = d/nt = 2.5e-151 is too small: the normal "
+        "operator's entries, of order 1/h_t^4, overflow a float\n")
+    assert caught == []
+    assert not list(tmp_path.glob("operator_*.csv"))
+
+
 def test_operator_artifacts(tmp_path, capsys):
     assert run(tmp_path, "operator", "--variant", "flat", "--N", "4",
                "--kernel-gap", "2") == 0

@@ -2,6 +2,7 @@
 
 import gc
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -404,6 +405,17 @@ def test_spectral_floor_rejects_bad_k():
     for k in (1.5, 2.0, "2", None):
         with pytest.raises(ValueError, match="need an integer k"):
             ol.kernel_gap(4, k=k)
+
+
+def test_spectral_floor_refuses_an_overflowing_h_t():
+    # at d = 1e-150 the normal operator's 1/h_t^4 entries overflow: the
+    # refusal names h_t before any numpy warning or eigensolve
+    system = ol.build_system(4, None, 1e-150, "kt")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^h_t = d/nt = 2\.5e-151 is "
+                                             r"too small"):
+            ol.spectral_floor(system, k=2)
 
 
 def test_kernel_gap_frozen_values():

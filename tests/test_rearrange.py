@@ -1,5 +1,7 @@
 """Circle rearrangement: planning, realization, error and feasibility."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -31,19 +33,22 @@ def test_build_plan_refuses_exactly_the_range_escapes():
 
 def test_non_finite_fields_refused_by_name():
     # NaN or infinite samples are neither in nor out of the range of f, so
-    # they are refused by name before any range test or level band
+    # they are refused by name before any range test or level band; so are
+    # complex ones, which no cast to float may silently make real
     nan_f1 = lambda x: np.sqrt(x - 10)      # NaN on the whole circle
     inf_f1 = lambda x: 1 / np.where(x > 3, 0.0, 1.0)
     # one infinite value on the planning sample, off the coarser range sample
     spike = lambda x: np.where(x == 4097 * (TWO_PI / rr._PLAN_SAMPLES),
                                np.inf, 0.0)
-    for f, f1, name in ((f_sin, nan_f1, "f1"), (nan_f1, f_sin, "f"),
-                        (f_sin, inf_f1, "f1"), (inf_f1, f_zero, "f"),
-                        (f_sin, spike, "f1")):
+    not_finite, complex_ = "is not finite on the circle", "must be real-valued"
+    for f, f1, name, what in (
+            (f_sin, nan_f1, "f1", not_finite), (nan_f1, f_sin, "f", not_finite),
+            (f_sin, inf_f1, "f1", not_finite), (inf_f1, f_zero, "f", not_finite),
+            (f_sin, spike, "f1", not_finite),
+            (f_sin, lambda x: np.cos(x) * 1j, "f1", complex_),
+            (lambda x: 1j, f_zero, "f", complex_)):
         with np.errstate(invalid="ignore", divide="ignore"):
-            with pytest.raises(ValueError,
-                               match=f"^{name} is not finite on the circle"
-                               ) as info:
+            with pytest.raises(ValueError, match=f"^{name} {what}$") as info:
                 rr.build_plan(f, f1, eps=0.1)
         assert not isinstance(info.value, rr.PlanError)
 
@@ -235,7 +240,7 @@ def test_plan_batched_matches_per_arc_reference():
 
 
 def _walk_source_window(fx, x, level, tol, start, stop):
-    """Sample-by-sample reference for rr._source_window."""
+    """Sample-by-sample reference for rr._source_window, on angles."""
     n = len(x)
     ok = np.abs(fx - level) < tol
     i0 = int(np.ceil(start / TWO_PI * n))
@@ -266,8 +271,162 @@ def test_source_window_matches_sample_walk():
         tol = float(rng.choice([1e-3, 0.01, 0.1, 0.5, 2.0]))
         start = float(rng.uniform(0.0, 2 * TWO_PI))
         stop = start + float(rng.uniform(0.0, 1.5 * TWO_PI))
-        assert rr._source_window(fx, x, level, tol, start, stop) == \
-            _walk_source_window(fx, x, level, tol, start, stop)
+        # four laps hold every lifted index up to 7 pi
+        run = rr._source_window(np.tile(fx, 4), level, tol,
+                                *rr._lifted_span(start, stop, n))
+        got = run and tuple(x[0] + i * (TWO_PI / n) for i in run)
+        assert got == _walk_source_window(fx, x, level, tol, start, stop)
+
+
+def _chunked_source_window(fx, x, level, tol, start, stop):
+    """Reference for rr._source_window on angles: each chunk gathers its
+    lifted samples through np.arange(a, b) % n."""
+    n = len(x)
+    i0 = int(np.ceil(start / TWO_PI * n))
+    i1 = int(np.floor(stop / TWO_PI * n))
+    first = None
+    a, size = i0, 64
+    while a <= i1:
+        b = min(a + size + 1, i1 + 1)
+        ok = np.abs(fx[np.arange(a, b) % n] - level) < tol
+        if first is None:
+            pairs = np.flatnonzero(ok[:-1] & ok[1:])
+            if len(pairs):
+                first = a + int(pairs[0])
+        if first is not None:
+            seek = max(first, a)
+            ends = np.flatnonzero(~ok[seek - a:])
+            if len(ends):
+                last = seek + int(ends[0]) - 1
+                break
+        a, size = a + size, 2 * size
+    else:
+        if first is None:
+            return None
+        last = i1
+    return x[0] + first * (TWO_PI / n), x[0] + last * (TWO_PI / n)
+
+
+def _whole_lap_sources(f, fx, levels, tol, max_arcs):
+    """Reference for rr._allocate_sources: chunked windows on the plan
+    samples and, after a miss, on f sampled 16 times more finely over the
+    whole lap, once per plan."""
+    n = len(fx)
+    x = np.arange(n) * (TWO_PI / n)
+    n_arcs = len(levels)
+    sources = []
+    cursor = 0.0
+    gap = 1e-4 * TWO_PI / n_arcs
+    x_fine = fx_fine = None
+    for k, level in enumerate(levels):
+        limit = TWO_PI + (sources[0][0] if sources else 0.0)
+        win = _chunked_source_window(fx, x, level, tol, cursor, limit)
+        if win is None:
+            if x_fine is None:
+                x_fine = np.arange(16 * n) * (TWO_PI / (16 * n))
+                fx_fine = rr._sample(f, "f", x_fine)
+            win = _chunked_source_window(fx_fine, x_fine, level, tol,
+                                         cursor, limit)
+        if win is None:
+            raise rr.PlanError(
+                f"no source interval for arc {k} (level {level:.6g}) "
+                f"in cyclic order; the target geometry needs a finer "
+                f"partition than max_arcs={max_arcs}", required_cap=2 * n_arcs)
+        lo, hi = win
+        width = hi - lo
+        take = max(0.25 * width, 1e-7)
+        remaining = n_arcs - k
+        fair = (limit - lo - remaining * gap) / (remaining + 1)
+        if 0 < fair < take:
+            take = max(fair, 1e-9)
+        hi = min(lo + min(width, take), limit)
+        sources.append((lo, hi))
+        cursor = hi + gap
+    return sources
+
+
+def _noise(seed=0, count=4096):
+    """f interpolated periodically from uniform draws on [-1, 1]."""
+    vals = np.random.default_rng(seed).uniform(-1.0, 1.0, count)
+    grid = np.arange(count) * (TWO_PI / count)
+    return lambda x: np.interp(np.asarray(x) % TWO_PI, grid, vals,
+                               period=TWO_PI)
+
+
+def _plan_or_refusal(f, f1, eps, p, max_arcs):
+    try:
+        plan = rr.build_plan(f, f1, eps, p, max_arcs)
+    except rr.PlanError as e:
+        return type(e), str(e), e.required_cap, e.reason
+    return plan.arcs, plan.sources, plan.collar_width
+
+
+def test_sweep_matches_whole_lap_reference(monkeypatch, tmp_path):
+    # plans and refusals of the sliver sweep equal the reference's; the
+    # cases miss the plan samples near the lap limit (0.3 cos), at the first
+    # arc (f1 = 0 at eps 0.001), refuse in cyclic order (sin 5x, cos 2x) and
+    # read f from CSV samples and interpolated noise
+    from akscal import cli
+    csv = tmp_path / "samples.csv"
+    np.savetxt(str(csv), np.sin(np.arange(64) * (TWO_PI / 64)) ** 3,
+               delimiter=",")
+    f_csv, noise = cli._parse_field(str(csv)), _noise()
+    cos3 = lambda x: 0.3 * np.cos(x)
+    cases = [(f_sin, cos3, eps, 2.0, 4096) for eps in (0.2, 0.1, 0.05)]
+    cases += [(f_sin, cos3, 0.05, 3.0, 4096), (f_sin, cos3, 0.1, 1.5, 4096),
+              (f_sin, cos3, 0.05, 2.0, 256),
+              (f_sin, lambda x: 0.5 * np.cos(x), 0.1, 2.0, 4096),
+              (f_sin, f_zero, 0.001, 2.0, 4096),
+              (f_sin, f_zero, 0.0005, 3.0, 4096),
+              (f_sin, lambda x: 0.25, 0.002, 2.0, 4096),
+              (f_sin, lambda x: 0.25, 0.002, 3.0, 4096),
+              (f_sin, lambda x: np.sin(5 * x), 0.1, 2.0, 4096),
+              (f_sin, lambda x: 0.5 * np.cos(2 * x), 0.1, 2.0, 4096),
+              (f_sin, lambda x: 0.7 * np.cos(3 * x), 0.1, 2.0, 4096),
+              (f_sin, f_sin, 0.2, 2.0, 4096),
+              (lambda x: np.sin(x) ** 3, lambda x: 0.4 * np.sin(x + 1), 0.1,
+               2.0, 4096),
+              (f_csv, cos3, 0.1, 2.0, 4096), (f_csv, f_zero, 0.05, 3.0, 4096),
+              (lambda x: np.cos(x) + 0.2 * np.sin(3 * x),
+               lambda x: 0.3 * np.sin(x), 0.05, 2.0, 4096),
+              (noise, cos3, 0.05, 2.0, 4096), (noise, f_zero, 0.5, 2.0, 4096),
+              (noise, lambda x: 0.1 * np.cos(x), 0.5, 3.0, 4096),
+              (noise, lambda x: 0.5 * np.sin(40 * x), 0.5, 2.0, 4096),
+              (noise, lambda x: 0.9 * np.sin(9 * x), 0.3, 2.0, 4096)]
+    for case in cases:
+        got = _plan_or_refusal(*case)
+        with monkeypatch.context() as m:
+            m.setattr(rr, "_allocate_sources", _whole_lap_sources)
+            assert got == _plan_or_refusal(*case)
+
+
+def test_bump_slabs_match_one_block():
+    # phi and its derivative fill their bump-node block slab by slab; the
+    # values equal the block built in one go, bit for bit, across slab seams
+    phi = rr.realize_diffeo(rr.build_plan(f_sin, lambda x: 0.3 * np.cos(x),
+                                          eps=0.1))
+    rng = np.random.default_rng(3)
+    for shape in ((), (0,), (1,), (1023,), (1024,), (1025,), (3000,),
+                  (63, 65)):
+        x = rng.uniform(-TWO_PI, 2 * TWO_PI, shape)
+        for t in (0.5, 1.0):
+            laps = np.floor(x / TWO_PI)
+            base = x - laps * TWO_PI
+            sm = np.interp(base[..., None] - phi._qs, phi._xl, phi._yl) @ phi._qw
+            want = base + t * (sm - base) + laps * TWO_PI
+            assert np.array_equal(phi(x, t), want)
+            xm = x % TWO_PI
+            sl = phi._pl_slope(xm[..., None] - phi._qs) @ phi._qw
+            assert np.array_equal(phi.derivative(x, t), (1.0 - t) + t * sl)
+    # one rearrange_error block: the block itself plus two slabs, never
+    # the two block-sized temporaries of the one-go build
+    xq = rng.uniform(0.0, TWO_PI, (63, 65))
+    tracemalloc.start()
+    phi(xq)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    block = xq.size * len(phi._qs) * 8
+    assert block < peak < block + 3 * rr._BUMP_SLAB * len(phi._qs) * 8
 
 
 def test_error_blocks_match_per_piece_simpson():
