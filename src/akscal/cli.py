@@ -158,13 +158,11 @@ def cmd_operator(args) -> int:
         raise ValueError(f"N^3 * Nt = {nodes} exceeds the bound 32^4 = "
                          f"{_MAX_NODES} grid nodes")
     system = operator_lab.build_system(args.N, args.Nt, args.d, args.variant)
-    # solve first, so a rejected --kernel-gap K leaves no partial artifacts
+    # compute every table first, so a rejected --kernel-gap K or a refused
+    # t-period leaves no partial artifacts
     rep = (operator_lab.spectral_floor(system, k=args.kernel_gap)
            if args.kernel_gap else None)
-    out = _out_dir(args)
-    tag = f"{args.variant}_N{args.N}"
     g = system.grid
-
     ones = np.ones(g.size)
     theta = g.sample(operator_lab.theta_test_field(args.d))
     rows = []
@@ -172,11 +170,15 @@ def cmd_operator(args) -> int:
         for slot, norm in zip(system.basis.slots,
                               system.slot_residual_norms(psi)):
             rows.append((name, f"{slot[0] + 1}{slot[1] + 1}", norm))
+    sweep = operator_lab.symbol_sweep(system) if args.symbol_sweep else None
+
+    out = _out_dir(args)
+    tag = f"{args.variant}_N{args.N}"
     _write_csv(out / f"operator_residuals_{tag}.csv",
                ("field", "slot", "l2_residual"), rows)
 
-    if args.symbol_sweep:
-        xi, dev, slope = operator_lab.symbol_sweep(system)
+    if sweep is not None:
+        xi, dev, slope = sweep
         _write_csv(out / f"operator_symbol_{tag}.csv",
                    ("xi", "abs_ratio_minus_1"), list(zip(xi, dev)))
         if len(xi) >= 2:

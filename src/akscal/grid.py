@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+import sys
 
 import numpy as np
 import scipy.sparse as sp
@@ -95,6 +96,8 @@ class QuotientGrid:
         if order not in (1, 2):
             raise ValueError(f"need order 1 or 2, got {order!r}")
         h, eye = self.spacing(axis), np.eye(self.shape[_axis(axis)])
+        self.refuse_overflow(h ** 2 * sys.float_info.max > 1.0,
+                             "the Hessian weights, of order 1/h_t^2,")
         c = 1.0 / h ** 2
         weights = ({-1: -0.5 / h, 1: 0.5 / h}, {-1: c, 0: -2.0 * c, 1: c})
         return sp.csr_matrix(sum(w * np.roll(eye, s, axis=1)
@@ -119,6 +122,15 @@ class QuotientGrid:
     def x_matrix(self) -> sp.dia_matrix:
         """Multiplication by the chart coordinate x (values in [0, 1))."""
         return sp.diags(self.sample(lambda x, y, z, t: x))
+
+    def refuse_overflow(self, finite: bool, what: str) -> None:
+        """The one refusal of a t-period too small for float arithmetic:
+        ValueError naming h_t unless `what`, a quantity of negative order in
+        the spacing, is finite.  x, y and z are spaced 1/n, so only h_t =
+        d/nt drives such a quantity out of the float range."""
+        if not finite:
+            raise ValueError(f"h_t = d/nt = {self.ht:.3g} is too small: "
+                             f"{what} overflow a float")
 
     # -- norms ----------------------------------------------------------------
 

@@ -355,7 +355,11 @@ class AdjointSystem:
         """Per-slot L2 norms of apply(psi) — unweighted, cell-volume measure,
         so individual near-kernel slots can be read off directly."""
         u = self.apply(psi)
-        return np.array([self.grid.l2(us) for us in u])
+        with np.errstate(over="ignore"):
+            norms = np.array([self.grid.l2(us) for us in u])
+        self.grid.refuse_overflow(np.isfinite(norms).all(),
+                                  "the slot residual norms, of order 1/h_t^2,")
+        return norms
 
 
 def build_system(n: int, nt: Optional[int] = None, d: float = 1.0,
@@ -506,10 +510,8 @@ def spectral_floor(system: AdjointSystem, k: int = 2) -> SpectralReport:
     if not 1 <= k <= g.size:
         raise ValueError(f"need 1 <= k <= {g.size} eigenpairs, got {k}")
     rows = system.normal_rows(np.arange(nxy) * (n * nt)).tocoo()
-    if not np.isfinite(rows.data).all():
-        raise ValueError(f"h_t = d/nt = {g.ht:.3g} is too small: the normal "
-                         f"operator's entries, of order 1/h_t^4, overflow a "
-                         f"float")
+    g.refuse_overflow(np.isfinite(rows.data).all(),
+                      "the normal operator's entries, of order 1/h_t^4,")
     xy, rest = np.divmod(rows.col, n * nt)
     kc, lc = np.divmod(rest, nt)
     flat = rows.row * nxy + xy

@@ -15,6 +15,7 @@ angle arrays.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -32,12 +33,12 @@ _DERIVATIVE_FLOOR = 1e-6
 _FIRST_ARCS = 4          # the first partition; refinement doubles it
 _SCAN_CHUNK = 64         # samples in the first chunk of a source-window scan
 _ERROR_BLOCK = 4096      # Simpson nodes per phi call in rearrange_error
-_SIMPSON_PANELS = 32     # two-interval Simpson panels per linear piece
+_CORE_PANELS = 8         # two-interval Simpson panels per core
+_WINDOW_PANELS = 4       # two-interval Simpson panels per smoothing window
 _RANGE_SAMPLES = 4096    # samples _range_escape reads
 _RANGE_TOL = 1e-9        # slack of the range test at either end
 _PLAN_SAMPLES = 16384    # samples the partition and source windows read
 _BUMP_NODES = 48         # Gauss-Legendre nodes of the smoothing bump
-_BUMP_SLAB = 1024        # points per fill of phi's bump-node block
 _INVERSE_TOL = 1e-12     # bisection stops once every bracket is this narrow
 
 
@@ -313,10 +314,20 @@ def build_plan(f: Callable, f1: Callable, eps: float, p: float = 2.0,
 # realization
 
 
+@functools.cache
+def _legendre_rule():
+    """The 48-node Gauss-Legendre rule on (-1, 1), computed once per process
+    and read-only, since every caller shares it."""
+    nodes, weights = np.polynomial.legendre.leggauss(_BUMP_NODES)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
 def _bump_quadrature(radius: float):
     """Gauss-Legendre nodes/weights for the unit-mass C-infinity bump
-    exp(-1/(1-(s/r)^2)) on (-r, r)."""
-    nodes, weights = np.polynomial.legendre.leggauss(_BUMP_NODES)
+    exp(-1/(1-(s/r)^2)) on (-r, r); the nodes ascend."""
+    nodes, weights = _legendre_rule()
     s = nodes * radius
     with np.errstate(divide="ignore", over="ignore"):
         vals = np.exp(-1.0 / (1.0 - (s / radius) ** 2))
@@ -328,11 +339,20 @@ def _bump_quadrature(radius: float):
 class PiecewiseDiffeo:
     """Isotopy of circle diffeomorphisms from a monotone node map.
 
-    The endpoint is the piecewise-linear interpolation through
+    The endpoint is the piecewise-linear interpolation PL through
     (nodes_from, nodes_to), mollified by a C-infinity bump whose width is a
-    quarter of the shortest linear piece; phi_t linearly interpolates the
-    displacement, so phi_0 is exactly the identity and every intermediate
-    map has derivative (1-t) + t*phi_1' > 0.
+    quarter of the shortest linear piece: phi_1(x) = sum_q w_q PL(x - s_q)
+    over the bump's 48 quadrature nodes s_q in (-r, r), r = width/2.
+    phi_t linearly interpolates the displacement, so phi_0 is exactly the
+    identity and every intermediate map has derivative
+    (1-t) + t*phi_1' > 0.
+
+    Since r is at most an eighth of a piece, every x - s_q lies on the
+    piece of x or on the neighbour across its nearest node x_j, so phi_1 is
+    evaluated in closed form: the piece's affine map plus, within r of x_j,
+    one kink term (a_n - a) * sum over the spilled nodes of w_q (d - s_q),
+    d = x - x_j, read off prefix sums of the bump weights.  On the core of a
+    piece nothing spills and phi_1 is affine.
     """
 
     def __init__(self, nodes_from: Sequence[float], nodes_to: Sequence[float]):
@@ -348,49 +368,61 @@ class PiecewiseDiffeo:
         self.nodes_to = yt
         pieces = np.diff(np.concatenate([xf, [xf[0] + CIRCLE]]))
         self.smoothing = 0.25 * float(pieces.min())
-        # lifted copies covering three laps so interpolation never wraps
-        shifts = np.array([-CIRCLE, 0.0, CIRCLE])
+        # lifted copies over four laps, the first node moved into [0, 2 pi)
+        # (the same map): every x in [0, 2 pi] then lies on a lifted piece
+        # with a neighbour on either side, so lookups never wrap; the nodes
+        # span less than a lap, so the copies ascend
+        lap = math.floor(xf[0] / CIRCLE) * CIRCLE
+        shifts = np.array([-2.0 * CIRCLE, -CIRCLE, 0.0, CIRCLE]) - lap
         self._xl = np.concatenate([xf + s for s in shifts])
         self._yl = np.concatenate([yt + s for s in shifts])
-        order = np.argsort(self._xl)
-        self._xl, self._yl = self._xl[order], self._yl[order]
         self._slopes = np.diff(self._yl) / np.diff(self._xl)
         self._qs, self._qw = _bump_quadrature(0.5 * self.smoothing)
+        # spilled mass and first moment of the bump weights: entry k sums
+        # the nodes q < k (a point left of its nearest node spills them into
+        # the next piece), entry 49 + k the nodes q >= k (right of it: into
+        # the previous piece)
+        self._mass, self._moment = (
+            np.concatenate([[0.0], np.cumsum(v), np.cumsum(v[::-1])[::-1],
+                            [0.0]]) for v in (self._qw, self._qw * self._qs))
+        self._centre = float(self._moment[len(self._qs)])   # sum_q w_q s_q
 
-    def _pl(self, x):
-        return np.interp(x, self._xl, self._yl)
-
-    def _pl_slope(self, x):
-        idx = np.clip(np.searchsorted(self._xl, x, side="right") - 1,
-                      0, len(self._slopes) - 1)
-        return self._slopes[idx]
-
-    def _at_bump_nodes(self, fn, x: np.ndarray) -> np.ndarray:
-        """fn(x - s) for every bump node s, shape x.shape + (48,).
-
-        The block is filled _BUMP_SLAB points at a time.  Built in one go,
-        the offsets and fn of them are two live temporaries of the block's
-        size; glibc returns a free heap top larger than twice its largest
-        freed mapping to the system, so every call would fault that pair's
-        pages in again.
-        """
-        out = np.empty(x.shape + self._qs.shape)
-        flat, rows = x.reshape(-1), out.reshape(-1, len(self._qs))
-        for i in range(0, len(flat), _BUMP_SLAB):
-            rows[i:i + _BUMP_SLAB] = fn(flat[i:i + _BUMP_SLAB, None] - self._qs)
-        return out
+    def _locate(self, x: np.ndarray):
+        """(i, d, n, mass, moment) for points x in [0, 2 pi]: x lies on the
+        lifted piece i; d = x - x_j for its nearest node x_j; n is the
+        piece across x_j; mass and moment are the bump weights w_q and
+        w_q s_q summed over the nodes with x - s_q on piece n."""
+        xl = self._xl
+        # the clip only keeps a NaN x (which sorts last) in bounds
+        i = np.clip(np.searchsorted(xl, x, side="right") - 1, 1, len(xl) - 3)
+        u, v = x - xl[i], x - xl[i + 1]
+        right = u > -v
+        d = np.where(right, v, u)
+        n = np.where(right, i + 1, i - 1)
+        # side="right": a node with x - s_q on a node counts on the right
+        k = np.searchsorted(self._qs, d, side="right")
+        k += np.where(right, 0, len(self._qs) + 1)
+        return i, d, n, self._mass[k], self._moment[k]
 
     def __call__(self, x, t: float = 1.0):
         x = np.asarray(x, float)
         laps = np.floor(x / CIRCLE)
         base = x - laps * CIRCLE
-        sm = self._at_bump_nodes(self._pl, base) @ self._qw
+        i, d, n, mass, moment = self._locate(base)
+        a = self._slopes[i]
+        sm = (self._yl[i] + a * (base - self._xl[i] - self._centre)
+              + (self._slopes[n] - a) * (d * mass - moment))
         out = base + float(t) * (sm - base)
         return out + laps * CIRCLE
 
     def derivative(self, x, t: float = 1.0):
+        """(1-t) + t*phi_1', phi_1' = a + (a_n - a) * mass: the bump's share
+        of the two slopes.  The spilled mass is at most a half, so the sum
+        never rounds outside the two slopes, and on a core it is a exactly."""
         x = np.asarray(x, float) % CIRCLE
-        sl = self._at_bump_nodes(self._pl_slope, x) @ self._qw
+        i, _, n, mass, _ = self._locate(x)
+        a = self._slopes[i]
+        sl = a + (self._slopes[n] - a) * mass
         return (1.0 - float(t)) + float(t) * sl
 
     def inverse(self, y, t: float = 1.0):
@@ -448,36 +480,50 @@ def realize_diffeo(plan: RearrangementPlan) -> PiecewiseDiffeo:
     return phi
 
 
+def _simpson_weights(panels: int) -> np.ndarray:
+    """Composite Simpson weights over 2*panels unit steps, before h/3."""
+    w = np.ones(2 * panels + 1)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return w
+
+
 def rearrange_error(f: Callable, f1: Callable, phi: PiecewiseDiffeo,
                     p: float = 2.0) -> float:
-    """L^p norm of f(phi_1(x)) - f1(x), composite Simpson per linear piece.
+    """L^p norm of f(phi_1(x)) - f1(x), composite Simpson per smooth piece.
 
-    phi, f and f1 are called once per block of about 4096 Simpson nodes,
-    whole pieces at a time, so memory stays flat however many pieces.
+    phi_1 is affine on each core [x_j + r, x_{j+1} - r] between the
+    smoothing windows [x_j - r, x_j + r] around the nodes, r = smoothing/2,
+    and it bends only inside the windows; a rule run across a window sees
+    a kink and converges at first order.  So every window and every core
+    gets its own composite Simpson rule (_WINDOW_PANELS, _CORE_PANELS
+    panels).  phi, f and f1 are called once per block of about 4096 nodes,
+    whole pieces at a time, so memory stays flat however many pieces; each
+    piece is summed along its own row and the pieces once at the end, so the
+    value does not depend on the block size.
     """
-    edges = np.concatenate([phi.nodes_from,
-                            [phi.nodes_from[0] + CIRCLE]])
-    m = 2 * _SIMPSON_PANELS
-    weights = np.ones(m + 1)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    lo, hi = edges[:-1], edges[1:]
-    steps = (hi - lo) / m
-    rows = max(1, _ERROR_BLOCK // (m + 1))
-    total = 0.0
-    for k in range(0, len(lo), rows):
-        # linspace along axis 1 returns a transposed view; phi's @ needs
-        # C order to run one BLAS product per piece
-        xq = np.ascontiguousarray(
-            np.linspace(lo[k:k + rows], hi[k:k + rows], m + 1, axis=1))
+    xf = phi.nodes_from
+    r = 0.5 * phi.smoothing
+    lo = xf + r
+    hi = np.append(xf[1:], xf[0] + CIRCLE) - r
+    steps = (hi - lo) / (2 * _CORE_PANELS)
+    offsets = np.arange(-_WINDOW_PANELS, _WINDOW_PANELS + 1) * (
+        r / _WINDOW_PANELS)
+    window = _simpson_weights(_WINDOW_PANELS) * (r / _WINDOW_PANELS / 3.0)
+    core = _simpson_weights(_CORE_PANELS) / 3.0
+    rows = max(1, _ERROR_BLOCK // (len(window) + len(core)))
+    sums = np.empty(len(xf))
+    for k in range(0, len(xf), rows):
+        part = slice(k, k + rows)
+        xq = np.concatenate([xf[part, None] + offsets,
+                             np.linspace(lo[part], hi[part], len(core),
+                                         axis=1)], axis=1)
         integrand = np.abs(np.asarray(f(phi(xq) % CIRCLE), float)
                            - np.asarray(f1(xq % CIRCLE), float)) ** p
-        # a BLAS dot rounds by where its row starts in memory, so the block
-        # product integrand @ weights moves some errors by an ulp; each
-        # piece's sum is taken on a fresh copy of its row, as one piece alone
-        for h, row in zip(steps[k:k + rows], integrand):
-            total += h / 3.0 * float(weights @ row.copy())
-    return total ** (1.0 / p)
+        sums[part] = ((integrand[:, :len(window)] * window).sum(axis=1)
+                      + steps[part]
+                      * (integrand[:, len(window):] * core).sum(axis=1))
+    return float(sums.sum()) ** (1.0 / p)
 
 
 def rearrange(f: Callable, f1: Callable, eps: float, p: float = 2.0,

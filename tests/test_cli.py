@@ -1,11 +1,18 @@
-"""End-to-end command-line runs, in process via cli.main(argv)."""
+"""End-to-end command-line runs, in process via cli.main(argv), and in fresh
+interpreters where the environment matters."""
 
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from akscal import cli
+
+SRC = Path(cli.__file__).resolve().parents[1]
 
 
 def run(tmp_path, *argv):
@@ -92,6 +99,28 @@ def test_operator_refuses_an_overflowing_kernel_gap(tmp_path, capsys):
     assert not list(tmp_path.glob("operator_*.csv"))
 
 
+def test_operator_refuses_a_small_t_period(tmp_path, capsys):
+    # with or without --kernel-gap: exit 2 naming h_t, no warning, no file
+    # and no output directory
+    norms = "the slot residual norms, of order 1/h_t^2"
+    normal = "the normal operator's entries, of order 1/h_t^4"
+    hessian = "the Hessian weights, of order 1/h_t^2"
+    for d, h, what, gap_what in (("1e-150", "2.5e-151", norms, normal),
+                                 ("1e-160", "2.5e-161", hessian, hessian),
+                                 ("1e-200", "2.5e-201", hessian, hessian)):
+        for extra, why in (((), what), (("--kernel-gap", "2"), gap_what)):
+            out = tmp_path / d
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = run(out, "operator", "--N", "4", "--d", d, *extra)
+            assert code == 2
+            assert capsys.readouterr().err == (
+                f"error [operator]: h_t = d/nt = {h} is too small: {why}, "
+                f"overflow a float\n")
+            assert caught == []
+            assert not out.exists()
+
+
 def test_operator_artifacts(tmp_path, capsys):
     assert run(tmp_path, "operator", "--variant", "flat", "--N", "4",
                "--kernel-gap", "2") == 0
@@ -116,6 +145,26 @@ def test_rearrange_run_and_phi(tmp_path):
     assert header == "x,phi_t25,phi_t50,phi_t75,phi_t100,derivative"
     data = np.loadtxt(str(phi_path), delimiter=",", skiprows=1)
     assert (data[:, 5] > 0).all()
+
+
+def test_rearrange_artifacts_ignore_blas_threads(tmp_path):
+    # fresh interpreters at one and two OpenBLAS threads write the same
+    # plan and isotopy bytes; the variable is set in the children only
+    files = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "akscal.cli", "--out", str(out),
+             "rearrange", "--f", "sin(x)", "--f1", "0.3*cos(x)", "--eps",
+             "0.1", "--emit-phi", str(out / "phi.csv")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        files.append([(out / name).read_bytes()
+                      for name in ("rearrange_plan.csv", "phi.csv")])
+    assert files[0] == files[1]
 
 
 def test_rearrange_csv_samples_input(tmp_path):

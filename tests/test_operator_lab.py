@@ -418,6 +418,27 @@ def test_spectral_floor_refuses_an_overflowing_h_t():
             ol.spectral_floor(system, k=2)
 
 
+def test_small_t_period_refused_naming_h_t():
+    # at d = 1e-150 the residual norms' squares overflow; from d = 1e-160
+    # on 1/h_t^2 does, and at 1e-200 h_t^2 is 0: each is one named refusal,
+    # with no numpy warning and no ZeroDivisionError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        system = ol.build_system(4, None, 1e-150, "kt")
+        theta = system.grid.sample(ol.theta_test_field(1e-150))
+        with pytest.raises(ValueError, match=r"^h_t = d/nt = 2\.5e-151 is too "
+                           r"small: the slot residual norms, of order "
+                           r"1/h_t\^2, overflow a float$"):
+            system.slot_residual_norms(theta)
+        for d, h in ((1e-160, r"2\.5e-161"), (1e-200, r"2\.5e-201")):
+            with pytest.raises(ValueError, match=rf"^h_t = d/nt = {h} is too "
+                               r"small: the Hessian weights, of order "
+                               r"1/h_t\^2, overflow a float$"):
+                ol.build_system(4, None, d, "kt")
+            with pytest.raises(ValueError, match="too small"):
+                QuotientGrid(4, d=d).ring("t", 2)
+
+
 def test_kernel_gap_frozen_values():
     kt = ol.kernel_gap(6, 6, 1.0, "kt", k=2)
     assert kt.floor == pytest.approx(0.625, abs=1e-9)

@@ -400,54 +400,111 @@ def test_sweep_matches_whole_lap_reference(monkeypatch, tmp_path):
             assert got == _plan_or_refusal(*case)
 
 
-def test_bump_slabs_match_one_block():
-    # phi and its derivative fill their bump-node block slab by slab; the
-    # values equal the block built in one go, bit for bit, across slab seams
-    phi = rr.realize_diffeo(rr.build_plan(f_sin, lambda x: 0.3 * np.cos(x),
-                                          eps=0.1))
+def _bump_node_phi(phi, x, t):
+    """phi_t as the 48-node discrete mollification, one np.interp of the
+    lifted node map per bump node: the reference for the closed form."""
+    laps = np.floor(x / TWO_PI)
+    base = x - laps * TWO_PI
+    sm = np.interp(base[..., None] - phi._qs, phi._xl, phi._yl) @ phi._qw
+    return base + t * (sm - base) + laps * TWO_PI
+
+
+def _bump_node_slopes(phi, x):
+    """Slope of the lifted node map at x - s_q for every bump node s_q, the
+    slope of the right-hand piece on a node."""
+    y = (x % TWO_PI)[..., None] - phi._qs
+    idx = np.clip(np.searchsorted(phi._xl, y, side="right") - 1,
+                  0, len(phi._slopes) - 1)
+    return phi._slopes[idx]
+
+
+def test_closed_form_matches_bump_node_reference():
+    # phi and phi' in closed form equal the per-bump-node sums to a few
+    # ulps of the lifted coordinates, times the local slope, at random
+    # points, inside the smoothing windows and on the nodes
     rng = np.random.default_rng(3)
-    for shape in ((), (0,), (1,), (1023,), (1024,), (1025,), (3000,),
-                  (63, 65)):
-        x = rng.uniform(-TWO_PI, 2 * TWO_PI, shape)
-        for t in (0.5, 1.0):
-            laps = np.floor(x / TWO_PI)
-            base = x - laps * TWO_PI
-            sm = np.interp(base[..., None] - phi._qs, phi._xl, phi._yl) @ phi._qw
-            want = base + t * (sm - base) + laps * TWO_PI
-            assert np.array_equal(phi(x, t), want)
-            xm = x % TWO_PI
-            sl = phi._pl_slope(xm[..., None] - phi._qs) @ phi._qw
-            assert np.array_equal(phi.derivative(x, t), (1.0 - t) + t * sl)
-    # one rearrange_error block: the block itself plus two slabs, never
-    # the two block-sized temporaries of the one-go build
-    xq = rng.uniform(0.0, TWO_PI, (63, 65))
-    tracemalloc.start()
-    phi(xq)
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
-    block = xq.size * len(phi._qs) * 8
-    assert block < peak < block + 3 * rr._BUMP_SLAB * len(phi._qs) * 8
+    for target, eps in ((lambda x: 0.3 * np.cos(x), 0.1), (f_zero, 0.05)):
+        phi = rr.realize_diffeo(rr.build_plan(f_sin, target, eps=eps))
+        r = 0.5 * phi.smoothing
+        nodes = phi.nodes_from
+        windows = (nodes[:, None] + r * np.linspace(-1.2, 1.2, 49)).ravel()
+        for x in (rng.uniform(-TWO_PI, 2 * TWO_PI, (63, 65)), windows,
+                  nodes, nodes + TWO_PI, np.float64(nodes[3])):
+            slopes = _bump_node_slopes(phi, x)
+            steep = slopes.max(axis=-1)
+            for t in (0.5, 1.0):
+                want = _bump_node_phi(phi, x, t)
+                tol = 4 * np.spacing(np.abs(x) + np.abs(want) + TWO_PI) * (
+                    1.0 + t * steep)
+                assert np.all(np.abs(phi(x, t) - want) <= tol)
+                want = (1.0 - t) + t * (slopes @ phi._qw)
+                tol = 4 * np.spacing((1.0 - t) + t * steep)
+                assert np.all(np.abs(phi.derivative(x, t) - want) <= tol)
+            # phi_1' is a convex combination of the slopes its window
+            # reaches and never rounds outside them
+            d1 = phi.derivative(x, 1.0)
+            assert np.all((slopes.min(axis=-1) <= d1) & (d1 <= steep))
+    assert phi(np.zeros(0)).shape == phi.derivative(np.zeros(0)).shape == (0,)
 
 
-def test_error_blocks_match_per_piece_simpson():
-    # one phi call per block of pieces gives the per-piece sum bit for bit,
-    # with 32 two-interval Simpson panels on each piece
+def test_bump_rule_computed_once():
+    # the scaled nodes and weights equal a fresh 48-node rule's, bit for bit
+    rr._legendre_rule.cache_clear()
+    for radius in (1e-7, 0.01, 0.3):
+        nodes, weights = np.polynomial.legendre.leggauss(48)
+        s = nodes * radius
+        vals = np.exp(-1.0 / (1.0 - (s / radius) ** 2))
+        wts = weights * radius * vals
+        got = rr._bump_quadrature(radius)
+        assert np.array_equal(got[0], s)
+        assert np.array_equal(got[1], wts / wts.sum())
+    assert rr._legendre_rule.cache_info().misses == 1
+
+
+def test_error_does_not_depend_on_block_size(monkeypatch):
+    # each piece is summed along its own row and the pieces once at the
+    # end, so one piece per phi call, two, or 38 give the same bits
     target = lambda x: 0.3 * np.cos(x)
     phi = rr.realize_diffeo(rr.build_plan(f_sin, target, eps=0.05))
-    assert len(phi.nodes_from) > 4096 // 65
-    m = 64
-    weights = np.ones(m + 1)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
+    assert len(phi.nodes_from) > rr._ERROR_BLOCK // 26
     for p in (2.0, 3.0):
-        edges = np.append(phi.nodes_from, phi.nodes_from[0] + TWO_PI)
-        total = 0.0
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            xq = np.linspace(lo, hi, m + 1)
-            integrand = np.abs(f_sin(phi(xq) % TWO_PI)
-                               - target(xq % TWO_PI)) ** p
-            total += (hi - lo) / m / 3.0 * float(weights @ integrand)
-        assert rr.rearrange_error(f_sin, target, phi, p) == total ** (1.0 / p)
+        want = rr.rearrange_error(f_sin, target, phi, p)
+        for block in (1, 65, 1000):
+            monkeypatch.setattr(rr, "_ERROR_BLOCK", block)
+            assert rr.rearrange_error(f_sin, target, phi, p) == want
+            monkeypatch.undo()
+
+
+def test_error_converges_on_bench_plans(monkeypatch):
+    # on sin -> 0.3 cos and sin -> 0 at three eps the error is within 1e-4
+    # (relative) of the same rule with 16 times the panels on every core and
+    # window; the zero-target values converge to 0.0516729, 0.0261787 and
+    # 0.0135146, where 32 Simpson panels across each piece gave 0.0546,
+    # 0.0314 and 0.0218
+    cos3 = lambda x: 0.3 * np.cos(x)
+    converged = {0.2: 0.0516729, 0.1: 0.0261787, 0.05: 0.0135146}
+    for target, eps in [(t, e) for t in (cos3, f_zero) for e in converged]:
+        phi = rr.realize_diffeo(rr.build_plan(f_sin, target, eps=eps))
+        err = rr.rearrange_error(f_sin, target, phi)
+        with monkeypatch.context() as m:
+            m.setattr(rr, "_CORE_PANELS", 16 * rr._CORE_PANELS)
+            m.setattr(rr, "_WINDOW_PANELS", 16 * rr._WINDOW_PANELS)
+            ref = rr.rearrange_error(f_sin, target, phi)
+        assert abs(err - ref) <= 1e-4 * ref
+        if target is f_zero:
+            assert ref == pytest.approx(converged[eps], rel=1e-5)
+
+
+def test_error_pass_memory_stays_flat():
+    # phi, f and f1 see one block of about 4096 nodes at a time: the traced
+    # peak of the eps 0.05 error pass (1024 pieces) stays under 1 MiB
+    target = lambda x: 0.3 * np.cos(x)
+    phi = rr.realize_diffeo(rr.build_plan(f_sin, target, eps=0.05))
+    tracemalloc.start()
+    rr.rearrange_error(f_sin, target, phi)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_endpoint_lap_count():
@@ -484,6 +541,25 @@ def test_piecewise_diffeo_validation():
         rr.PiecewiseDiffeo(np.array([0.0, 2.0, 1.0]), np.array([0.0, 1.0, 2.0]))
     with pytest.raises(ValueError):
         rr.PiecewiseDiffeo(np.array([0.0, TWO_PI + 1.0]), np.array([0.0, 1.0]))
+
+
+def test_node_maps_a_lap_apart_give_one_map():
+    # (x_j, y_j) and (x_j + 2 pi k, y_j + 2 pi k) define one circle map,
+    # wherever the first node sits; 7 -> 7, 8 -> 9 sends 0.3 along the
+    # piece from (8 - 4 pi, 9 - 4 pi) to (7 - 2 pi, 7 - 2 pi)
+    phi = rr.PiecewiseDiffeo([7.0, 8.0], [7.0, 9.0])
+    slope = (TWO_PI - 2.0) / (TWO_PI - 1.0)
+    want = 7.0 - TWO_PI + slope * (0.3 - 7.0 + TWO_PI)
+    assert phi(0.3) == pytest.approx(want, abs=1e-14)
+    assert phi.derivative(0.3) == pytest.approx(slope, abs=1e-14)
+    xf, yt = np.array([0.5, 1.0, 3.0, 5.5]), np.array([0.2, 1.5, 2.0, 6.0])
+    phi = rr.PiecewiseDiffeo(xf, yt)
+    x = np.linspace(-7.0, 13.0, 20001)
+    for k in (-2, -1, 1, 3):
+        moved = rr.PiecewiseDiffeo(xf + k * TWO_PI, yt + k * TWO_PI)
+        assert np.allclose(moved(x), phi(x), rtol=0, atol=1e-14)
+        assert np.allclose(moved.derivative(x), phi.derivative(x), rtol=0,
+                           atol=1e-14)
 
 
 def test_range_escape_refused_with_its_bound():
