@@ -66,6 +66,22 @@ def _write_csv(path: Path, header, rows):
     print(f"wrote {path}")
 
 
+def _write_floats(path: Path, header, blocks):
+    """Write a CSV in one pass: the header, then per (prefix, columns,
+    suffix) block one line prefix + row + suffix per row of the columns,
+    each float a Python float from tolist() printed with "%.17g", as _fmt
+    prints it.  No such cell holds a delimiter, quote or newline, so csv
+    quoting never applies: these are the bytes csv.writer would write."""
+    lines = [",".join(header) + "\n"]
+    for prefix, cols, suffix in blocks:
+        line = prefix + ",".join(["%.17g"] * len(cols)) + suffix + "\n"
+        lines += [line % row for row in
+                  zip(*(np.asarray(c, float).tolist() for c in cols))]
+    with open(path, "w", newline="") as fh:
+        fh.write("".join(lines))
+    print(f"wrote {path}")
+
+
 def _load_text(path: str, kind: str) -> str:
     """Read a spec/model file; bare names fall back to the shipped data."""
     p = Path(path)
@@ -287,23 +303,19 @@ def cmd_rearrange(args) -> int:
     phi, err, plan = rearrange.rearrange(f, f1, args.eps, args.p, args.max_arcs)
     out = _out_dir(args)
     dmin = phi.min_derivative()
-    rows = [("arc", _fmt(a.lo), _fmt(a.hi), _fmt(a.level))
-            for a in plan.arcs]
-    rows += [("source", _fmt(u), _fmt(v), "")
-             for u, v in plan.sources]
-    rows += [("node", _fmt(xf), _fmt(yt), "")
-             for xf, yt in zip(phi.nodes_from, phi.nodes_to)]
-    rows.append(("error", _fmt(err), f"target {_fmt(args.eps)}", ""))
-    rows.append(("min_derivative", _fmt(dmin), "", ""))
-    _write_csv(out / "rearrange_plan.csv", ("item", "a", "b", "value"), rows)
+    arcs = np.array([(a.lo, a.hi, a.level) for a in plan.arcs]).T
+    _write_floats(out / "rearrange_plan.csv", ("item", "a", "b", "value"), (
+        ("arc,", arcs, ""), ("source,", np.array(plan.sources).T, ","),
+        ("node,", (phi.nodes_from, phi.nodes_to), ","),
+        ("error,", [[err]], f",target {_fmt(args.eps)},"),
+        ("min_derivative,", [[dmin]], ",,")))
     if args.emit_phi:
         xs = np.linspace(0.0, rearrange.CIRCLE, 2049)
         cols = [xs] + [phi(xs, t) for t in (0.25, 0.5, 0.75, 1.0)] \
             + [phi.derivative(xs, 1.0)]
-        _write_csv(Path(args.emit_phi),
-                   ("x", "phi_t25", "phi_t50", "phi_t75", "phi_t100",
-                    "derivative"),
-                   list(zip(*cols)))
+        _write_floats(Path(args.emit_phi),
+                      ("x", "phi_t25", "phi_t50", "phi_t75", "phi_t100",
+                       "derivative"), [("", cols, "")])
     print(f"achieved L^{_fmt(args.p)} error {_fmt(err)} < {_fmt(args.eps)}: "
           f"{err < args.eps} ({len(plan.arcs)} arcs, min derivative "
           f"{_fmt(dmin)})")

@@ -96,6 +96,10 @@ class QuotientGrid:
         if order not in (1, 2):
             raise ValueError(f"need order 1 or 2, got {order!r}")
         h, eye = self.spacing(axis), np.eye(self.shape[_axis(axis)])
+        if not h * h * sys.float_info.min < 1.0:
+            raise ValueError(f"h_t = d/nt = {self.ht:.3g} is too large: the "
+                             f"Hessian weights, of order 1/h_t^2, underflow "
+                             f"a float")
         self.refuse_overflow(h ** 2 * sys.float_info.max > 1.0,
                              "the Hessian weights, of order 1/h_t^2,")
         c = 1.0 / h ** 2

@@ -284,6 +284,16 @@ def _kt_chart_slots(g, psi):
 # the adjoint system
 
 
+def _real_matvec(op, v: np.ndarray) -> np.ndarray:
+    """op @ v for a real sparse op; a complex v as two real products, the
+    same sums as the mixed product, which recasts op to complex per call."""
+    if not np.iscomplexobj(v):
+        return op @ v
+    out = np.empty(op.shape[0], dtype=v.dtype)
+    out.real, out.imag = op @ v.real, op @ v.imag
+    return out
+
+
 class AdjointSystem:
     """Slot operators A_s of (Hess psi)^- - r^- psi on one grid, frame route."""
 
@@ -307,7 +317,7 @@ class AdjointSystem:
     def apply(self, psi: np.ndarray) -> np.ndarray:
         """Slot values of the adjoint operator: shape (6, size)."""
         psi = np.asarray(psi).ravel()
-        return np.stack([op @ psi for op in self.ops])
+        return np.stack([_real_matvec(op, psi) for op in self.ops])
 
     def forward(self, u: np.ndarray) -> np.ndarray:
         """Exact discrete adjoint of apply() in the weighted inner product:
@@ -319,7 +329,7 @@ class AdjointSystem:
                              f"{(len(self.ops), self.grid.size)}")
         out = np.zeros(self.grid.size, dtype=u.dtype)
         for w, op, us in zip(self.weights, self.ops, u):
-            out = out + w * (op.T @ us)
+            out = out + w * _real_matvec(op.T, us)
         return out
 
     def weighted_norm_sq(self, u: np.ndarray) -> float:
@@ -419,7 +429,7 @@ def symbol_check(system: AdjointSystem, k: tuple) -> float:
     psi = fourier_mode(g, k)
     u = system.apply(psi)
     num = system.weighted_norm_sq(u)
-    lp = system.laplacian @ psi
+    lp = _real_matvec(system.laplacian, psi)
     den = 0.5 * g.cell_volume * float(np.vdot(lp, lp).real)
     if den == 0.0:
         raise ValueError("zero-frequency mode has no symbol ratio")

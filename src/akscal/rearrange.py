@@ -9,6 +9,10 @@ stays delta-close to the arc's target level, and compress the bulk of each
 arc into its source interval, spending at most eps^p/2 of error mass on the
 thin transition collars and eps^p/2 on the delta-sized bulk mismatch.
 
+One dimension is the one case with an order obstruction: a circle
+diffeomorphism keeps cyclic order, so no partition reaches a target that
+turns more often than f.  The Kazdan-Warner lemma has none in dimension >= 2.
+
 Everything is measured on the circle of circumference 2*pi; functions take
 angle arrays.
 """
@@ -44,8 +48,9 @@ _INVERSE_TOL = 1e-12     # bisection stops once every bracket is this narrow
 
 class PlanError(ValueError):
     """Planning failed; required_cap carries the arc count that would do,
-    reason the obstruction ("range": f1 leaves [inf f, sup f]) and bound the
-    L^p distance by which every diffeomorphism then misses f1, at least."""
+    reason the obstruction ("range": f1 leaves [inf f, sup f], bound then the
+    L^p distance by which every diffeomorphism misses f1, at least;
+    "cyclic-order": f1 turns more often than f)."""
 
     def __init__(self, message: str, required_cap: Optional[int] = None,
                  reason: Optional[str] = None, bound: Optional[float] = None):
@@ -57,9 +62,10 @@ class PlanError(ValueError):
 
 def check_plan_parameters(eps: float, p: float, max_arcs: int) -> None:
     """ValueError naming the first of eps, p, max_arcs that no plan accepts:
-    eps and p must be finite with eps > 0 and p > 1, and max_arcs an integer
-    of at least the first partition's 4 arcs."""
-    if not (isinstance(eps, numbers.Real) and eps > 0 and math.isfinite(eps)):
+    eps and p must be finite reals, not bools, with eps > 0 and p > 1, and
+    max_arcs an integer of at least the first partition's 4 arcs."""
+    if not (isinstance(eps, numbers.Real) and not isinstance(eps, bool)
+            and eps > 0 and math.isfinite(eps)):
         raise ValueError(f"eps must be finite and positive, not {eps}")
     if not (isinstance(p, numbers.Real) and p > 1 and math.isfinite(p)):
         raise ValueError(f"p must be finite and exceed 1, not {p}")
@@ -101,6 +107,28 @@ def _range_escape(f: Callable, f1: Callable, p: float) -> float:
         return 0.0
     excess = np.maximum(gv - fv.max(), fv.min() - gv)
     return float(excess[escaped].min()) * (escaped.mean() * CIRCLE) ** (1.0 / p)
+
+
+def _turns(v: np.ndarray, swing: float) -> int:
+    """Alternating extrema per lap of the cyclic samples v whose swings
+    exceed swing (every turn at swing 0): numpy finds the turns of the
+    differences, flat runs skipped, and a hysteresis loop over those only
+    merges the smaller swings, starting from the highest turn."""
+    d = np.diff(v, append=v[:1])
+    if not d.all():                    # a plateau turns once, at its end
+        v, d = v[d != 0], d[d != 0]
+    rising = d > 0
+    peaks = v[rising != np.roll(rising, 1)]
+    if len(peaks) == 0 or not swing > 0:
+        return len(peaks)
+    top = int(peaks.argmax())
+    turns, ext, falling = 0, float(peaks[top]), True
+    for val in np.roll(peaks, -top).tolist()[1:] + [ext]:
+        if val < ext if falling else val > ext:
+            ext = val
+        elif abs(val - ext) > swing:
+            turns, ext, falling = turns + 1, val, not falling
+    return turns + (not falling)
 
 
 @dataclass(frozen=True)
@@ -242,6 +270,17 @@ def build_plan(f: Callable, f1: Callable, eps: float, p: float = 2.0,
     per lap and at 262144 only on that sliver.  A NaN or infinite value of
     f1, or of f where it is sampled, raises ValueError naming it; so does a
     complex value.
+
+    Before any refinement, a target that turns more often per lap than f,
+    counting only its swings above S = 4 tol + 2c (tol = 0.9 delta the band
+    half-width, c the most the clip moves a level), is refused with reason
+    "cyclic-order", as the sweep would fail: f1 moves by under tol within
+    an arc, and f stays within tol of the arc's level on its source, so
+    arcs at f1 extrema more than S apart get sources whose f values
+    alternate alike, and in cyclic order within one lap.  This assumes the
+    plan samples show every turn of f (as the range test assumes they show
+    its range) and that each arc holds four samples (<= 4096 arcs); past
+    that, S adds twice f1's largest step between adjacent samples.
     """
     check_plan_parameters(eps, p, max_arcs)
     escape = _range_escape(f, f1, p)
@@ -253,6 +292,21 @@ def build_plan(f: Callable, f1: Callable, eps: float, p: float = 2.0,
     fx, gx = _sample(f, "f", x), _sample(f1, "f1", x)
     bound = float(np.abs(fx).max() + np.abs(gx).max())
     delta = eps / (2.0 * (2.0 * CIRCLE) ** (1.0 / p))
+    fmin, fmax = float(fx.min()), float(fx.max())
+    tol = _OSC_MARGIN * delta
+    swing = 4.0 * tol + 2.0 * max(float(gx.max()) - fmax,
+                                  fmin - float(gx.min()), 0.0)
+    if 4 * max_arcs > _PLAN_SAMPLES:
+        swing += 2.0 * float(np.abs(np.diff(gx, append=gx[:1])).max())
+    turns = _turns(gx, swing)
+    # f turns twice unless constant, and f1 cannot swing by S about a constant
+    if turns > 2 and turns > (turns_f := _turns(fx, 0.0)):
+        raise PlanError(f"f1 turns {turns} times per lap by more than "
+                        f"{swing:.3g} and f only {turns_f} times: a circle "
+                        f"diffeomorphism keeps cyclic order, so no partition "
+                        f"can give f1's arcs source intervals in order (the "
+                        f"obstruction is one-dimensional)",
+                        reason="cyclic-order")
 
     def max_osc(count: int) -> float:
         # bin k holds the samples [starts[k], starts[k+1]); reduceat needs
@@ -263,10 +317,10 @@ def build_plan(f: Callable, f1: Callable, eps: float, p: float = 2.0,
                             - np.minimum.reduceat(gx, starts)))
 
     n_arcs = _FIRST_ARCS
-    while max_osc(n_arcs) >= _OSC_MARGIN * delta:
+    while max_osc(n_arcs) >= tol:
         if 2 * n_arcs > max_arcs:
             need = 2 * n_arcs
-            while need < 2 ** 24 and max_osc(need) >= _OSC_MARGIN * delta:
+            while need < 2 ** 24 and max_osc(need) >= tol:
                 need *= 2
             raise PlanError(
                 f"oscillation target needs more than {max_arcs} arcs "
@@ -275,11 +329,9 @@ def build_plan(f: Callable, f1: Callable, eps: float, p: float = 2.0,
     edges = np.linspace(0.0, CIRCLE, n_arcs + 1)
 
     # clip levels into the closed range of f so a source window always exists
-    fmin, fmax = float(fx.min()), float(fx.max())
     centres = 0.5 * (edges[:-1] + edges[1:])
     levels = np.clip(np.interp(centres, x, gx, period=CIRCLE), fmin, fmax)
-    sources = _allocate_sources(f, fx, levels.tolist(), _OSC_MARGIN * delta,
-                                max_arcs)
+    sources = _allocate_sources(f, fx, levels.tolist(), tol, max_arcs)
     arcs = [Arc(lo, hi, b, float(level))
             for lo, hi, b, level in zip(edges[:-1], edges[1:], centres, levels)]
 
@@ -360,6 +412,8 @@ class PiecewiseDiffeo:
         yt = np.asarray(nodes_to, float)
         if len(xf) != len(yt) or len(xf) < 2:
             raise ValueError("node arrays must match and hold >= 2 nodes")
+        if not (np.isfinite(xf).all() and np.isfinite(yt).all()):
+            raise ValueError("nodes must be finite")
         if np.any(np.diff(xf) <= 0) or np.any(np.diff(yt) <= 0):
             raise ValueError("node map must be strictly increasing")
         if not (xf[-1] - xf[0] < CIRCLE and yt[-1] - yt[0] < CIRCLE):

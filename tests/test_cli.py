@@ -1,6 +1,8 @@
 """End-to-end command-line runs, in process via cli.main(argv), and in fresh
 interpreters where the environment matters."""
 
+import csv
+import io
 import os
 import subprocess
 import sys
@@ -10,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from akscal import cli
+from akscal import cli, rearrange
 
 SRC = Path(cli.__file__).resolve().parents[1]
 
@@ -121,6 +123,20 @@ def test_operator_refuses_a_small_t_period(tmp_path, capsys):
             assert not out.exists()
 
 
+def test_operator_refuses_a_large_t_period(tmp_path, capsys):
+    # 1/h_t^2 underflows: exit 2 naming h_t, no traceback and no file
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(out, "operator", "--N", "4", "--d", "1e200")
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error [operator]: h_t = d/nt = 2.5e+199 is too large: the Hessian "
+        "weights, of order 1/h_t^2, underflow a float\n")
+    assert caught == []
+    assert not out.exists()
+
+
 def test_operator_artifacts(tmp_path, capsys):
     assert run(tmp_path, "operator", "--variant", "flat", "--N", "4",
                "--kernel-gap", "2") == 0
@@ -185,6 +201,62 @@ def test_rearrange_infeasible(tmp_path, capsys):
     assert err.startswith("error [rearrange]: ") and "infeasible" in err
     assert f"misses it by >= {np.sqrt(2 * np.pi):.4g} in L^2" in err
     assert not out.exists()
+
+
+def test_rearrange_refuses_cyclic_order(tmp_path, capsys):
+    # targets that turn more often per lap than sin exit 2 with the
+    # library's cyclic-order refusal, before any directory or file is made
+    out, phi = tmp_path / "out", tmp_path / "phi.csv"
+    for f1, turns in (("sin(5*x)", 10), ("0.8*sin(20*x)", 40),
+                      ("0.5*sin(2*x)", 4), ("0.5*cos(2*x)", 4)):
+        assert run(out, "rearrange", "--f", "sin(x)", "--f1", f1, "--eps",
+                   "0.1", "--emit-phi", str(phi)) == 2
+        assert capsys.readouterr().err == (
+            f"error [rearrange]: f1 turns {turns} times per lap by more than "
+            f"0.0508 and f only 2 times: a circle diffeomorphism keeps cyclic "
+            f"order, so no partition can give f1's arcs source intervals in "
+            f"order (the obstruction is one-dimensional)\n")
+    assert not out.exists() and not phi.exists()
+
+
+def _reference_csv(header, rows) -> bytes:
+    """What csv.writer writes for these rows, every non-string cell through
+    _fmt: the rendering the rearrange artifacts are checked against."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([v if isinstance(v, str) else cli._fmt(v)
+                         for v in row])
+    return buf.getvalue().encode()
+
+
+def test_rearrange_writer_matches_csv_reference(tmp_path):
+    # the bench's three plans and one isotopy table, row by row through
+    # csv.writer and _fmt, against the bytes the one-pass writer leaves
+    f, f1 = cli._parse_field("sin(x)"), cli._parse_field("0.3*cos(x)")
+    for eps in (0.2, 0.1, 0.05):
+        out = tmp_path / str(eps)
+        phi_path = out / "phi.csv"
+        extra = ("--emit-phi", str(phi_path)) if eps == 0.1 else ()
+        assert run(out, "rearrange", "--f", "sin(x)", "--f1", "0.3*cos(x)",
+                   "--eps", str(eps), *extra) == 0
+        phi, err, plan = rearrange.rearrange(f, f1, eps)
+        rows = [("arc", a.lo, a.hi, a.level) for a in plan.arcs]
+        rows += [("source", u, v, "") for u, v in plan.sources]
+        rows += [("node", xf, yt, "")
+                 for xf, yt in zip(phi.nodes_from, phi.nodes_to)]
+        rows.append(("error", err, f"target {cli._fmt(eps)}", ""))
+        rows.append(("min_derivative", phi.min_derivative(), "", ""))
+        assert (out / "rearrange_plan.csv").read_bytes() == _reference_csv(
+            ("item", "a", "b", "value"), rows)
+        if extra:
+            xs = np.linspace(0.0, rearrange.CIRCLE, 2049)
+            cols = [xs] + [phi(xs, t) for t in (0.25, 0.5, 0.75, 1.0)] \
+                + [phi.derivative(xs, 1.0)]
+            assert phi_path.read_bytes() == _reference_csv(
+                ("x", "phi_t25", "phi_t50", "phi_t75", "phi_t100",
+                 "derivative"), zip(*cols))
 
 
 def test_rearrange_refuses_non_finite_fields(tmp_path, capsys):

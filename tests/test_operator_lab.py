@@ -439,6 +439,17 @@ def test_small_t_period_refused_naming_h_t():
                 QuotientGrid(4, d=d).ring("t", 2)
 
 
+def test_large_t_period_refused_naming_h_t():
+    # from about d = 2.7e154 at nt = 4 the Hessian weights 1/h_t^2 underflow,
+    # and at d = 1e200 h_t^2 overflows: one named refusal either way
+    for d, h in ((1e155, r"2\.5e\+154"), (1e200, r"2\.5e\+199")):
+        with pytest.raises(ValueError, match=rf"^h_t = d/nt = {h} is too "
+                           r"large: the Hessian weights, of order "
+                           r"1/h_t\^2, underflow a float$"):
+            ol.kernel_gap(4, d=d)
+    ol.build_system(4, None, 1e150, "kt")
+
+
 def test_kernel_gap_frozen_values():
     kt = ol.kernel_gap(6, 6, 1.0, "kt", k=2)
     assert kt.floor == pytest.approx(0.625, abs=1e-9)

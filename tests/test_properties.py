@@ -1,5 +1,6 @@
 """Property tests of the slot algebra, the exact contraction, stacked
-tensor calls and the frame-spec and model round trips, drawn by hypothesis."""
+tensor calls, the frame-spec and model round trips and the rearrangement
+order check, drawn by hypothesis."""
 
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from akscal import exact, lie, tensor, zbound  # noqa: E402
+from akscal import exact, lie, rearrange, tensor, zbound  # noqa: E402
 from akscal import operator_lab as ol  # noqa: E402
 
 STRUCTURES = {"kt": ol.J_KT, "flat": ol.J_FLAT}
@@ -242,3 +243,21 @@ def test_model_round_trip_is_lossless(model):
     hexes = (lambda m: None if m.seed is None
              else [float.hex(v) for v in m.seed])
     assert hexes(back) == hexes(model)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(a=st.floats(0.0, 0.9), share=st.floats(-1.0, 1.0),
+       phase=st.floats(0.0, 2 * np.pi), eps=st.floats(0.05, 0.3),
+       ripple=st.floats(0.0, 0.99), k=st.integers(2, 60))
+def test_order_compatible_targets_never_refused_for_cyclic_order(
+        a, share, phase, eps, ripple, k):
+    # a cos(x + phase) + b inside the range of sin turns as often as sin, and
+    # a ripple of less than 0.9 delta from peak to peak adds no turn that
+    # counts; such a target may miss the sweep, never the order check
+    delta = eps / (2.0 * np.sqrt(4 * np.pi))
+    b, r = share * (0.9 - a), ripple * 0.45 * delta
+    f1 = lambda x: a * np.cos(x + phase) + b + r * np.sin(k * x)
+    try:
+        rearrange.build_plan(np.sin, f1, eps)
+    except rearrange.PlanError as e:
+        assert e.reason != "cyclic-order"

@@ -1,6 +1,8 @@
 """Circle rearrangement: planning, realization, error and feasibility."""
 
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -65,7 +67,8 @@ def test_build_plan_validates_inputs():
                      ({"eps": 0.1, "p": np.nan}, "p"),
                      ({"eps": 0.1, "max_arcs": 2}, "max_arcs"),
                      ({"eps": 0.1, "max_arcs": -5}, "max_arcs"),
-                     ({"eps": 0.1, "max_arcs": 8.0}, "max_arcs")):
+                     ({"eps": 0.1, "max_arcs": 8.0}, "max_arcs"),
+                     ({"eps": True}, "eps"), ({"eps": 0.1, "p": True}, "p")):
         with pytest.raises(ValueError, match=f"^{name} must be ") as info:
             rr.build_plan(f_sin, f_zero, **kw)
         assert not isinstance(info.value, rr.PlanError)
@@ -136,16 +139,84 @@ def test_collar_below_float_resolution_refused_by_name():
 
 
 def test_plan_cap_reported_when_arcs_run_out():
-    with pytest.raises(rr.PlanError) as info:
-        rr.build_plan(f_sin, lambda x: np.sin(5 * x), eps=0.01, max_arcs=4)
-    assert info.value.required_cap > 4
+    # 0.5 cos x turns as often as sin, so only its oscillation limits the
+    # plan: at eps 0.1 it needs 256 arcs, which a cap of 4 is told, and a
+    # cap of 256 plans
+    f1 = lambda x: 0.5 * np.cos(x)
+    with pytest.raises(rr.PlanError, match="raise max_arcs") as info:
+        rr.build_plan(f_sin, f1, eps=0.1, max_arcs=4)
+    assert info.value.required_cap == 256 and info.value.reason is None
+    assert len(rr.build_plan(f_sin, f1, eps=0.1, max_arcs=256).arcs) == 256
+
+
+CYCLIC_TARGETS = ((lambda x: np.sin(5 * x), 10),
+                  (lambda x: 0.8 * np.sin(20 * x), 40),
+                  (lambda x: 0.5 * np.sin(2 * x), 4),
+                  (lambda x: 0.5 * np.cos(2 * x), 4))
 
 
 def test_order_incompatible_target_is_refused():
-    # 0.5 cos(2x) runs through its range twice per lap; a degree-one monotone
-    # reparametrization of sin cannot follow, so planning must fail
-    with pytest.raises(rr.PlanError):
-        rr.build_plan(f_sin, lambda x: 0.5 * np.cos(2 * x), eps=0.1)
+    # each target turns more often per lap than sin: a circle diffeomorphism
+    # keeps cyclic order, so no partition helps and no cap is named
+    for f1, turns in CYCLIC_TARGETS:
+        for max_arcs in (4, 4096, 16384):
+            with pytest.raises(rr.PlanError, match=(
+                    f"^f1 turns {turns} times per lap by more than "
+                    r"0\.0\d+ and f only 2 times: .*no partition can ")) \
+                    as info:
+                rr.build_plan(f_sin, f1, eps=0.1, max_arcs=max_arcs)
+            assert info.value.reason == "cyclic-order"
+            assert info.value.required_cap is None
+
+
+def _reason(*case):
+    """build_plan's refusal reason on case, "" for other PlanErrors and
+    None for a plan."""
+    try:
+        rr.build_plan(*case)
+    except rr.PlanError as e:
+        return e.reason or ""
+    return None
+
+
+def test_cyclic_order_refuses_only_what_the_sweep_refuses(monkeypatch):
+    # with the check bypassed, every sweep case it refuses at eps 0.1 still
+    # fails, in the oscillation refinement or the source sweep
+    with tempfile.TemporaryDirectory() as tmp:
+        fields = _sweep_fields(tmp)
+    cases = [(fields[f], fields[f1], *rest) for f, f1, *rest in SWEEP_CASES
+             if rest == [0.1, 2.0, 4096]]
+    refused = [case for case in cases if _reason(*case) == "cyclic-order"]
+    assert len(refused) == 24
+    monkeypatch.setattr(rr, "_turns", lambda v, swing: 0)
+    assert [_reason(*case) for case in refused] == [""] * len(refused)
+
+
+def test_turn_count_matches_pair_removal():
+    # reference: drop flat steps, keep the strict turns, then remove the
+    # adjacent pair of least swing while it is at most the threshold
+    def removal(v, swing):
+        vals = [a for k, a in enumerate(v) if a != v[k - 1]] or [v[0]]
+        m = len(vals)
+        peaks = [vals[k] for k in range(m)
+                 if (vals[k] - vals[k - 1]) * (vals[(k + 1) % m] - vals[k]) < 0]
+        while len(peaks) >= 2:
+            gaps = [abs(peaks[(k + 1) % len(peaks)] - peaks[k])
+                    for k in range(len(peaks))]
+            k = int(np.argmin(gaps))
+            if gaps[k] > swing or len(peaks) == 2:
+                return len(peaks) if gaps[k] > swing else 0
+            for j in sorted((k, (k + 1) % len(peaks)), reverse=True):
+                del peaks[j]
+        return len(peaks)
+
+    rng = np.random.default_rng(3)
+    for case in range(400):
+        v = rng.standard_normal(int(rng.integers(3, 30)))
+        if case % 2:
+            v = np.round(3 * v) / 3            # flat steps and plateaus
+        swing = float(rng.choice([0.0, 0.1, 0.5, 1.0, 2.0]))
+        assert rr._turns(v, swing) == removal(list(v), swing)
 
 
 def test_plan_geometry():
@@ -232,11 +303,12 @@ def test_plan_batched_matches_per_arc_reference():
         return max(float(np.ptp(gx[(x >= lo) & (x < hi)]))
                    for lo, hi in zip(edges[:-1], edges[1:]))
 
-    # 512 is the first doubling at which the per-bin oscillation fits
+    # 512 is the first doubling at which the per-bin oscillation fits, and
+    # the count a cap of 256 is told
     assert max_osc(256) >= 0.9 * plan.delta > max_osc(512)
     with pytest.raises(rr.PlanError) as info:
-        rr.build_plan(f_sin, lambda x: 0.8 * np.sin(20 * x), eps=0.1)
-    assert info.value.required_cap == 8192
+        rr.build_plan(f_sin, lambda x: 0.3 * np.cos(x), eps=0.05, max_arcs=256)
+    assert info.value.required_cap == 512 and info.value.reason is None
 
 
 def _walk_source_window(fx, x, level, tol, start, stop):
@@ -351,6 +423,63 @@ def _noise(seed=0, count=4096):
     grid = np.arange(count) * (TWO_PI / count)
     return lambda x: np.interp(np.asarray(x) % TWO_PI, grid, vals,
                                period=TWO_PI)
+
+
+# the parent-comparison sweep: every f with every f1 at three eps (p = 2),
+# then at p = 3, at p = 1.5 under a 64-arc cap and at eps 0.05 under a
+# 16384-arc cap; names resolve through _sweep_fields
+SWEEP_F = ("sin", "sin^3", "cos+0.2sin3x", "noise", "csv")
+SWEEP_F1 = ("0.3cos", "0", "0.5cos(x+1)-0.2", "0.4cos(x-2)+0.3",
+            "0.5sin2x", "0.5cos2x", "0.7cos3x", "sin5x", "0.8sin20x",
+            "0.1sin9x")
+SWEEP_CASES = tuple(
+    (f, f1, eps, p, cap) for f in SWEEP_F for f1 in SWEEP_F1
+    for eps, p, cap in ((0.2, 2.0, 4096), (0.1, 2.0, 4096),
+                        (0.05, 2.0, 4096), (0.1, 3.0, 4096),
+                        (0.1, 1.5, 64), (0.05, 2.0, 16384)))
+
+
+def _sweep_fields(tmp):
+    """Callables of the SWEEP_F and SWEEP_F1 names; the CSV field is sin^3
+    at 64 samples, read by the CLI's parser from a file in tmp."""
+    from akscal import cli
+    csv = Path(tmp) / "samples.csv"
+    np.savetxt(str(csv), np.sin(np.arange(64) * (TWO_PI / 64)) ** 3,
+               delimiter=",")
+    return {
+        "sin": np.sin, "sin^3": lambda x: np.sin(x) ** 3,
+        "cos+0.2sin3x": lambda x: np.cos(x) + 0.2 * np.sin(3 * x),
+        "noise": _noise(), "csv": cli._parse_field(str(csv)),
+        "0.3cos": lambda x: 0.3 * np.cos(x), "0": f_zero,
+        "0.5cos(x+1)-0.2": lambda x: 0.5 * np.cos(x + 1) - 0.2,
+        "0.4cos(x-2)+0.3": lambda x: 0.4 * np.cos(x - 2) + 0.3,
+        "0.5sin2x": lambda x: 0.5 * np.sin(2 * x),
+        "0.5cos2x": lambda x: 0.5 * np.cos(2 * x),
+        "0.7cos3x": lambda x: 0.7 * np.cos(3 * x),
+        "sin5x": lambda x: np.sin(5 * x),
+        "0.8sin20x": lambda x: 0.8 * np.sin(20 * x),
+        "0.1sin9x": lambda x: 0.1 * np.sin(9 * x)}
+
+
+def sweep_outcome(f, f1, eps, p, max_arcs):
+    """All a run fixes (arcs, sources, collar width, node map, error and
+    least derivative) or its refusal's type, message, cap and reason."""
+    try:
+        phi, err, plan = rr.rearrange(f, f1, eps, p, max_arcs)
+    except rr.PlanError as e:
+        return type(e).__name__, str(e), e.required_cap, e.reason
+    arcs = [(a.lo, a.hi, a.center, a.level) for a in plan.arcs]
+    return (np.array(arcs).tolist(), np.array(plan.sources).tolist(),
+            plan.collar_width, phi.nodes_from.tolist(), phi.nodes_to.tolist(),
+            err, phi.min_derivative())
+
+
+def sweep_outcomes(cases=SWEEP_CASES):
+    """sweep_outcome of each case, in order."""
+    with tempfile.TemporaryDirectory() as tmp:
+        fields = _sweep_fields(tmp)
+        return [sweep_outcome(fields[f], fields[f1], *rest)
+                for f, f1, *rest in cases]
 
 
 def _plan_or_refusal(f, f1, eps, p, max_arcs):
@@ -541,6 +670,9 @@ def test_piecewise_diffeo_validation():
         rr.PiecewiseDiffeo(np.array([0.0, 2.0, 1.0]), np.array([0.0, 1.0, 2.0]))
     with pytest.raises(ValueError):
         rr.PiecewiseDiffeo(np.array([0.0, TWO_PI + 1.0]), np.array([0.0, 1.0]))
+    for nodes in (([0, 1], [0, np.nan]), ([np.inf, 1], [0, 1])):
+        with pytest.raises(ValueError, match="^nodes must be finite$"):
+            rr.PiecewiseDiffeo(*nodes)
 
 
 def test_node_maps_a_lap_apart_give_one_map():
@@ -583,3 +715,37 @@ def test_range_escape_refused_with_its_bound():
     with pytest.raises(rr.PlanError) as info:
         rr.build_plan(f_sin, f_zero, eps=0.1, p=15)
     assert info.value.reason is None and info.value.bound is None
+
+
+if __name__ == "__main__":
+    # python tests/test_rearrange.py OTHER_SRC runs SWEEP_CASES under the
+    # akscal on the path and under the one in OTHER_SRC (say, a checkout of
+    # the parent commit) and prints the SHA-256 of both pickled outcome
+    # lists.  It exits 1 unless every outcome matches, but for cyclic-order
+    # refusals here of what OTHER_SRC refused with a PlanError too.
+    import hashlib
+    import os
+    import pickle
+    import subprocess
+    import sys
+
+    if sys.argv[1:] == ["--dump"]:
+        sys.stdout.buffer.write(pickle.dumps(sweep_outcomes()))
+        sys.exit(0)
+    other = subprocess.run(
+        [sys.executable, __file__, "--dump"], capture_output=True, check=True,
+        env={**os.environ, "PYTHONPATH": sys.argv[1]}).stdout
+    here = pickle.dumps(sweep_outcomes())
+    changed = bad = 0
+    for case, old, new in zip(SWEEP_CASES, pickle.loads(other),
+                              pickle.loads(here)):
+        if old != new:
+            changed += 1
+            if not (new[-1] == "cyclic-order" and old[0] == "PlanError"):
+                bad += 1
+                print("changed:", case, old[:2], new[:2])
+    for name, blob in ((sys.argv[1], other), ("here", here)):
+        print(f"{hashlib.sha256(blob).hexdigest()}  {name}")
+    print(f"{len(SWEEP_CASES)} cases, {changed} now refused for cyclic order, "
+          f"{bad} other changes")
+    sys.exit(1 if bad else 0)
