@@ -13,18 +13,15 @@ import importlib
 
 _EXPORTS = {
     "tensor": ("CompatibilityError", "anti_invariant_part", "invariant_part",
-               "exp_metric", "log_recover", "check_compatibility", "check_acs",
-               "cutoff_profile", "cutoff_blend"),
-    "lie": ("LieFrameSpec", "CurvatureTables", "BlairReport", "kt_spec",
-            "abelian_spec", "make_frame_spec", "parse_frame_spec",
-            "serialize_frame_spec", "curvature_tables", "nabla_j_norm_sq",
-            "z_ratio", "blair_check"),
+               "exp_metric", "log_recover", "check_compatibility", "check_acs"),
+    "lie": ("LieFrameSpec", "CurvatureTables", "kt_spec", "abelian_spec",
+            "make_frame_spec", "parse_frame_spec", "serialize_frame_spec",
+            "curvature_tables", "nabla_j_norm_sq", "z_ratio"),
     "zbound": ("IntersectionModel", "ZBoundResult", "ZBoundCertificate",
-               "ConeError", "make_model", "cp2_model", "reversed_cp2_model",
-               "barlow_sigma_model", "r8_sigma_model", "parse_model",
-               "serialize_model", "eval_z_bound", "optimize_z_bound",
-               "h_function", "h_function_max", "y_ratio", "y_ratio_min",
-               "certify_global", "ac_check", "ac_candidates"),
+               "ConeError", "make_model", "cp2_model", "barlow_sigma_model",
+               "r8_sigma_model", "parse_model", "serialize_model",
+               "eval_z_bound", "optimize_z_bound", "h_function",
+               "h_function_max", "y_ratio", "y_ratio_min", "certify_global"),
     "grid": ("QuotientGrid",),
     "operator_lab": ("AdjointSystem", "SlotBasis", "SpectralReport", "OrderFit",
                      "build_system", "anti_slots", "symbol_check",

@@ -66,18 +66,19 @@ def _write_csv(path: Path, header, rows):
     print(f"wrote {path}")
 
 
-def _write_floats(path: Path, header, blocks):
+def _write_floats(path: Path, header, blocks, fh=None):
     """Write a CSV in one pass: the header, then per (prefix, columns,
     suffix) block one line prefix + row + suffix per row of the columns,
     each float a Python float from tolist() printed with "%.17g", as _fmt
     prints it.  No such cell holds a delimiter, quote or newline, so csv
-    quoting never applies: these are the bytes csv.writer would write."""
+    quoting never applies: these are the bytes csv.writer would write.
+    fh, when given, is path already open for writing; it is closed here."""
     lines = [",".join(header) + "\n"]
     for prefix, cols, suffix in blocks:
         line = prefix + ",".join(["%.17g"] * len(cols)) + suffix + "\n"
         lines += [line % row for row in
                   zip(*(np.asarray(c, float).tolist() for c in cols))]
-    with open(path, "w", newline="") as fh:
+    with fh or open(path, "w", newline="") as fh:
         fh.write("".join(lines))
     print(f"wrote {path}")
 
@@ -304,18 +305,23 @@ def cmd_rearrange(args) -> int:
     out = _out_dir(args)
     dmin = phi.min_derivative()
     arcs = np.array([(a.lo, a.hi, a.level) for a in plan.arcs]).T
-    _write_floats(out / "rearrange_plan.csv", ("item", "a", "b", "value"), (
-        ("arc,", arcs, ""), ("source,", np.array(plan.sources).T, ","),
-        ("node,", (phi.nodes_from, phi.nodes_to), ","),
-        ("error,", [[err]], f",target {_fmt(args.eps)},"),
-        ("min_derivative,", [[dmin]], ",,")))
-    if args.emit_phi:
-        xs = np.linspace(0.0, rearrange.CIRCLE, 2049)
-        cols = [xs] + [phi(xs, t) for t in (0.25, 0.5, 0.75, 1.0)] \
-            + [phi.derivative(xs, 1.0)]
-        _write_floats(Path(args.emit_phi),
-                      ("x", "phi_t25", "phi_t50", "phi_t75", "phi_t100",
-                       "derivative"), [("", cols, "")])
+    # open --emit-phi's path (os.devnull without one) before the plan is
+    # written, after --out is made (it may hold the path), so a path that
+    # cannot be opened leaves no file
+    with open(args.emit_phi or os.devnull, "w", newline="") as phi_fh:
+        _write_floats(out / "rearrange_plan.csv", ("item", "a", "b", "value"),
+                      (("arc,", arcs, ""),
+                       ("source,", np.array(plan.sources).T, ","),
+                       ("node,", (phi.nodes_from, phi.nodes_to), ","),
+                       ("error,", [[err]], f",target {_fmt(args.eps)},"),
+                       ("min_derivative,", [[dmin]], ",,")))
+        if args.emit_phi:
+            xs = np.linspace(0.0, rearrange.CIRCLE, 2049)
+            cols = [xs] + [phi(xs, t) for t in (0.25, 0.5, 0.75, 1.0)] \
+                + [phi.derivative(xs, 1.0)]
+            _write_floats(Path(args.emit_phi),
+                          ("x", "phi_t25", "phi_t50", "phi_t75", "phi_t100",
+                           "derivative"), [("", cols, "")], phi_fh)
     print(f"achieved L^{_fmt(args.p)} error {_fmt(err)} < {_fmt(args.eps)}: "
           f"{err < args.eps} ({len(plan.arcs)} arcs, min derivative "
           f"{_fmt(dmin)})")

@@ -136,12 +136,6 @@ class QuotientGrid:
             raise ValueError(f"h_t = d/nt = {self.ht:.3g} is too small: "
                              f"{what} overflow a float")
 
-    # -- norms ----------------------------------------------------------------
-
-    def l2(self, v) -> float:
-        return float(np.sqrt(self.cell_volume) * np.linalg.norm(np.asarray(v).ravel()))
-
-
 def _axis(axis: str) -> int:
     if axis not in AXES:
         raise ValueError(f"unknown axis {axis!r}; choose from x, y, z, t")

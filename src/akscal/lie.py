@@ -27,12 +27,12 @@ import numpy as np
 from . import exact, tensor
 
 __all__ = [
-    "LieFrameSpec", "CurvatureTables", "BlairReport",
+    "LieFrameSpec", "CurvatureTables",
     "make_frame_spec", "parse_frame_spec", "serialize_frame_spec",
     "kt_spec", "abelian_spec",
     "koszul_gamma", "connection_forms", "curvature_direct", "curvature_cartan",
     "curvature_tables", "nabla_j", "nabla_j_forms", "nabla_j_norm_sq",
-    "z_ratio", "blair_check",
+    "z_ratio",
 ]
 
 
@@ -66,7 +66,6 @@ class LieFrameSpec:
 # J of kt_spec and abelian_spec on the frame: e1 -> -e4, e2 -> e3
 KT_J = ((0, 0, 0, 1), (0, 0, -1, 0), (0, 1, 0, 0), (-1, 0, 0, 0))
 _TOL = 1e-12     # float specs: structure identities hold to this size
-_BLAIR_TOL = 1e-9   # blair_check: relative to 1 + |lhs| + |rhs|
 
 
 def make_frame_spec(name, c, j, lattice_volumes) -> LieFrameSpec:
@@ -372,25 +371,3 @@ def z_ratio(spec: LieFrameSpec) -> float:
     tables = curvature_tables(spec)
     return float(tables.scalar) * float(spec.volume) ** (1.0 / spec.n)
 
-
-@dataclass(frozen=True)
-class BlairReport:
-    lhs: float          # integral of (s + s*)/2 over the quotient
-    rhs: float          # 4 pi (c1 . [omega]^{n-1}) / (n-1)!
-    mismatch: float
-    matches: bool
-
-
-def blair_check(spec: LieFrameSpec, c1_dot_omega_power: float) -> BlairReport:
-    """Compare the total Hermitian scalar against its cohomological value.
-
-    `c1_dot_omega_power` is the pairing c1 . [omega]^(n-1) supplied by the
-    caller (it lives in cohomology, not in frame data); the right-hand side
-    applies the 4 pi / (n-1)! normalization internally.
-    """
-    tables = curvature_tables(spec)
-    lhs = float(tables.hermitian_scalar) * float(spec.volume)
-    rhs = 4.0 * math.pi * float(c1_dot_omega_power) / math.factorial(spec.n - 1)
-    mismatch = abs(lhs - rhs)
-    return BlairReport(lhs, rhs, mismatch,
-                       mismatch <= _BLAIR_TOL * (1.0 + abs(lhs) + abs(rhs)))

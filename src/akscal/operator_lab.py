@@ -108,27 +108,6 @@ def anti_slots(j: np.ndarray) -> SlotBasis:
                      tuple(found[s][1] for s in slots))
 
 
-def slot_values(a: np.ndarray, basis: SlotBasis) -> np.ndarray:
-    """Project a symmetric matrix onto the slots: v_s = (a_ij - s_s a_i'j')/2."""
-    a = np.asarray(a, dtype=float)
-    out = np.empty(len(basis.slots))
-    for s, ((i, jj), (pi_, pj), sg) in enumerate(
-            zip(basis.slots, basis.pairs, basis.signs)):
-        out[s] = 0.5 * (a[i, jj] - sg * a[pi_, pj])
-    return out
-
-
-def slot_embed(values, basis: SlotBasis) -> np.ndarray:
-    """Rebuild the full anti-invariant symmetric matrix from slot values."""
-    h = np.zeros((4, 4))
-    for s, ((i, jj), (pi_, pj), sg) in enumerate(
-            zip(basis.slots, basis.pairs, basis.signs)):
-        h[i, jj] = h[jj, i] = values[s]
-        if (pi_, pj) != (i, jj):
-            h[pi_, pj] = h[pj, pi_] = -sg * values[s]
-    return h
-
-
 # ---------------------------------------------------------------------------
 # variants
 
@@ -332,12 +311,6 @@ class AdjointSystem:
             out = out + w * _real_matvec(op.T, us)
         return out
 
-    def weighted_norm_sq(self, u: np.ndarray) -> float:
-        u = np.asarray(u)
-        total = sum(w * float(np.vdot(us, us).real)
-                    for w, us in zip(self.weights, u))
-        return self.grid.cell_volume * total
-
     def normal_rows(self, rows=None) -> sp.csr_matrix:
         """Rows of M = sum_s w_s A_s^T A_s, as sum_s w_s (A_s[:, rows])^T A_s.
 
@@ -365,8 +338,9 @@ class AdjointSystem:
         """Per-slot L2 norms of apply(psi) — unweighted, cell-volume measure,
         so individual near-kernel slots can be read off directly."""
         u = self.apply(psi)
+        root = np.sqrt(self.grid.cell_volume)
         with np.errstate(over="ignore"):
-            norms = np.array([self.grid.l2(us) for us in u])
+            norms = np.array([float(root * np.linalg.norm(us)) for us in u])
         self.grid.refuse_overflow(np.isfinite(norms).all(),
                                   "the slot residual norms, of order 1/h_t^2,")
         return norms
@@ -428,7 +402,8 @@ def symbol_check(system: AdjointSystem, k: tuple) -> float:
     g = system.grid
     psi = fourier_mode(g, k)
     u = system.apply(psi)
-    num = system.weighted_norm_sq(u)
+    num = g.cell_volume * sum(w * float(np.vdot(us, us).real)
+                              for w, us in zip(system.weights, u))
     lp = _real_matvec(system.laplacian, psi)
     den = 0.5 * g.cell_volume * float(np.vdot(lp, lp).real)
     if den == 0.0:
@@ -436,18 +411,17 @@ def symbol_check(system: AdjointSystem, k: tuple) -> float:
     return num / den
 
 
-def symbol_sweep(system: AdjointSystem, modes=None):
-    """Ratio decay along a mode family; returns (|xi|, |ratio-1|, slope).
+def symbol_sweep(system: AdjointSystem):
+    """Ratio decay along the modes (1, 0, 0, e) for e = 1..nt/4; returns
+    (|xi|, |ratio-1|, slope).
 
-    Default family on the sheared quotient: (1, 0, 0, e) for e = 1..nt/4 —
-    kz must vanish there, and the x-frequency pins the corrections on.  The
-    slope is the least-squares fit of log|ratio-1| against log|xi|.
+    kz must vanish on the sheared quotient, and the x-frequency pins the
+    corrections on.  The slope is the least-squares fit of log|ratio-1|
+    against log|xi|.
     """
     g = system.grid
-    if modes is None:
-        modes = [(1, 0, 0, e) for e in range(1, g.nt // 4 + 1)]
     xi, dev = [], []
-    for k in modes:
+    for k in ((1, 0, 0, e) for e in range(1, g.nt // 4 + 1)):
         ratio = symbol_check(system, k)
         xi.append(mode_xi(g, k))
         dev.append(abs(ratio - 1.0))

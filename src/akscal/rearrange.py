@@ -43,7 +43,6 @@ _RANGE_SAMPLES = 4096    # samples _range_escape reads
 _RANGE_TOL = 1e-9        # slack of the range test at either end
 _PLAN_SAMPLES = 16384    # samples the partition and source windows read
 _BUMP_NODES = 48         # Gauss-Legendre nodes of the smoothing bump
-_INVERSE_TOL = 1e-12     # bisection stops once every bracket is this narrow
 
 
 class PlanError(ValueError):
@@ -478,20 +477,6 @@ class PiecewiseDiffeo:
         a = self._slopes[i]
         sl = a + (self._slopes[n] - a) * mass
         return (1.0 - float(t)) + float(t) * sl
-
-    def inverse(self, y, t: float = 1.0):
-        """Bisection on the lifted increasing map."""
-        y = np.asarray(y, float)
-        lo = y - CIRCLE
-        hi = y + CIRCLE
-        for _ in range(64):
-            mid = 0.5 * (lo + hi)
-            val = self(mid, t)
-            lo = np.where(val < y, mid, lo)
-            hi = np.where(val < y, hi, mid)
-            if float(np.max(hi - lo)) < _INVERSE_TOL:
-                break
-        return 0.5 * (lo + hi)
 
     def min_derivative(self, t: float = 1.0) -> float:
         """Exact minimum of phi_t' over the circle.

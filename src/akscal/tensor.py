@@ -11,8 +11,8 @@ The checks and the J-splitting coerce their inputs once: when every input is
 an exact array (Fraction objects) they stay exact and a defect must vanish;
 otherwise all inputs become float arrays and a defect must stay within a
 tolerance (1e-10 relative for compatibility).  `exact` supplies the
-arithmetic-dependent pieces, so each check has one body.  The exponential,
-logarithm and cutoff blend always run in floating point.
+arithmetic-dependent pieces, so each check has one body.  The exponential
+and logarithm always run in floating point.
 
 The checks, the J-splitting, `exp_metric`, `log_recover` and (in float)
 `check_compatibility` take a matrix of shape (m, m) or a stack of shape
@@ -64,6 +64,8 @@ def _check_square(a, name) -> int:
                          f"got shape {a.shape}")
     if a.shape[-1] % 2:
         raise ValueError(f"{name} must be even-dimensional, got {a.shape[-1]}")
+    if not exact.is_exact(a) and not np.isfinite(a).all():
+        raise ValueError(f"{name} has a non-finite entry")
     return a.shape[-1]
 
 
@@ -207,53 +209,3 @@ def check_compatibility(g, omega):
         )
     return j
 
-
-def cutoff_profile(r1: float, r2: float):
-    """Smooth monotone profile: 0 below r1, 1 above r2, C-infinity between.
-
-    Built from E(u) = exp(-1/u) (u > 0, else 0) as B(u) = E(u)/(E(u)+E(1-u)),
-    evaluated at u = (r - r1)/(r2 - r1); every derivative vanishes at both ends.
-    """
-    if not r2 > r1:
-        raise ValueError("need r2 > r1")
-
-    def bump_e(u):
-        out = np.zeros_like(u, dtype=float)
-        pos = u > 0
-        with np.errstate(over="ignore"):
-            out[pos] = np.exp(-1.0 / u[pos])
-        return out
-
-    def eta(r):
-        r = np.asarray(r, dtype=float)
-        u = np.clip((r - r1) / (r2 - r1), 0.0, 1.0)
-        e1, e2 = bump_e(u), bump_e(1.0 - u)
-        with np.errstate(invalid="ignore"):
-            val = np.where(u <= 0, 0.0, np.where(u >= 1, 1.0, e1 / (e1 + e2)))
-        return val if val.ndim else float(val)
-
-    return eta
-
-
-def cutoff_blend(g_outer, g_inner, eta, r, omega=None):
-    """Pointwise g_inner . exp(eta(r) h) with h = log_recover(g_inner, g_outer).
-
-    Fields are arrays of shape batch + (2n, 2n); r has the batch shape.  The
-    blend equals g_inner where eta = 0 and reconstructs g_outer where eta = 1,
-    staying SPD (and omega-compatible when omega is given) in between.  The
-    whole batch runs as one stack, so a refusal reports its worst point.
-    """
-    g_outer = np.asarray(g_outer, dtype=float)
-    g_inner = np.asarray(g_inner, dtype=float)
-    if g_outer.shape != g_inner.shape:
-        raise ValueError("field shapes differ")
-    batch = g_outer.shape[:-2]
-    r = np.broadcast_to(np.asarray(r, dtype=float), batch)
-    e = np.broadcast_to(np.asarray(eta(r), dtype=float), batch)[..., None, None]
-    h = log_recover(g_inner, g_outer, omega)
-    out = np.where(e == 0.0, g_inner,
-                   np.where(e == 1.0, g_outer, exp_metric(g_inner, e * h)))
-    check_metric(out, "blended metric")
-    if omega is not None:
-        check_compatibility(out, omega)
-    return out

@@ -24,10 +24,10 @@ import numpy as np
 __all__ = [
     "IntersectionModel", "ZBoundResult", "ZBoundCertificate", "ConeError",
     "make_model", "parse_model", "serialize_model",
-    "cp2_model", "reversed_cp2_model", "barlow_sigma_model", "r8_sigma_model",
+    "cp2_model", "barlow_sigma_model", "r8_sigma_model",
     "top_power", "chern_pairing", "eval_z_bound", "optimize_z_bound",
     "h_function", "h_function_max", "y_ratio", "y_ratio_min",
-    "certify_global", "ac_check", "ac_candidates",
+    "certify_global",
 ]
 
 CONE_EPS = 1e-9
@@ -94,10 +94,6 @@ def make_model(name, q, c1, n=2, fiber_chern=None, chi=None, tau=None,
 
 def cp2_model() -> IntersectionModel:
     return make_model("cp2", [[1]], [3], n=2, chi=3, tau=1, seed=(1.0,))
-
-
-def reversed_cp2_model() -> IntersectionModel:
-    return make_model("cp2_reversed", [[-1]], [0], n=2, chi=3, tau=-1)
 
 
 def _sigma_product(name: str, flip: bool) -> IntersectionModel:
@@ -189,6 +185,14 @@ def serialize_model(m: IntersectionModel) -> str:
 # pairings and the bound
 
 
+def _finite(x, name="class"):
+    """x as a float array; a NaN or infinite entry is refused by name."""
+    x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError(f"{name} has a non-finite entry")
+    return x
+
+
 def _split(m: IntersectionModel, cls):
     cls = np.asarray(cls, dtype=float)
     if cls.shape != (m.class_dim,):
@@ -225,7 +229,7 @@ def _cone_scale(m: IntersectionModel, cls) -> float:
 
 def eval_z_bound(m: IntersectionModel, cls) -> float:
     """The scale-invariant bound at one symplectic class (top power must be > 0)."""
-    cls = np.asarray(cls, dtype=float)
+    cls = _finite(cls)
     t = top_power(m, cls)
     if t <= CONE_EPS * _cone_scale(m, cls):
         raise ConeError(f"class has non-positive top power {t:.3g}")
@@ -295,7 +299,7 @@ def optimize_z_bound(m: IntersectionModel, seed=None) -> ZBoundResult:
         seed = m.seed
     if seed is None:
         raise ValueError("no seed class: pass one or ship one with the model")
-    x = np.asarray(seed, dtype=float)
+    x = _finite(seed, "seed class")
     if not _in_cone(m, x):
         raise ConeError("seed class is outside the positive cone")
     if m.n == 3:
@@ -363,7 +367,7 @@ def h_function_max(a: float, b: float):
 def y_ratio(y) -> float:
     """(3 - 2 sqrt(2) sqrt(y))^2 / (1 - y) on 0 <= y < 1: the squared pairing
     slack against the cone defect for the rank-(1,8) lattice."""
-    y = np.asarray(y, dtype=float)
+    y = _finite(y, "y")
     if np.any(y < 0) or np.any(y >= 1):
         raise ValueError("y must lie in [0, 1)")
     val = (3.0 - 2.0 * math.sqrt(2.0) * np.sqrt(y)) ** 2 / (1.0 - y)
@@ -433,36 +437,3 @@ def certify_global(m: IntersectionModel) -> Optional[ZBoundCertificate]:
     return ZBoundCertificate(a, b, h_a, h_b, h_max, y_star, ratio_min,
                              global_bound, cls)
 
-
-# ---------------------------------------------------------------------------
-# almost-complex existence arithmetic
-
-
-def ac_check(m: IntersectionModel) -> bool:
-    """c1.Q.c1 == 2 chi + 3 tau — the integer identity a tangent-space complex
-    structure forces in complex dimension 2 (needs chi and tau on the model)."""
-    if m.n != 2:
-        raise ValueError("the c1^2 identity applies to 4-manifolds only")
-    if m.chi is None or m.tau is None:
-        raise ValueError("model lacks chi/tau")
-    return int(m.c1 @ m.q @ m.c1) == 2 * m.chi + 3 * m.tau
-
-
-def ac_candidates(q, chi: int, tau: int, bound: int):
-    """All integer c1 with |entries| <= bound satisfying c1.Q.c1 = 2 chi + 3 tau.
-
-    Brute force over the box; rank is capped to keep the loop honest."""
-    q = np.asarray(q, dtype=np.int64)
-    rank = q.shape[0]
-    if rank > 3:
-        raise ValueError("candidate search is limited to rank <= 3")
-    target = 2 * chi + 3 * tau
-    out = []
-    rng = range(-bound, bound + 1)
-    grids = np.meshgrid(*[list(rng)] * rank, indexing="ij")
-    vecs = np.stack([g.ravel() for g in grids], axis=1)
-    vals = np.einsum("ki,ij,kj->k", vecs, q, vecs)
-    for v, val in zip(vecs, vals):
-        if val == target:
-            out.append(tuple(int(x) for x in v))
-    return out

@@ -163,6 +163,15 @@ def test_rearrange_run_and_phi(tmp_path):
     assert (data[:, 5] > 0).all()
 
 
+def test_rearrange_unopenable_phi_path_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "out"
+    phi_path = tmp_path / "nodir" / "phi.csv"
+    assert cli.main(["--out", str(out), "rearrange", "--f", "sin(x)", "--f1",
+                     "0.3*cos(x)", "--emit-phi", str(phi_path)]) == 2
+    assert str(phi_path) in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_rearrange_artifacts_ignore_blas_threads(tmp_path):
     # fresh interpreters at one and two OpenBLAS threads write the same
     # plan and isotopy bytes; the variable is set in the children only

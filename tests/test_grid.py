@@ -280,5 +280,7 @@ def test_sample_refuses_a_non_callable_by_name():
 
 
 def test_l2_normalization():
+    # the cell-volume measure slot_residual_norms uses: |1|_2 = sqrt(d)
     g = gr.QuotientGrid(4, d=2.0)
-    assert g.l2(np.ones(g.size)) == pytest.approx(np.sqrt(2.0))
+    one = np.sqrt(g.cell_volume) * np.linalg.norm(np.ones(g.size))
+    assert one == pytest.approx(np.sqrt(2.0))

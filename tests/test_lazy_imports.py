@@ -1,6 +1,8 @@
-"""The package resolves its public names on first use, and only the commands
-that need the operator lab import it (and SciPy)."""
+"""The package resolves its public names on first use, only the commands
+that need the operator lab import it (and SciPy), and every public name has
+a caller inside the package."""
 
+import ast
 import importlib
 import subprocess
 import sys
@@ -12,6 +14,14 @@ import akscal
 
 SRC = Path(akscal.__file__).resolve().parents[1]
 HEAVY = ("scipy.sparse", "akscal.grid", "akscal.operator_lab")
+
+# public names the package itself need not call, each with its reason
+UNCALLED_BY_DESIGN = {
+    "serialize_frame_spec": "writes the FORMATS.md frame-spec format; the "
+                            "round-trip property tests read it back",
+    "serialize_model": "writes the FORMATS.md model format; the round-trip "
+                       "property tests read it back",
+}
 
 
 def _loaded_after(tmp_path, *commands):
@@ -53,3 +63,33 @@ def test_unknown_attribute_raises():
     with pytest.raises(AttributeError, match="no_such_name"):
         akscal.no_such_name
     assert not hasattr(akscal, "check_plan_parameters")
+
+
+def _referenced_in_package(name, home):
+    """Whether any Name or Attribute node under akscal/ spells `name`, outside
+    the top-level definition of `name` in its own module `home`.  The
+    module's __all__ and the export table hold strings, not names, so they
+    never count."""
+    for path in sorted((SRC / "akscal").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        skip = set()
+        if path.stem == home:
+            for node in tree.body:
+                if getattr(node, "name", None) == name:
+                    skip = {id(n) for n in ast.walk(node)}
+        for node in ast.walk(tree):
+            if id(node) in skip:
+                continue
+            if (isinstance(node, ast.Name) and node.id == name
+                    or isinstance(node, ast.Attribute) and node.attr == name):
+                return True
+    return False
+
+
+def test_every_public_name_has_a_caller_in_the_package():
+    unused = [f"{module}.{name}" for module, names in akscal._EXPORTS.items()
+              for name in names if name not in UNCALLED_BY_DESIGN
+              and not _referenced_in_package(name, module)]
+    assert unused == []
+    for name in UNCALLED_BY_DESIGN:
+        assert name in akscal.__all__

@@ -95,15 +95,6 @@ def test_z_ratio_collapse(d, want):
     assert lie.z_ratio(lie.kt_spec(d)) == pytest.approx(want, abs=1e-15)
 
 
-def test_blair_totals():
-    # c1 vanishes for both quotients, so both sides must be zero
-    rep = lie.blair_check(lie.kt_spec(1), 0.0)
-    assert rep.lhs == 0.0 and rep.rhs == 0.0 and rep.matches
-    assert lie.blair_check(lie.abelian_spec(1), 0.0).matches
-    off = lie.blair_check(lie.kt_spec(1), 1.0)
-    assert not off.matches and off.mismatch == pytest.approx(4 * np.pi)
-
-
 def test_structure_validation():
     j = lie.kt_spec(1).j
     good = exact.zeros((4, 4, 4))

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from akscal import exact, lie, rearrange, tensor, zbound  # noqa: E402
 from akscal import operator_lab as ol  # noqa: E402
+from test_operator_lab import slot_embed, slot_values  # noqa: E402
 
 STRUCTURES = {"kt": ol.J_KT, "flat": ol.J_FLAT}
 
@@ -28,7 +29,7 @@ slot_settings = settings(max_examples=100, deadline=None, derandomize=True,
 @given(v=slot_vectors)
 def test_slot_values_invert_slot_embed(name, v):
     basis = ol.anti_slots(STRUCTURES[name])
-    assert np.array_equal(ol.slot_values(ol.slot_embed(v, basis), basis), v)
+    assert np.array_equal(slot_values(slot_embed(v, basis), basis), v)
 
 
 @pytest.mark.parametrize("name", sorted(STRUCTURES))
@@ -36,7 +37,7 @@ def test_slot_values_invert_slot_embed(name, v):
 @given(v=slot_vectors)
 def test_slot_embed_is_symmetric_and_anti_invariant(name, v):
     j = STRUCTURES[name]
-    h = ol.slot_embed(v, ol.anti_slots(j))
+    h = slot_embed(v, ol.anti_slots(j))
     assert np.array_equal(h, h.T)
     # J is a signed permutation, so J^T h J only moves and negates entries
     assert np.array_equal(j.T @ h @ j, -h)

@@ -1,4 +1,4 @@
-"""Pointwise tensor algebra: splitting, metric exponentials, cutoffs."""
+"""Pointwise tensor algebra: splitting, metric exponentials, compatibility."""
 
 from fractions import Fraction
 
@@ -94,6 +94,21 @@ def test_log_recover_rejects_non_spd():
         tensor.log_recover(g, np.diag([1.0, 1.0, 1.0, -1.0]))
 
 
+def test_non_finite_entries_refused_by_name():
+    # numpy's eigensolver would fail on them with LinAlgError, naming nothing
+    with pytest.raises(ValueError, match="metric has a non-finite entry"):
+        tensor.exp_metric(np.nan * np.eye(4), 0)
+    with pytest.raises(ValueError, match="g_tilde has a non-finite entry"):
+        tensor.log_recover(np.eye(4), np.diag([1.0, np.inf, 1.0, 1.0]))
+    with pytest.raises(ValueError, match="h has a non-finite entry"):
+        tensor.exp_metric(np.eye(4), np.full((4, 4), np.nan))
+    # a NaN defect is within no tolerance, so it used to pass these checks
+    with pytest.raises(ValueError, match="J has a non-finite entry"):
+        tensor.check_acs(np.full((4, 4), np.nan))
+    with pytest.raises(ValueError, match="omega has a non-finite entry"):
+        tensor.check_compatibility(np.eye(4), np.full((4, 4), np.nan))
+
+
 def test_compatibility_gate():
     for kind in KINDS:
         omega = arith(J4.T.astype(int), kind)
@@ -153,100 +168,6 @@ def test_mixed_exact_and_float_input_runs_in_float():
     # an exact J with a float g: the isometry defect is measured in float
     assert tensor.check_acs(arith(J4.astype(int), "exact"),
                             np.eye(4) + 1e-14).dtype == float
-
-
-def test_cutoff_profile_shape():
-    eta = tensor.cutoff_profile(1.0, 2.0)
-    r = np.linspace(0.0, 3.0, 301)
-    v = eta(r)
-    assert v[r <= 1.0].max() == 0.0
-    assert v[r >= 2.0].min() == 1.0
-    assert (np.diff(v) >= -1e-15).all()
-    # all-orders flatness at the ends: finite differences stay tiny
-    h = 1e-3
-    for r0 in (1.0, 2.0):
-        d2 = (eta(np.array([r0 - h])) - 2 * eta(np.array([r0]))
-              + eta(np.array([r0 + h]))) / h**2
-        assert abs(float(d2[0])) < 1e-6
-
-
-def test_cutoff_profile_bad_radii():
-    with pytest.raises(ValueError):
-        tensor.cutoff_profile(2.0, 2.0)
-
-
-def test_cutoff_blend_endpoints():
-    rng = np.random.default_rng(11)
-    batch = 6
-    g_in = np.broadcast_to(np.eye(4), (batch, 4, 4)).copy()
-    h = random_sym(rng)
-    g_out = np.broadcast_to(tensor.exp_metric(np.eye(4), h), (batch, 4, 4)).copy()
-    r = np.linspace(0.5, 2.5, batch)
-    eta = tensor.cutoff_profile(1.0, 2.0)
-    blend = tensor.cutoff_blend(g_out, g_in, eta, r)
-    assert np.allclose(blend[0], g_in[0], atol=1e-12)
-    assert np.allclose(blend[-1], g_out[-1], atol=1e-9)
-    for k in range(batch):  # SPD throughout the collar
-        assert np.linalg.eigvalsh(blend[k]).min() > 0
-
-
-def _loop_blend(g_outer, g_inner, eta, r, omega=None):
-    """The point-by-point cutoff blend the stacked one replaces."""
-    batch = g_outer.shape[:-2]
-    r = np.broadcast_to(np.asarray(r, dtype=float), batch)
-    eta_vals = np.broadcast_to(np.asarray(eta(r), dtype=float), batch)
-    out = np.empty_like(g_inner)
-    for idx in np.ndindex(*batch):
-        gi, go = g_inner[idx], g_outer[idx]
-        h = tensor.log_recover(gi, go, omega)
-        e = eta_vals[idx]
-        out[idx] = gi if e == 0.0 else (go if e == 1.0
-                                        else tensor.exp_metric(gi, e * h))
-        tensor.check_metric(out[idx], "blended metric")
-        if omega is not None:
-            tensor.check_compatibility(out[idx], omega)
-    return out
-
-
-def _compatible_fields(rng, shape, j):
-    """Metrics exp_metric(I, h) with h J-anti-invariant: omega-compatible
-    for omega = J^-1."""
-    a = rng.standard_normal(shape + (4, 4)) * 0.4
-    h = tensor.anti_invariant_part(a + np.swapaxes(a, -1, -2), j)
-    return tensor.exp_metric(np.eye(4), h)
-
-
-@pytest.mark.parametrize("with_omega", [False, True])
-def test_cutoff_blend_matches_point_loop(with_omega):
-    rng = np.random.default_rng(3)
-    shape = (5, 8)
-    omega = np.linalg.inv(J4) if with_omega else None
-    g_in, g_out = (_compatible_fields(rng, shape, J4) for _ in range(2))
-    # radii below, inside and beyond the collar: eta is 0, between, and 1
-    r = rng.uniform(0.5, 2.5, shape)
-    eta = tensor.cutoff_profile(1.0, 2.0)
-    got = tensor.cutoff_blend(g_out, g_in, eta, r, omega)
-    want = _loop_blend(g_out, g_in, eta, r, omega)
-    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
-    e = eta(r)
-    assert (e == 0).any() and (e == 1).any() and ((0 < e) & (e < 1)).any()
-    assert np.array_equal(got[e == 0], g_in[e == 0])
-    assert np.array_equal(got[e == 1], g_out[e == 1])
-
-
-def test_cutoff_blend_refuses_a_bad_point_as_the_loop_does():
-    rng = np.random.default_rng(4)
-    g_in, g_out = (_compatible_fields(rng, (6,), J4) for _ in range(2))
-    g_out[2] = np.diag([1.0, 1.0, -0.5, 1.0])
-    eta = tensor.cutoff_profile(1.0, 2.0)
-    r = np.linspace(0.5, 2.5, 6)
-    errors = []
-    for blend in (tensor.cutoff_blend, _loop_blend):
-        with pytest.raises(ValueError) as info:
-            blend(g_out, g_in, eta, r)
-        errors.append((type(info.value), str(info.value)))
-    assert errors[0] == errors[1]
-    assert errors[0][1].startswith("g_tilde is not positive-definite")
 
 
 def test_stack_refused_when_one_matrix_is():

@@ -79,13 +79,20 @@ def test_eval_is_scale_invariant():
 
 
 def test_cone_rejection():
-    rev = zbound.reversed_cp2_model()
+    rev = zbound.make_model("cp2_reversed", [[-1]], [0], n=2, chi=3, tau=-1)
     for cls in ([1.0], [-1.0]):
         with pytest.raises(zbound.ConeError):
             zbound.eval_z_bound(rev, cls)
     with pytest.raises(zbound.ConeError):
         zbound.eval_z_bound(zbound.barlow_sigma_model(),
                             [0, 1, 0, 0, 0, 0, 0, 0, 0, 1])
+
+
+def test_eval_refuses_a_non_finite_class():
+    # NaN passes the top-power comparison, so it is refused by name first
+    for cls in ([math.nan], [math.inf]):
+        with pytest.raises(ValueError, match="class has a non-finite entry"):
+            zbound.eval_z_bound(zbound.cp2_model(), cls)
 
 
 def test_barlow_optimum():
@@ -107,6 +114,11 @@ def test_optimizer_start_override():
     m = zbound.cp2_model()
     res = zbound.optimize_z_bound(m, seed=[2.5])
     assert res.value == pytest.approx(12.0 * ROOT2 * math.pi, abs=1e-9)
+
+
+def test_optimizer_refuses_a_non_finite_seed():
+    with pytest.raises(ValueError, match="seed class has a non-finite entry"):
+        zbound.optimize_z_bound(zbound.cp2_model(), seed=[math.nan])
 
 
 # -- closed-form certificate pieces ------------------------------------------
@@ -141,6 +153,12 @@ def test_y_ratio_minimum():
         zbound.y_ratio(1.0)
 
 
+def test_y_ratio_refuses_nan():
+    for y in (math.nan, [0.5, math.nan]):
+        with pytest.raises(ValueError, match="y has a non-finite entry"):
+            zbound.y_ratio(y)
+
+
 def test_certificate_matches_direct_eval():
     cert = zbound.certify_global(zbound.barlow_sigma_model())
     assert cert is not None
@@ -151,25 +169,3 @@ def test_certificate_matches_direct_eval():
     assert cp2.global_bound == pytest.approx(12.0 * ROOT2 * math.pi)
     assert zbound.certify_global(zbound.r8_sigma_model()) is None
 
-
-# -- integer existence arithmetic --------------------------------------------
-
-
-def test_ac_check():
-    ok = zbound.make_model("x", [[1]], [3], n=2, chi=3, tau=1, seed=[1.0])
-    assert zbound.ac_check(ok)
-    bad = zbound.make_model("x", [[1]], [3], n=2, chi=4, tau=1, seed=[1.0])
-    assert not zbound.ac_check(bad)
-    with pytest.raises(ValueError):
-        zbound.ac_check(zbound.barlow_sigma_model())
-    with pytest.raises(ValueError):
-        zbound.ac_check(zbound.make_model("x", [[1]], [3], n=2))
-
-
-def test_ac_candidates():
-    cands = zbound.ac_candidates(np.diag([1, -1, -1]), chi=5, tau=-2, bound=3)
-    assert len(cands) == 18
-    assert (2, 0, 0) in cands and (3, 2, 1) in cands
-    assert all(v[0] ** 2 - v[1] ** 2 - v[2] ** 2 == 4 for v in cands)
-    with pytest.raises(ValueError):
-        zbound.ac_candidates(np.eye(4), 1, 1, 1)
