@@ -148,7 +148,7 @@ def cmd_zbound(args) -> int:
           + (" (unbounded ray)" if res.unbounded else
              f" at ({', '.join(_fmt(v) for v in res.argmax)})"))
     if args.certify:
-        cert = zbound.certify_global(model)
+        cert = zbound.certify_global(model, start)
         if cert is None:
             rows.append(("certificate", "", "not available for this shape"))
             print("no closed-form certificate for this model shape")

@@ -96,6 +96,7 @@ def check_acs(j, g=None):
     if exact.nonzero(d_acs, ACS_TOL):
         raise ValueError(f"J^2 != -I (defect {_size(d_acs):.3g} > {ACS_TOL:g})")
     if g is not None:
+        _check_square(g, "g")
         d_iso = _t(j) @ g @ j - g
         if exact.nonzero(d_iso, np.maximum(ACS_TOL, COMPAT_TOL * _scale(g))):
             raise ValueError(f"J is not a g-isometry (defect {_size(d_iso):.3g})")

@@ -10,14 +10,15 @@ is evaluated exactly from lattice pairings, maximized over a component of the
 positive cone by projected gradient ascent (the bound is scale-invariant, so
 one scale is pinned), and — for two special lattice shapes — certified by a
 closed-form argument reducing to the scalar functions h_function_max and
-y_ratio below.
+y_ratio below.  The value, its gradient, the cone test, the fiber-ray test
+and the certificate all read their pairings from _pairings.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -82,6 +83,7 @@ def make_model(name, q, c1, n=2, fiber_chern=None, chi=None, tau=None,
         seed = tuple(float(v) for v in seed)
         if len(seed) != q.shape[0] + (1 if n == 3 else 0):
             raise ValueError("seed length must match the class dimension")
+        _finite(seed, "seed")
     return IntersectionModel(str(name), q, c1, int(n),
                              None if fiber_chern is None else int(fiber_chern),
                              None if chi is None else int(chi),
@@ -156,6 +158,8 @@ def parse_model(text: str) -> IntersectionModel:
         except ValueError:
             raise ValueError(f"line {ln}: malformed {key} value "
                              f"{' '.join(rest)!r}") from None
+        if key == "seed" and not all(map(math.isfinite, seed)):
+            raise ValueError(f"line {ln}: seed has a non-finite entry")
     rank = ints.get("rank")
     if rank is not None and len(q_rows) != rank:
         raise ValueError(f"expected {rank} Q rows, got {len(q_rows)}")
@@ -193,89 +197,85 @@ def _finite(x, name="class"):
     return x
 
 
-def _split(m: IntersectionModel, cls):
+def _pairings(m: IntersectionModel, cls):
+    """(a, b, beta, ell) of a class: a = beta.Q.beta and b = c1.Q.beta of its
+    lattice part beta, and its fiber coefficient ell (None when n = 2)."""
     cls = np.asarray(cls, dtype=float)
     if cls.shape != (m.class_dim,):
         raise ValueError(f"class must have {m.class_dim} components, got {cls.shape}")
-    if m.n == 3:
-        return cls[:-1], float(cls[-1])
-    return cls, None
+    beta, ell = (cls[:-1], float(cls[-1])) if m.n == 3 else (cls, None)
+    return float(beta @ m.q @ beta), float(m.c1 @ m.q @ beta), beta, ell
+
+
+def _top_chern(m: IntersectionModel, a, b, ell):
+    """[omega]^n and c1(total).[omega]^(n-1); 3la and fiber_chern.a + 2lb."""
+    if m.n == 2:
+        return a, b
+    return 3.0 * ell * a, m.fiber_chern * a + 2.0 * ell * b
 
 
 def top_power(m: IntersectionModel, cls) -> float:
     """[omega]^n as a lattice number: beta.Q.beta, times 3l for a product."""
-    beta, ell = _split(m, cls)
-    a = float(beta @ m.q @ beta)
-    return a if m.n == 2 else 3.0 * ell * a
+    a, b, _, ell = _pairings(m, cls)
+    return _top_chern(m, a, b, ell)[0]
 
 
 def chern_pairing(m: IntersectionModel, cls) -> float:
     """c1(total) . [omega]^(n-1) from lattice pairings."""
-    beta, ell = _split(m, cls)
-    a = float(beta @ m.q @ beta)
-    b = float(m.c1 @ m.q @ beta)
+    a, b, _, ell = _pairings(m, cls)
+    return _top_chern(m, a, b, ell)[1]
+
+
+def _cone_defect(m: IntersectionModel, cls) -> Optional[str]:
+    """Why the class is outside the positive cone (a ConeError message), or None.
+
+    The top power is compared against a scale of its bi-homogeneity (degree 2
+    in beta, 1 in l), so the test holds on very anisotropic classes."""
+    a, b, beta, ell = _pairings(m, cls)
+    t = _top_chern(m, a, b, ell)[0]
+    scale = float(beta @ beta) * (1.0 if m.n == 2 else 3.0 * abs(ell))
+    if t <= CONE_EPS * scale:
+        return f"class has non-positive top power {t:.3g}"
+    if m.n == 3 and ell <= 0:
+        return "fiber coefficient must be positive"
+    return None
+
+
+def _bound(m: IntersectionModel, cls, grad=False):
+    """The bound at a cone class; with grad=True, (value, gradient)."""
+    a, b, beta, ell = _pairings(m, cls)
+    t, c = _top_chern(m, a, b, ell)
+    k4pi = 4.0 * math.pi / math.factorial(m.n - 1)
+    fact = math.factorial(m.n)
+    p = (m.n - 1) / m.n
+    u = t / fact
+    val = k4pi * c / u ** p
+    if not grad:
+        return val
+    qb = m.q @ beta
+    qc = m.q @ m.c1
     if m.n == 2:
-        return b
-    return m.fiber_chern * a + 2.0 * ell * b
-
-
-def _cone_scale(m: IntersectionModel, cls) -> float:
-    # Matches the bi-homogeneity of the top power (degree 2 in beta, 1 in l),
-    # so the degeneracy test is meaningful on very anisotropic classes.
-    beta, ell = _split(m, cls)
-    s = float(beta @ beta)
-    return s if m.n == 2 else 3.0 * abs(ell) * s
+        dt = 2.0 * qb
+        dc = np.asarray(qc, dtype=float)
+    else:
+        dt = np.concatenate([6.0 * ell * qb, [3.0 * a]])
+        dc = np.concatenate([2.0 * m.fiber_chern * qb + 2.0 * ell * qc, [2.0 * b]])
+    return val, k4pi * (dc * u ** (-p) - c * p * u ** (-p - 1) * dt / fact)
 
 
 def eval_z_bound(m: IntersectionModel, cls) -> float:
     """The scale-invariant bound at one symplectic class (top power must be > 0)."""
     cls = _finite(cls)
-    t = top_power(m, cls)
-    if t <= CONE_EPS * _cone_scale(m, cls):
-        raise ConeError(f"class has non-positive top power {t:.3g}")
-    if m.n == 3 and cls[-1] <= 0:
-        raise ConeError("fiber coefficient must be positive")
-    c = chern_pairing(m, cls)
-    expo = (m.n - 1) / m.n
-    return 4.0 * math.pi / math.factorial(m.n - 1) * c / (t / math.factorial(m.n)) ** expo
-
-
-def _grad(m: IntersectionModel, cls):
-    beta, ell = _split(m, cls)
-    qb = m.q @ beta
-    qc = m.q @ m.c1
-    a = float(beta @ qb)
-    b = float(m.c1 @ qb)
-    fact = math.factorial(m.n)
-    k4pi = 4.0 * math.pi / math.factorial(m.n - 1)
-    if m.n == 2:
-        t, c = a, b
-        dt = 2.0 * qb
-        dc = np.asarray(qc, dtype=float)
-    else:
-        t = 3.0 * ell * a
-        c = m.fiber_chern * a + 2.0 * ell * b
-        dt = np.concatenate([6.0 * ell * qb, [3.0 * a]])
-        dc = np.concatenate([2.0 * m.fiber_chern * qb + 2.0 * ell * qc, [2.0 * b]])
-    p = (m.n - 1) / m.n
-    u = t / fact
-    val = k4pi * c * u ** (-p)
-    grad = k4pi * (dc * u ** (-p) - c * p * u ** (-p - 1) * dt / fact)
-    return val, grad
+    defect = _cone_defect(m, cls)
+    if defect:
+        raise ConeError(defect)
+    return _bound(m, cls)
 
 
 def _normalize(m: IntersectionModel, cls):
-    cls = np.asarray(cls, dtype=float).copy()
     if m.n == 3:
         return cls * (2.0 / cls[-1])
-    a = top_power(m, cls)
-    return cls / math.sqrt(a)
-
-
-def _in_cone(m: IntersectionModel, cls) -> bool:
-    if top_power(m, cls) <= CONE_EPS * _cone_scale(m, cls):
-        return False
-    return m.n == 2 or cls[-1] > 0
+    return cls / math.sqrt(top_power(m, cls))
 
 
 @dataclass(frozen=True)
@@ -291,25 +291,22 @@ def optimize_z_bound(m: IntersectionModel, seed=None) -> ZBoundResult:
     """Maximize the bound over the cone component of the seed class.
 
     Backtracking gradient ascent with the scale pinned each step (fiber
-    coefficient 2 for products, unit top power for 4-manifolds).  Values
-    exceeding 1e6 — checked both on doubling rays upfront and during the
-    ascent — report the supremum as +inf with no argmax.
+    coefficient 2 for products, unit top power for 4-manifolds).  Along the
+    fiber ray l -> inf of a product the bound grows like l^(1/3) b, so a seed
+    with b = c1.Q.beta > 0 reports the supremum +inf at once; so does a value
+    exceeding 1e6 during the ascent.  An infinite supremum has no argmax.
     """
     if seed is None:
         seed = m.seed
     if seed is None:
         raise ValueError("no seed class: pass one or ship one with the model")
     x = _finite(seed, "seed class")
-    if not _in_cone(m, x):
+    if _cone_defect(m, x):
         raise ConeError("seed class is outside the positive cone")
-    if m.n == 3:
-        ray = x.copy()
-        for _ in range(60):
-            ray[-1] *= 2.0
-            if eval_z_bound(m, ray) > UNBOUNDED_THRESHOLD:
-                return ZBoundResult(math.inf, None, True, 0, math.nan)
+    if m.n == 3 and _pairings(m, x)[1] > 0:
+        return ZBoundResult(math.inf, None, True, 0, math.nan)
     x = _normalize(m, x)
-    val, g = _grad(m, x)
+    val, g = _bound(m, x, grad=True)
     step = 1.0
     it = 0
     for it in range(1, _MAX_ASCENT_STEPS + 1):
@@ -320,9 +317,9 @@ def optimize_z_bound(m: IntersectionModel, seed=None) -> ZBoundResult:
         t = step
         for _ in range(60):
             y = x + t * g
-            if _in_cone(m, y):
+            if _cone_defect(m, y) is None:
                 y = _normalize(m, y)
-                v_new, g_new = _grad(m, y)
+                v_new, g_new = _bound(m, y, grad=True)
                 if v_new >= val + 1e-4 * t * gn * gn:
                     # Barzilai-Borwein curvature estimate seeds the next trial
                     # step; plain steepest ascent zigzags on this quotient.
@@ -348,6 +345,8 @@ def h_function(a: float, b: float, x) -> float:
     """h(x) = (2/3^(2/3)) (a/x^2 + x/b): the one-variable reduction of the
     bound along a fixed-direction slice after optimizing the fiber scale."""
     x = np.asarray(x, dtype=float)
+    if b == 0 or np.any(x == 0):
+        raise ValueError("h_function needs b != 0 and x != 0")
     return 2.0 / 3.0 ** (2.0 / 3.0) * (a / x ** 2 + x / b)
 
 
@@ -397,43 +396,41 @@ class ZBoundCertificate:
     extremal_class: tuple
 
 
-def certify_global(m: IntersectionModel) -> Optional[ZBoundCertificate]:
-    """Closed-form global bound for the two shipped lattice shapes, else None.
+def certify_global(m: IntersectionModel, cls=None) -> Optional[ZBoundCertificate]:
+    """Closed-form global bound on the cone component of cls (default: the
+    model's seed) for the two shipped lattice shapes, else None.
 
     Product of a genus-2 surface with the (1, -1^8) lattice and c1 = (3, -1^8):
     optimizing the fiber scale reduces the bound on each beta-slice to
     h_function_max, giving -6 (B^2/A)^(1/3) per slice, and the Cauchy-Schwarz
-    slack function y_ratio shows B^2/A >= 1 on the component with first
-    coordinate negative — so the supremum 2 pi * (-6) is attained exactly at
-    beta = -c1 with fiber coefficient 2.  Rank-one positive lattices in
-    complex dimension 2 have a constant bound on the ray, reported directly.
+    slack function y_ratio shows B^2/A >= 1 on the component with b =
+    c1.Q.beta < 0 — so the supremum 2 pi * (-6) is attained exactly at
+    beta = -c1 with fiber coefficient 2; where b >= 0 the fiber ray is
+    unbounded.  Rank-one positive lattices in complex dimension 2 have a
+    constant bound on each ray, reported at (1) or (-1).
     """
+    cls = m.seed if cls is None else cls
+    if cls is not None:
+        eval_z_bound(m, cls)    # refuses a non-finite class or one off the cone
     if (m.n == 2 and m.rank == 1 and m.q[0][0] == 1):
-        value = 4.0 * math.sqrt(2.0) * math.pi * float(m.c1[0])
-        return ZBoundCertificate(1.0, float(m.c1[0]), math.nan, math.nan,
-                                 math.nan, math.nan, math.nan, value, (1.0,))
+        ray = (1.0,) if cls is None or cls[0] > 0 else (-1.0,)
+        a, b, _, _ = _pairings(m, ray)
+        return ZBoundCertificate(a, b, math.nan, math.nan, math.nan, math.nan,
+                                 math.nan, eval_z_bound(m, ray), ray)
     shape_ok = (m.n == 3 and m.rank == 9 and m.fiber_chern == -2
                 and (m.q == np.diag([1] + [-1] * 8)).all()
                 and (m.c1 == np.array([3] + [-1] * 8)).all())
-    if not shape_ok:
+    if not shape_ok or (cls is not None and _pairings(m, cls)[1] >= 0):
         return None
-    if m.seed is not None:
-        base = np.asarray(m.seed[:m.rank], dtype=float)
-        # seed on the positive-pairing component: sup is +inf, nothing to certify
-        if float(m.c1 @ m.q @ base) >= 0:
-            return None
-    beta = -m.c1.astype(float)
-    a = float(beta @ m.q @ beta)          # = c1.c1 = 1
-    b = float(m.c1 @ m.q @ beta)          # = -1
+    extremal = tuple(-m.c1.astype(float)) + (2.0,)
+    a, b, _, _ = _pairings(m, extremal)   # a = c1.c1 = 1, b = -1
     h_a = -3.0 ** (2.0 / 3.0) * a
     h_b = a / (2.0 * 3.0 ** (2.0 / 3.0) * b)
     _, h_max = h_function_max(h_a, h_b)
     y_star, ratio_min = y_ratio_min()
     global_bound = 2.0 * math.pi * h_max * ratio_min ** (1.0 / 3.0)
-    cls = tuple(beta) + (2.0,)
-    direct = eval_z_bound(m, np.asarray(cls))
+    direct = eval_z_bound(m, extremal)
     if abs(direct - global_bound) > 1e-9 * (1.0 + abs(global_bound)):
         raise AssertionError("certificate does not match direct evaluation")
     return ZBoundCertificate(a, b, h_a, h_b, h_max, y_star, ratio_min,
-                             global_bound, cls)
-
+                             global_bound, extremal)

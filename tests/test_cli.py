@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from akscal import cli, rearrange
+from akscal import cli, rearrange, zbound
 
 SRC = Path(cli.__file__).resolve().parents[1]
 
@@ -58,6 +58,36 @@ def test_zbound_cp2(tmp_path, capsys):
     assert got == pytest.approx(want, abs=1e-9)
     rows = (tmp_path / "zbound_cp2.csv").read_text().splitlines()
     assert rows[1].startswith("eval_at_seed,1,")
+
+
+def test_zbound_cp2_rows_share_one_value(tmp_path):
+    assert run(tmp_path, "zbound", "cp2.model", "--certify") == 0
+    rows = dict(r.split(",")[::2] for r in
+                (tmp_path / "zbound_cp2.csv").read_text().splitlines())
+    assert rows["eval_at_seed"] == rows["optimum"] == rows[
+        "certificate_global_bound"] == "53.314595257900386"
+
+
+def test_zbound_certifies_the_seed_ray(tmp_path, capsys):
+    model = tmp_path / "neg.model"
+    model.write_text("name neg\nn 2\nQ 1\nc1 3\nseed -1\n")
+    assert run(tmp_path, "zbound", str(model), "--certify") == 0
+    want = cli._fmt(zbound.eval_z_bound(
+        zbound.parse_model(model.read_text()), [-1.0]))
+    assert f"certified global bound {want} at (-1)" in capsys.readouterr().out
+    text = (tmp_path / "zbound_neg.csv").read_text()
+    assert f"certificate_global_bound,,{want}" in text
+    assert "certificate_extremal_class,-1," in text
+
+
+def test_zbound_start_on_the_unbounded_side_is_not_certified(tmp_path, capsys):
+    start = ",".join(["3"] + ["-1"] * 8 + ["1"])
+    assert run(tmp_path, "zbound", "barlow_sigma.model", "--start", start,
+               "--certify") == 0
+    out = capsys.readouterr().out
+    assert "optimum = inf" in out and "certified" not in out
+    assert "certificate,,not available for this shape" in (
+        tmp_path / "zbound_barlow_sigma.csv").read_text()
 
 
 def test_zbound_certificate(tmp_path):

@@ -105,6 +105,9 @@ def test_non_finite_entries_refused_by_name():
     # a NaN defect is within no tolerance, so it used to pass these checks
     with pytest.raises(ValueError, match="J has a non-finite entry"):
         tensor.check_acs(np.full((4, 4), np.nan))
+    for g in (np.full((4, 4), np.nan), np.diag([1.0, np.inf, 1.0, 1.0])):
+        with pytest.raises(ValueError, match="g has a non-finite entry"):
+            tensor.check_acs(J4, g)
     with pytest.raises(ValueError, match="omega has a non-finite entry"):
         tensor.check_compatibility(np.eye(4), np.full((4, 4), np.nan))
 

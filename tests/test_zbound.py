@@ -24,6 +24,9 @@ def test_make_model_validation():
         zbound.make_model("x", [[1]], [1], n=3)            # missing fiber_chern
     with pytest.raises(ValueError):
         zbound.make_model("x", [[1]], [1], n=2, seed=[1.0, 2.0])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="seed has a non-finite entry"):
+            zbound.make_model("x", [[1]], [1], n=2, seed=[bad])
 
 
 def test_serialize_round_trip():
@@ -48,6 +51,7 @@ def test_parse_rejects_garbage():
     ("Q 1\n\nc1 1 z", "line 3: malformed c1 value '1 z'"),
     ("Q 1\nc1 1\nrank two", "line 3: malformed rank value 'two'"),
     ("Q 1\nc1 1\nseed x", "line 3: malformed seed value 'x'"),
+    ("n 2\nQ 1\nc1 3\nseed nan", "line 4: seed has a non-finite entry"),
     ("Q 1\nfoo 1", "line 2: unknown key 'foo'"),
 ])
 def test_parse_errors_name_the_line(text, message):
@@ -110,6 +114,13 @@ def test_positive_ray_is_unbounded():
     assert res.unbounded and math.isinf(res.value) and res.argmax is None
 
 
+def test_positive_fiber_ray_is_unbounded_at_the_seed():
+    # the pairing b = c1.Q.beta decides the fiber ray, whatever the scales
+    m = zbound.barlow_sigma_model()
+    res = zbound.optimize_z_bound(m, tuple(1e6 * m.c1) + (1e-6,))
+    assert res.unbounded and math.isinf(res.value) and res.iterations == 0
+
+
 def test_optimizer_start_override():
     m = zbound.cp2_model()
     res = zbound.optimize_z_bound(m, seed=[2.5])
@@ -143,6 +154,12 @@ def test_h_function_max_beats_grid():
         assert zbound.h_function(a, b, np.array([x_star]))[0] == pytest.approx(h_max)
 
 
+def test_h_function_refuses_a_zero_divisor():
+    for a, b, x in ((-1.0, -1.0, 0.0), (-1.0, 0.0, 1.0), (-1.0, -1.0, [1.0, 0.0])):
+        with pytest.raises(ValueError, match="h_function needs b != 0 and x != 0"):
+            zbound.h_function(a, b, x)
+
+
 def test_y_ratio_minimum():
     y_star, r_min = zbound.y_ratio_min()
     assert (y_star, r_min) == (8.0 / 9.0, 1.0)
@@ -169,3 +186,17 @@ def test_certificate_matches_direct_eval():
     assert cp2.global_bound == pytest.approx(12.0 * ROOT2 * math.pi)
     assert zbound.certify_global(zbound.r8_sigma_model()) is None
 
+
+def test_certificate_follows_the_class():
+    # rank one: the bound is constant on each ray, so the seed's ray is certified
+    neg = zbound.make_model("neg", [[1]], [3], n=2, seed=(-1.0,))
+    cert = zbound.certify_global(neg)
+    assert cert.global_bound == zbound.eval_z_bound(neg, [-1.0])
+    assert cert.extremal_class == (-1.0,) and cert.pairing_b == -3.0
+    assert zbound.certify_global(neg, [2.0]).extremal_class == (1.0,)
+    # barlow_sigma's lattice from the positive-pairing side has no certificate
+    barlow, r8 = zbound.barlow_sigma_model(), zbound.r8_sigma_model()
+    assert zbound.certify_global(barlow, r8.seed) is None
+    assert zbound.certify_global(r8, barlow.seed) is not None
+    with pytest.raises(zbound.ConeError):
+        zbound.certify_global(neg, [0.0])
