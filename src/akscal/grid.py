@@ -9,7 +9,7 @@ array, so compositions, transposes, and permutation conjugations stay exact.
 With twisted=False the same machinery produces the plain 4-torus.
 
 Every difference is a one-axis stencil, applied along its axis by `apply_axis`
-or lifted by `lift_axis`; each grid caches its lifted first differences only.
+or lifted by `lift_axis`; each grid caches its frame fields only.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ class QuotientGrid:
             raise ValueError("need n >= 4")
         if self.nt < 4:
             raise ValueError("need nt >= 4")
-        if not isinstance(d, numbers.Real):
+        if isinstance(d, bool) or not isinstance(d, numbers.Real):
             raise ValueError(f"need a real d, got {d!r}")
         if not (d > 0 and math.isfinite(d)):
             raise ValueError("need finite d > 0")
@@ -47,7 +47,7 @@ class QuotientGrid:
         self.shape = (self.n, self.n, self.n, self.nt)
         self.size = self.n ** 3 * self.nt
         self.cell_volume = self.hx * self.hy * self.hz * self.ht
-        self._diffs: dict[str, sp.csr_matrix] = {}
+        self._frame: tuple | None = None
 
     def spacing(self, axis: str) -> float:
         return (self.hx, self.hy, self.hz, self.ht)[_axis(axis)]
@@ -109,23 +109,29 @@ class QuotientGrid:
 
     def diff(self, axis: str) -> sp.csr_matrix:
         """Centered first difference along one axis (wrap per the quotient):
-        ring(axis) lifted, cached and shared, so callers must not modify it.
-        On the sheared x-wrap the wrapped column of each first- and last-slab
-        row is re-pointed through the index reduction; the shear moves k
-        alone and CSR column order is fixed by i, so every row stays sorted."""
-        if axis not in self._diffs:
-            m = lift_axis(self.ring(axis), axis, self)
-            if axis == "x" and self.twisted:
-                _, j, k, l = self._open_indices()
-                cols = m.indices.reshape(self.n, -1, 2)
-                cols[0, :, -1] = self.flat(-1, j, k, l).ravel()
-                cols[-1, :, 0] = self.flat(self.n, j, k, l).ravel()
-            self._diffs[axis] = m
-        return self._diffs[axis]
+        ring(axis) lifted.  On the sheared x-wrap the wrapped column of each
+        first- and last-slab row is re-pointed through the index reduction;
+        the shear moves k alone and CSR column order is fixed by i, so every
+        row stays sorted."""
+        m = lift_axis(self.ring(axis), axis, self)
+        if axis == "x" and self.twisted:
+            _, j, k, l = self._open_indices()
+            cols = m.indices.reshape(self.n, -1, 2)
+            cols[0, :, -1] = self.flat(-1, j, k, l).ravel()
+            cols[-1, :, 0] = self.flat(self.n, j, k, l).ravel()
+        return m
 
-    def x_matrix(self) -> sp.dia_matrix:
-        """Multiplication by the chart coordinate x (values in [0, 1))."""
-        return sp.diags(self.sample(lambda x, y, z, t: x))
+    def frame(self) -> tuple:
+        """The frame fields (E_x, E_y, E_z, E_t), built once per grid and
+        shared, not to be modified: the axis differences, except E_y = D_y +
+        x D_z, the invariant field, on the sheared quotient."""
+        if self._frame is None:
+            dx, dy, dz, dt = (self.diff(a) for a in AXES)
+            if self.twisted:
+                x = sp.diags(self.sample(lambda x, y, z, t: x))
+                dy = (dy + x @ dz).tocsr()
+            self._frame = (dx, dy, dz, dt)
+        return self._frame
 
     def refuse_overflow(self, finite: bool, what: str) -> None:
         """The one refusal of a t-period too small for float arithmetic:

@@ -113,7 +113,8 @@ def make_frame_spec(name, c, j, lattice_volumes) -> LieFrameSpec:
     vols = tuple(lattice_volumes)
     if len(vols) != m:
         raise ValueError(f"need {m} lattice circumferences, got {len(vols)}")
-    if not all(isinstance(v, numbers.Real) and 0 < v < math.inf for v in vols):
+    if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+               and 0 < v < math.inf for v in vols):
         raise ValueError(f"lattice circumferences must be positive and finite "
                          f"reals, got {', '.join(map(str, vols))}")
     return LieFrameSpec(str(name), c, j, vols)
@@ -128,17 +129,22 @@ def kt_spec(d=1) -> LieFrameSpec:
     c = exact.zeros((4, 4, 4))
     c[0][1][2] = Fraction(1)
     c[1][0][2] = Fraction(-1)
-    j = exact.as_exact(KT_J)
-    dd = exact.frac(d) if isinstance(d, (int, Fraction, str)) else float(d)
-    return make_frame_spec("kt", c, j, (Fraction(1), Fraction(1), Fraction(1), dd))
+    return _unit_lattice_spec("kt", c, d)
 
 
 def abelian_spec(d=1) -> LieFrameSpec:
     """Flat torus with the same J and lattice data as kt_spec but zero bracket."""
-    c = exact.zeros((4, 4, 4))
-    j = exact.as_exact(KT_J)
-    dd = exact.frac(d) if isinstance(d, (int, Fraction, str)) else float(d)
-    return make_frame_spec("abelian4", c, j, (Fraction(1), Fraction(1), Fraction(1), dd))
+    return _unit_lattice_spec("abelian4", exact.zeros((4, 4, 4)), d)
+
+
+def _unit_lattice_spec(name: str, c, d) -> LieFrameSpec:
+    """The spec of c with J = KT_J and circumferences 1, 1, 1, d: d exact if
+    an int, Fraction or string, else a float; a bool is passed on as it is,
+    for make_frame_spec to refuse."""
+    if not isinstance(d, bool):
+        d = exact.frac(d) if isinstance(d, (int, Fraction, str)) else float(d)
+    return make_frame_spec(name, c, exact.as_exact(KT_J),
+                           (Fraction(1),) * 3 + (d,))
 
 
 # ---------------------------------------------------------------------------

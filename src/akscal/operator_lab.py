@@ -21,14 +21,14 @@ and the spectral floor of the normal operator certifies the kernel gap
 against the flat-torus baseline.
 
 Variants: "kt" (the sheared quotient, curved connection) and "flat" (plain
-4-torus, pairing (x,y) and (z,t), zero connection).
+4-torus, pairing (x,y) and (z,t), zero connection).  A grid's twist picks its
+variant: kt on a twisted grid, flat otherwise.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
@@ -148,26 +148,7 @@ def get_variant(name: str) -> OperatorVariant:
 # ---------------------------------------------------------------------------
 # the two discretization routes
 
-_FRAMES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def frame_fields(g: QuotientGrid, variant: OperatorVariant) -> tuple:
-    """Sparse frame derivatives E_i, built once per grid and variant, shared,
-    and not to be modified; for the sheared quotient the second field is
-    D_y + x D_z (the invariant field), the rest are plain axis differences."""
-    if variant.twisted != g.twisted:
-        raise ValueError(f"variant {variant.name!r} expects twisted={variant.twisted}")
-    built = _FRAMES.setdefault(g, {})
-    if variant.name not in built:
-        dx, dy, dz, dt = (g.diff(a) for a in AXES)
-        if variant.name == "kt":
-            dy = (dy + g.x_matrix() @ dz).tocsr()
-        built[variant.name] = (dx, dy, dz, dt)
-    return built[variant.name]
-
-
-def hessian_ops_frame(g: QuotientGrid, variant: OperatorVariant,
-                      psi=None) -> dict:
+def hessian_ops_frame(g: QuotientGrid, psi=None) -> dict:
     """Frame-route Hessian slots applied to psi, (i, j) with i <= j.
 
     H_ij psi = E_j(E_i psi) - sum_k gamma[j][i][k] E_k psi, with the lower
@@ -182,9 +163,9 @@ def hessian_ops_frame(g: QuotientGrid, variant: OperatorVariant,
     and AdjointSystem.apply, which sums each row in stored order, would
     change in the last bit.
     """
-    e = frame_fields(g, variant)
+    e = g.frame()
     first = e if psi is None else [ek @ psi for ek in e]
-    gam = variant.gamma
+    gam = get_variant("kt" if g.twisted else "flat").gamma
     ops = {}
     for i in range(4):
         for jj in range(i, 4):
@@ -197,8 +178,7 @@ def hessian_ops_frame(g: QuotientGrid, variant: OperatorVariant,
     return ops
 
 
-def hessian_ops_chart(g: QuotientGrid, variant: OperatorVariant,
-                      psi: np.ndarray):
+def hessian_ops_chart(g: QuotientGrid, psi: np.ndarray):
     """Chart-route Hessian slots applied to psi, a (size, m) array of m field
     columns (route_difference passes one column at a time).
 
@@ -216,11 +196,7 @@ def hessian_ops_chart(g: QuotientGrid, variant: OperatorVariant,
     difference of psi is formed once and dropped after its last slot, so at
     most five arrays of psi's shape (kt; one flat) are held between slots.
     """
-    if variant.twisted != g.twisted:
-        raise ValueError(f"variant {variant.name!r} expects twisted={variant.twisted}")
-    if variant.name == "flat":
-        return _flat_chart_slots(g, psi)
-    return _kt_chart_slots(g, psi)
+    return (_kt_chart_slots if g.twisted else _flat_chart_slots)(g, psi)
 
 
 def _flat_chart_slots(g, psi):
@@ -274,13 +250,14 @@ def _real_matvec(op, v: np.ndarray) -> np.ndarray:
 
 
 class AdjointSystem:
-    """Slot operators A_s of (Hess psi)^- - r^- psi on one grid, frame route."""
+    """Slot operators A_s of (Hess psi)^- - r^- psi on one grid, frame route,
+    in the variant the grid's twist carries."""
 
-    def __init__(self, g: QuotientGrid, variant: str | OperatorVariant = "kt"):
+    def __init__(self, g: QuotientGrid):
         self.grid = g
-        self.variant = get_variant(variant) if isinstance(variant, str) else variant
+        self.variant = get_variant("kt" if g.twisted else "flat")
         self.basis = anti_slots(self.variant.j)
-        hess = hessian_ops_frame(g, self.variant)
+        hess = hessian_ops_frame(g)
         ident = sp.identity(g.size, format="csr")
         self.ops = []
         for (i, jj), (pi_, pj), sg in zip(self.basis.slots, self.basis.pairs,
@@ -328,7 +305,7 @@ class AdjointSystem:
     @cached_property
     def laplacian(self) -> sp.csr_matrix:
         """Frame Laplacian: the trace sum_i H_ii of the frame Hessian."""
-        hess = hessian_ops_frame(self.grid, self.variant)
+        hess = hessian_ops_frame(self.grid)
         lap = sp.csr_matrix((self.grid.size, self.grid.size))
         for i in range(4):
             lap = lap + hess[(i, i)]
@@ -348,9 +325,8 @@ class AdjointSystem:
 
 def build_system(n: int, nt: Optional[int] = None, d: float = 1.0,
                  variant: str = "kt") -> AdjointSystem:
-    v = get_variant(variant)
-    g = QuotientGrid(n, nt, d, twisted=v.twisted)
-    return AdjointSystem(g, v)
+    g = QuotientGrid(n, nt, d, twisted=get_variant(variant).twisted)
+    return AdjointSystem(g)
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +340,8 @@ def _frequencies(k) -> tuple:
         ks = tuple(k)
     except TypeError:
         ks = ()
-    if len(ks) != 4 or not all(isinstance(v, numbers.Integral) for v in ks):
+    if len(ks) != 4 or not all(isinstance(v, numbers.Integral)
+                               and not isinstance(v, bool) for v in ks):
         raise ValueError(f"need four integer frequencies (kx, ky, kz, kt), "
                          f"got {k!r}")
     return tuple(int(v) for v in ks)
@@ -488,7 +465,7 @@ def spectral_floor(system: AdjointSystem, k: int = 2) -> SpectralReport:
     """
     g = system.grid
     n, nt, nxy = g.n, g.nt, g.n * g.n
-    if not isinstance(k, numbers.Integral):
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
         raise ValueError(f"need an integer k, got {k!r}")
     k = int(k)
     if not 1 <= k <= g.size:
@@ -625,19 +602,18 @@ def route_difference(n: int, variant: str = "kt", d: float = 1.0,
 
     field is one callable (default theta_test_field(d)), which gives two
     floats, or a sequence of callables, which gives two arrays with one entry
-    per field.  The fields stream through one grid, whose cached differences
-    and frame fields they share: each is sampled as a (size, 1) column, both
-    routes are applied to it, so no slot matrix is assembled, and everything
-    built for it is dropped before the next field is sampled.  A complex,
-    NaN or infinite field is refused before its slots are formed.
+    per field.  The fields stream through one grid, whose frame fields they
+    share: each is sampled as a (size, 1) column, both routes are applied to
+    it, so no slot matrix is assembled, and everything built for it is
+    dropped before the next field is sampled.  A complex, NaN or infinite
+    field is refused before its slots are formed.
 
     The ten frame slots are formed at once; the chart slots one at a time,
     each reduced against its frame partner, which is then dropped, before
     the next is formed.
     """
     fields, single = _field_list(field, d)
-    v = get_variant(variant)
-    g = QuotientGrid(n, n, d, twisted=v.twisted)
+    g = QuotientGrid(n, n, d, twisted=get_variant(variant).twisted)
     err_max = np.zeros(len(fields))
     err_sq = np.zeros(len(fields))
     for f, fn in enumerate(fields):
@@ -646,8 +622,8 @@ def route_difference(n: int, variant: str = "kt", d: float = 1.0,
             raise ValueError("field must be real-valued")
         if not np.isfinite(psi).all():
             raise ValueError("field must be finite at every grid node")
-        frame = hessian_ops_frame(g, v, psi)
-        for key, chart in hessian_ops_chart(g, v, psi):
+        frame = hessian_ops_frame(g, psi)
+        for key, chart in hessian_ops_chart(g, psi):
             diff = frame.pop(key) - chart
             del chart
             err_max[f] = np.maximum(err_max[f], np.max(np.abs(diff)))

@@ -66,13 +66,18 @@ def check_plan_parameters(eps: float, p: float, max_arcs: int) -> None:
     if not (isinstance(eps, numbers.Real) and not isinstance(eps, bool)
             and eps > 0 and math.isfinite(eps)):
         raise ValueError(f"eps must be finite and positive, not {eps}")
-    if not (isinstance(p, numbers.Real) and p > 1 and math.isfinite(p)):
-        raise ValueError(f"p must be finite and exceed 1, not {p}")
+    _check_p(p)
     if not (isinstance(max_arcs, numbers.Integral)
             and max_arcs >= _FIRST_ARCS):
         raise ValueError(f"max_arcs must be an integer >= {_FIRST_ARCS} (the "
                          f"first partition has {_FIRST_ARCS} arcs), not "
                          f"{max_arcs}")
+
+
+def _check_p(p: float) -> None:
+    """ValueError unless p is a finite real exceeding 1 (a bool never does)."""
+    if not (isinstance(p, numbers.Real) and p > 1 and math.isfinite(p)):
+        raise ValueError(f"p must be finite and exceed 1, not {p}")
 
 
 def _sample_circle(n: int) -> np.ndarray:
@@ -539,8 +544,10 @@ def rearrange_error(f: Callable, f1: Callable, phi: PiecewiseDiffeo,
     panels).  phi, f and f1 are called once per block of about 4096 nodes,
     whole pieces at a time, so memory stays flat however many pieces; each
     piece is summed along its own row and the pieces once at the end, so the
-    value does not depend on the block size.
+    value does not depend on the block size.  A p, f or f1 value that
+    build_plan refuses is refused here by name too.
     """
+    _check_p(p)
     xf = phi.nodes_from
     r = 0.5 * phi.smoothing
     lo = xf + r
@@ -557,8 +564,8 @@ def rearrange_error(f: Callable, f1: Callable, phi: PiecewiseDiffeo,
         xq = np.concatenate([xf[part, None] + offsets,
                              np.linspace(lo[part], hi[part], len(core),
                                          axis=1)], axis=1)
-        integrand = np.abs(np.asarray(f(phi(xq) % CIRCLE), float)
-                           - np.asarray(f1(xq % CIRCLE), float)) ** p
+        integrand = np.abs(_sample(f, "f", phi(xq) % CIRCLE)
+                           - _sample(f1, "f1", xq % CIRCLE)) ** p
         sums[part] = ((integrand[:, :len(window)] * window).sum(axis=1)
                       + steps[part]
                       * (integrand[:, len(window):] * core).sum(axis=1))

@@ -17,6 +17,7 @@ and the certificate all read their pairings from _pairings.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -79,15 +80,18 @@ def make_model(name, q, c1, n=2, fiber_chern=None, chi=None, tau=None,
         raise ValueError("complex dimension n must be 2 or 3")
     if (fiber_chern is None) == (n == 3):
         raise ValueError("fiber_chern is required exactly when n = 3")
+    ints = {"fiber_chern": fiber_chern, "chi": chi, "tau": tau}
+    for key, v in ints.items():
+        if v is not None and (isinstance(v, bool)
+                              or not isinstance(v, numbers.Integral)):
+            raise ValueError(f"{key} must be an integer, got {v!r}")
+        ints[key] = None if v is None else int(v)
     if seed is not None:
         seed = tuple(float(v) for v in seed)
         if len(seed) != q.shape[0] + (1 if n == 3 else 0):
             raise ValueError("seed length must match the class dimension")
         _finite(seed, "seed")
-    return IntersectionModel(str(name), q, c1, int(n),
-                             None if fiber_chern is None else int(fiber_chern),
-                             None if chi is None else int(chi),
-                             None if tau is None else int(tau), seed)
+    return IntersectionModel(str(name), q, c1, int(n), seed=seed, **ints)
 
 
 # ---------------------------------------------------------------------------

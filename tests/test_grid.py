@@ -51,7 +51,7 @@ def test_constructor_validation():
         gr.QuotientGrid(8, nt=6.5)
 
 
-@pytest.mark.parametrize("d", ["1", None, 1j, [1.0]])
+@pytest.mark.parametrize("d", ["1", None, 1j, [1.0], True])
 def test_non_real_d_is_refused_by_name(d):
     # every entry point that builds a grid refuses it before comparing d
     for build in (lambda: gr.QuotientGrid(4, d=d),
@@ -231,8 +231,6 @@ def test_diffs_match_shift_arithmetic(n, nt, twisted):
                 got, want = getattr(new, a), getattr(ref, a)
                 assert got.dtype == want.dtype
                 assert got.tobytes() == want.tobytes()
-        # the grid caches each first difference and hands out the same object
-        assert g.diff(axis) is g.diff(axis)
 
 
 def test_unknown_axis_is_refused_by_name():

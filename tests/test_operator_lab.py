@@ -24,7 +24,7 @@ def nnz_diff(a, b):
 
 
 def product_frame_slots(g, v):
-    e = ol.frame_fields(g, v)
+    e = g.frame()
     ops = {}
     for i in range(4):
         for jj in range(i, 4):
@@ -52,7 +52,7 @@ def product_chart_slots(g, v):
         return {(i, jj): (second[AXES[i]] if i == jj
                           else first[AXES[jj]] @ first[AXES[i]])
                 for i in range(4) for jj in range(i, 4)}
-    x = g.x_matrix()
+    x = sp.diags(g.sample(lambda x, y, z, t: x))
     return {
         (0, 0): dxx,
         (1, 1): dyy + 2.0 * (x @ (dy @ dz)) + x @ x @ dzz,
@@ -147,9 +147,9 @@ def test_applied_routes_match_product_assembly(variant, n):
     v = ol.get_variant(variant)
     g = QuotientGrid(n, n, 1.0, twisted=v.twisted)
     psi = np.random.default_rng(5).standard_normal((g.size, 3))
-    for applied, ref in ((ol.hessian_ops_frame(g, v, psi),
+    for applied, ref in ((ol.hessian_ops_frame(g, psi),
                           product_frame_slots(g, v)),
-                         (dict(ol.hessian_ops_chart(g, v, psi)),
+                         (dict(ol.hessian_ops_chart(g, psi)),
                           product_chart_slots(g, v))):
         assert applied.keys() == ref.keys()
         for key, got in applied.items():
@@ -163,7 +163,7 @@ def test_applied_routes_match_product_assembly(variant, n):
 def test_adjoint_system_matches_product_assembly(variant):
     v = ol.get_variant(variant)
     g = QuotientGrid(6, 6, 1.0, twisted=v.twisted)
-    system = ol.AdjointSystem(g, v)
+    system = ol.AdjointSystem(g)
     hess = product_frame_slots(g, v)
     ident = sp.identity(g.size, format="csr")
     ops = []
@@ -256,7 +256,8 @@ def test_fourier_mode_rejects_twisted_kz():
 
 
 @pytest.mark.parametrize("k", [(1.7, 0, 0, 1.2), ("1", 0, 0, "2"),
-                               (None, 0, 0, 1), (1, 0, 0), 3])
+                               (None, 0, 0, 1), (1, 0, 0), 3,
+                               (True, 0, 0, 0)])
 def test_non_integer_frequencies_are_refused_by_name(k):
     flat = ol.build_system(6, variant="flat")
     for call in (lambda: ol.fourier_mode(flat.grid, k),
@@ -414,7 +415,7 @@ def test_spectral_floor_rejects_bad_k():
     assert len(ol.spectral_floor(system, k=system.grid.size).values) \
         == system.grid.size
     # a non-integer k is refused by name, not left to fail inside numpy
-    for k in (1.5, 2.0, "2", None):
+    for k in (1.5, 2.0, "2", None, True):
         with pytest.raises(ValueError, match="need an integer k"):
             ol.kernel_gap(4, k=k)
 
@@ -518,8 +519,8 @@ def materialized_route_difference(n, variant, fields):
     v = ol.get_variant(variant)
     g = QuotientGrid(n, n, 1.0, twisted=v.twisted)
     psi = np.stack([g.sample(f) for f in fields], axis=1)
-    frame = ol.hessian_ops_frame(g, v, psi)
-    chart = dict(ol.hessian_ops_chart(g, v, psi))
+    frame = ol.hessian_ops_frame(g, psi)
+    chart = dict(ol.hessian_ops_chart(g, psi))
     assert list(chart) == list(frame)
     err_max = np.zeros(len(fields))
     err_sq = np.zeros(len(fields))
@@ -544,17 +545,12 @@ def test_streamed_routes_match_materialized_routes(variant, n):
         assert a.tobytes() == b.tobytes()
 
 
-def test_chart_route_refuses_a_mismatched_grid_when_called():
-    with pytest.raises(ValueError, match="expects twisted=True"):
-        ol.hessian_ops_chart(QuotientGrid(4, twisted=False),
-                             ol.get_variant("kt"), np.zeros((256, 1)))
-
-
 def test_route_difference_traced_peak():
     # the fields stream one at a time, one chart slot is formed at a time,
-    # the grid caches first differences only and the chart route applies
+    # the grid caches its frame fields only and the chart route applies
     # its stencils along their axes: the peak is bounded in (size, 3) float
-    # blocks (12.5 measured; 17.4 while the chart route lifted them)
+    # blocks (11.3 measured; 12.5 while the grid also cached its plain
+    # differences, 17.4 while the chart route lifted them)
     n = 12
     fields = [ol.random_invariant_field(1.0, s) for s in range(3)]
     ol.route_difference(4, field=fields)  # the kt variant is built once
@@ -602,16 +598,16 @@ def test_route_difference_refuses_non_finite_fields(value):
 
 @pytest.mark.parametrize("variant", ["kt", "flat"])
 def test_chart_route_builds_no_grid_matrix(variant):
-    # every chart stencil is applied along its axis: a fresh grid's cache of
-    # lifted differences stays empty, and the grid is freed by reference
-    # counting alone once its caller drops it
+    # every chart stencil is applied along its axis: a fresh grid's frame
+    # fields stay unbuilt, and the grid is freed by reference counting alone
+    # once its caller drops it
     v = ol.get_variant(variant)
     g = QuotientGrid(6, 6, 1.0, twisted=v.twisted)
     psi = np.random.default_rng(2).standard_normal((g.size, 1))
-    assert len(list(ol.hessian_ops_chart(g, v, psi))) == 10
-    assert g._diffs == {}
-    ol.hessian_ops_frame(g, v, psi)
-    assert ol.frame_fields(g, v) is ol.frame_fields(g, v)
+    assert len(list(ol.hessian_ops_chart(g, psi))) == 10
+    assert g._frame is None
+    ol.hessian_ops_frame(g, psi)
+    assert g.frame() is g.frame()
     ref = weakref.ref(g)
     gc.disable()
     try:

@@ -87,6 +87,21 @@ def test_non_callable_fields_and_non_real_parameters_refused_by_name():
         assert not isinstance(info.value, rr.PlanError)
 
 
+def test_error_refuses_what_the_plan_refuses():
+    # rearrange_error samples f and f1 and judges p as build_plan does, so
+    # no NaN, complex value, non-callable or p <= 1 reaches the integrand
+    phi = rr.realize_diffeo(rr.build_plan(f_sin, f_zero, eps=0.2))
+    for f, f1, p, pattern in (
+            (f_sin, lambda x: np.nan * x, 2.0, "^f1 is not finite on the circle$"),
+            (None, f_zero, 2.0, "^f must be a callable"),
+            (lambda x: np.sin(x) + 0j, f_zero, 2.0, "^f must be real-valued$"),
+            (f_sin, f_zero, -1.0, "^p must be finite and exceed 1"),
+            (f_sin, f_zero, np.nan, "^p must be finite and exceed 1"),
+            (f_sin, f_zero, True, "^p must be finite and exceed 1")):
+        with pytest.raises(ValueError, match=pattern):
+            rr.rearrange_error(f, f1, phi, p)
+
+
 def test_scalar_valued_fields_are_broadcast():
     # a field that ignores its angles still gets one sample per angle, as on
     # the grid; its plan and error match the array-valued field's

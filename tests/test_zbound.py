@@ -27,6 +27,11 @@ def test_make_model_validation():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="seed has a non-finite entry"):
             zbound.make_model("x", [[1]], [1], n=2, seed=[bad])
+    for key in ("fiber_chern", "chi", "tau"):
+        for bad in (2.5, True):
+            with pytest.raises(ValueError, match=f"^{key} must be an integer"):
+                zbound.make_model("x", [[1]], [1], n=3,
+                                  **{"fiber_chern": -2, key: bad})
 
 
 def test_serialize_round_trip():
@@ -119,6 +124,15 @@ def test_positive_fiber_ray_is_unbounded_at_the_seed():
     m = zbound.barlow_sigma_model()
     res = zbound.optimize_z_bound(m, tuple(1e6 * m.c1) + (1e-6,))
     assert res.unbounded and math.isinf(res.value) and res.iterations == 0
+
+
+def test_ascent_past_the_threshold_is_unbounded():
+    # a surface whose ascent climbs past UNBOUNDED_THRESHOLD after some
+    # accepted steps: the supremum is reported infinite, with no argmax
+    m = zbound.make_model("x", np.diag([1, -1, -1]), [3, -1, -1], n=2)
+    res = zbound.optimize_z_bound(m, seed=(3.0, -0.5, 0.0))
+    assert res.unbounded and math.isinf(res.value) and res.value > 0
+    assert res.argmax is None and res.iterations == 12
 
 
 def test_optimizer_start_override():
