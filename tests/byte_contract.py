@@ -34,6 +34,8 @@ JOBS = {
     "paper-suite": ["paper-suite", "--seed", "3"],
     "operator-kt-N8": ["operator", "--N", "8", "--kernel-gap", "4",
                        "--symbol-sweep"],
+    "operator-flat-N8": ["operator", "--variant", "flat", "--N", "8",
+                         "--kernel-gap", "4", "--symbol-sweep"],
     **{f"rearrange-eps{eps}": ["rearrange", "--f", "sin(x)", "--f1",
                                "0.3*cos(x)", "--eps", eps, "--emit-phi",
                                "{out}/phi.csv"]
