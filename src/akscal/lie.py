@@ -26,15 +26,6 @@ import numpy as np
 
 from . import exact, tensor
 
-__all__ = [
-    "LieFrameSpec", "CurvatureTables",
-    "make_frame_spec", "parse_frame_spec", "serialize_frame_spec",
-    "kt_spec", "abelian_spec",
-    "koszul_gamma", "connection_forms", "curvature_direct", "curvature_cartan",
-    "curvature_tables", "nabla_j", "nabla_j_forms", "nabla_j_norm_sq",
-    "z_ratio",
-]
-
 
 @dataclass(frozen=True, eq=False)
 class LieFrameSpec:
@@ -139,10 +130,11 @@ def abelian_spec(d=1) -> LieFrameSpec:
 
 def _unit_lattice_spec(name: str, c, d) -> LieFrameSpec:
     """The spec of c with J = KT_J and circumferences 1, 1, 1, d: d exact if
-    an int, Fraction or string, else a float; a bool is passed on as it is,
-    for make_frame_spec to refuse."""
+    an int, Fraction or string, a float if another real; a bool or a non-real
+    is passed on as it is, for make_frame_spec to refuse."""
     if not isinstance(d, bool):
-        d = exact.frac(d) if isinstance(d, (int, Fraction, str)) else float(d)
+        d = (exact.frac(d) if isinstance(d, (int, Fraction, str))
+             else float(d) if isinstance(d, numbers.Real) else d)
     return make_frame_spec(name, c, exact.as_exact(KT_J),
                            (Fraction(1),) * 3 + (d,))
 

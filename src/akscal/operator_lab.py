@@ -22,7 +22,9 @@ against the flat-torus baseline.
 
 Variants: "kt" (the sheared quotient, curved connection) and "flat" (plain
 4-torus, pairing (x,y) and (z,t), zero connection).  A grid's twist picks its
-variant: kt on a twisted grid, flat otherwise.
+geometry, the (J, connection, r^-) that one per-twist table builds once per
+process: kt on a twisted grid, flat otherwise.  The variant name is read only
+where a grid is built.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -69,80 +71,51 @@ class SlotBasis:
 
 
 def anti_slots(j: np.ndarray) -> SlotBasis:
-    """Slot basis for a signed-permutation almost-complex structure."""
-    j = np.asarray(j, dtype=float)
-    if j.shape != (4, 4):
-        raise ValueError("expected a 4x4 J")
-    pi = np.full(4, -1, dtype=int)
-    sig = np.zeros(4)
-    for col in range(4):
-        rows = np.nonzero(j[:, col])[0]
-        if len(rows) != 1 or abs(j[rows[0], col]) != 1.0:
-            raise ValueError("J must be a signed permutation on the frame")
-        pi[col], sig[col] = rows[0], j[rows[0], col]
-    if any(pi[pi[c]] != c or sig[c] * sig[pi[c]] != -1.0 for c in range(4)):
-        raise ValueError("J^2 != -I")
-    found: dict = {}
-    order = []
-    for i in range(4):
-        for jj in range(i, 4):
-            if (i, jj) in found:
-                continue
-            partner = tuple(sorted((pi[i], pi[jj])))
-            s = int(sig[i] * sig[jj])
-            if partner == (i, jj):
-                if s == 1:
-                    continue  # forced invariant direction
-                found[(i, jj)] = ((i, jj), -1, 2)
-            else:
-                found[(i, jj)] = (partner, s, 2 if i == jj else 4)
-                found[partner] = None  # dependent entry, not a slot
-            order.append((i, jj))
-    preferred = _PREFERRED_SLOTS.get(j.tobytes())
-    if preferred is not None:
-        order = list(preferred)
-    slots = tuple(order)
-    return SlotBasis(slots,
-                     tuple(found[s][2] for s in slots),
-                     tuple(found[s][0] for s in slots),
-                     tuple(found[s][1] for s in slots))
+    """Slot basis of J_KT or J_FLAT, in the order _PREFERRED_SLOTS lists.
 
-
-# ---------------------------------------------------------------------------
-# variants
-
-
-@dataclass(frozen=True)
-class OperatorVariant:
-    name: str
-    j: np.ndarray
-    gamma: np.ndarray      # frame connection <nabla_i e_j, e_k>
-    r_minus: np.ndarray    # anti-invariant Ricci part, as a 4x4 matrix
-    twisted: bool
-
-
-_VARIANTS: dict = {}
-
-
-def get_variant(name: str) -> OperatorVariant:
-    """The named variant, built once per process and then shared.
-
-    Its arrays are read-only, so no holder can change another's variant.
+    Each J is a signed permutation of the frame, J e_c = sig_c e_pi(c), so
+    slot (i, j) fixes its partner entry sorted(pi_i, pi_j) with the sign
+    sig_i sig_j.  A diagonal slot, or one that is its own partner, fills two
+    matrix entries; any other fills four.
     """
-    if name not in _VARIANTS:
-        if name == "kt":
-            tables = lie.curvature_tables(lie.kt_spec(1))
-            v = OperatorVariant("kt", J_KT, exact.to_float(tables.gamma),
-                                exact.to_float(tables.ricci_anti), True)
-        elif name == "flat":
-            v = OperatorVariant("flat", J_FLAT, np.zeros((4, 4, 4)),
-                                np.zeros((4, 4)), False)
-        else:
-            raise ValueError(f"unknown variant {name!r}")
-        for a in (v.j, v.gamma, v.r_minus):
-            a.flags.writeable = False
-        _VARIANTS[name] = v
-    return _VARIANTS[name]
+    j = np.asarray(j, dtype=float)
+    slots = _PREFERRED_SLOTS.get(j.tobytes()) if j.shape == (4, 4) else None
+    if slots is None:
+        raise ValueError("J must be J_KT or J_FLAT, the structures with a "
+                         "listed slot order")
+    pi = np.argmax(np.abs(j), axis=0)
+    sig = j[pi, np.arange(4)]
+    pairs = tuple(tuple(sorted((int(pi[a]), int(pi[b])))) for a, b in slots)
+    signs = tuple(int(sig[a] * sig[b]) for a, b in slots)
+    weights = tuple(2 if a == b or p == (a, b) else 4
+                    for (a, b), p in zip(slots, pairs))
+    return SlotBasis(slots, weights, pairs, signs)
+
+
+def _twisted(variant: str) -> bool:
+    """The grid twist of a variant name; an unknown name is refused."""
+    if variant not in ("kt", "flat"):
+        raise ValueError(f"unknown variant {variant!r}")
+    return variant == "kt"
+
+
+@cache
+def _geometry(twisted: bool) -> tuple:
+    """(J, gamma, r_minus) of a grid's variant, built once per process.
+
+    gamma is the frame connection <nabla_i e_j, e_k> and r_minus the
+    anti-invariant Ricci part as a 4x4 matrix.  The arrays are read-only, so
+    no holder can change another's geometry.
+    """
+    if twisted:
+        tables = lie.curvature_tables(lie.kt_spec(1))
+        geom = (J_KT, exact.to_float(tables.gamma),
+                exact.to_float(tables.ricci_anti))
+    else:
+        geom = (J_FLAT, np.zeros((4, 4, 4)), np.zeros((4, 4)))
+    for a in geom:
+        a.flags.writeable = False
+    return geom
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +138,7 @@ def hessian_ops_frame(g: QuotientGrid, psi=None) -> dict:
     """
     e = g.frame()
     first = e if psi is None else [ek @ psi for ek in e]
-    gam = get_variant("kt" if g.twisted else "flat").gamma
+    gam = _geometry(g.twisted)[1]
     ops = {}
     for i in range(4):
         for jj in range(i, 4):
@@ -255,8 +228,8 @@ class AdjointSystem:
 
     def __init__(self, g: QuotientGrid):
         self.grid = g
-        self.variant = get_variant("kt" if g.twisted else "flat")
-        self.basis = anti_slots(self.variant.j)
+        j, _, r_minus = _geometry(g.twisted)
+        self.basis = anti_slots(j)
         hess = hessian_ops_frame(g)
         ident = sp.identity(g.size, format="csr")
         self.ops = []
@@ -264,7 +237,7 @@ class AdjointSystem:
                                           self.basis.signs):
             partner = hess[(min(pi_, pj), max(pi_, pj))]
             op = 0.5 * (hess[(i, jj)] - sg * partner)
-            r = self.variant.r_minus[i][jj]
+            r = r_minus[i][jj]
             if r != 0.0:
                 op = op - r * ident
             self.ops.append(op.tocsr())
@@ -325,8 +298,7 @@ class AdjointSystem:
 
 def build_system(n: int, nt: Optional[int] = None, d: float = 1.0,
                  variant: str = "kt") -> AdjointSystem:
-    g = QuotientGrid(n, nt, d, twisted=get_variant(variant).twisted)
-    return AdjointSystem(g)
+    return AdjointSystem(QuotientGrid(n, nt, d, twisted=_twisted(variant)))
 
 
 # ---------------------------------------------------------------------------
@@ -580,40 +552,38 @@ def random_invariant_field(d: float = 1.0, rng=None) -> Callable:
     return f
 
 
-def _field_list(field, d: float):
-    """(fields, single): a lone callable or None (the theta field) becomes a
-    one-element list; any other value must be a non-empty sequence of
-    callables."""
-    if field is None or callable(field):
-        return [field if field is not None else theta_test_field(d)], True
+def _field_list(field, d: float) -> list:
+    """None (the theta field) or a non-empty sequence of callables, as a
+    list."""
+    if field is None:
+        return [theta_test_field(d)]
     try:
         fields = list(field)
     except TypeError:
         fields = []
     if not fields or not all(callable(f) for f in fields):
-        raise ValueError("field must be a callable or a non-empty sequence "
-                         f"of callables, got {field!r}")
-    return fields, False
+        raise ValueError("field must be None or a non-empty sequence of "
+                         f"callables, got {field!r}")
+    return fields
 
 
 def route_difference(n: int, variant: str = "kt", d: float = 1.0,
                      field=None):
     """(max, L2) norms of (frame route - chart route) over all ten slots.
 
-    field is one callable (default theta_test_field(d)), which gives two
-    floats, or a sequence of callables, which gives two arrays with one entry
-    per field.  The fields stream through one grid, whose frame fields they
-    share: each is sampled as a (size, 1) column, both routes are applied to
-    it, so no slot matrix is assembled, and everything built for it is
-    dropped before the next field is sampled.  A complex, NaN or infinite
-    field is refused before its slots are formed.
+    field is None (theta_test_field(d)) or a sequence of callables; each
+    norm is an array with one entry per field.  The fields stream through
+    one grid, whose frame fields they share: each is sampled as a (size, 1)
+    column, both routes are applied to it, so no slot matrix is assembled,
+    and everything built for it is dropped before the next field is sampled.
+    A complex, NaN or infinite field is refused before its slots are formed.
 
     The ten frame slots are formed at once; the chart slots one at a time,
     each reduced against its frame partner, which is then dropped, before
     the next is formed.
     """
-    fields, single = _field_list(field, d)
-    g = QuotientGrid(n, n, d, twisted=get_variant(variant).twisted)
+    fields = _field_list(field, d)
+    g = QuotientGrid(n, n, d, twisted=_twisted(variant))
     err_max = np.zeros(len(fields))
     err_sq = np.zeros(len(fields))
     for f, fn in enumerate(fields):
@@ -630,10 +600,7 @@ def route_difference(n: int, variant: str = "kt", d: float = 1.0,
             err_sq[f] += np.sum(diff * diff)
             del diff
         del psi
-    err_l2 = np.sqrt(g.cell_volume * err_sq)
-    if single:
-        return float(err_max[0]), float(err_l2[0])
-    return err_max, err_l2
+    return err_max, np.sqrt(g.cell_volume * err_sq)
 
 
 @dataclass(frozen=True)
@@ -651,10 +618,9 @@ def richardson_orders(ns=(8, 12, 16, 20), variant: str = "kt", d: float = 1.0,
     """Least-squares convergence orders of the two-route difference.
 
     ns must hold at least two distinct integer grid sizes >= 4.  field is
-    as in route_difference.  One callable gives one OrderFit; a sequence
-    gives one OrderFit per field, all fitted from one route_difference call
-    per grid size, which streams the fields through one grid; each fit is
-    bit-identical to its one-field fit.
+    as in route_difference.  The result holds one OrderFit per field, all
+    fitted from one route_difference call per grid size, which streams the
+    fields through one grid; each fit is bit-identical to its one-field fit.
     """
     try:
         ns = tuple(ns)
@@ -665,7 +631,7 @@ def richardson_orders(ns=(8, 12, 16, 20), variant: str = "kt", d: float = 1.0,
             or not all(isinstance(n, numbers.Integral) and n >= 4 for n in ns)):
         raise ValueError("ns needs at least two distinct integer grid sizes "
                          f">= 4, got {ns!r}")
-    fields, single = _field_list(field, d)
+    fields = _field_list(field, d)
     h = np.array([1.0 / n for n in ns])
     per_n = [route_difference(n, variant, d, fields) for n in ns]
     fits = []
@@ -676,4 +642,4 @@ def richardson_orders(ns=(8, 12, 16, 20), variant: str = "kt", d: float = 1.0,
         order_l2 = float(np.polyfit(np.log(h), np.log(err_l2), 1)[0])
         fits.append(OrderFit(ns, h, err_max, err_l2, order_max,
                              order_l2))
-    return fits[0] if single else fits
+    return fits

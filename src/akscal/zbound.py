@@ -23,15 +23,6 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = [
-    "IntersectionModel", "ZBoundResult", "ZBoundCertificate", "ConeError",
-    "make_model", "parse_model", "serialize_model",
-    "cp2_model", "barlow_sigma_model", "r8_sigma_model",
-    "top_power", "chern_pairing", "eval_z_bound", "optimize_z_bound",
-    "h_function", "h_function_max", "y_ratio", "y_ratio_min",
-    "certify_global",
-]
-
 CONE_EPS = 1e-9
 UNBOUNDED_THRESHOLD = 1e6
 _MAX_ASCENT_STEPS = 5000
@@ -218,18 +209,6 @@ def _top_chern(m: IntersectionModel, a, b, ell):
     return 3.0 * ell * a, m.fiber_chern * a + 2.0 * ell * b
 
 
-def top_power(m: IntersectionModel, cls) -> float:
-    """[omega]^n as a lattice number: beta.Q.beta, times 3l for a product."""
-    a, b, _, ell = _pairings(m, cls)
-    return _top_chern(m, a, b, ell)[0]
-
-
-def chern_pairing(m: IntersectionModel, cls) -> float:
-    """c1(total) . [omega]^(n-1) from lattice pairings."""
-    a, b, _, ell = _pairings(m, cls)
-    return _top_chern(m, a, b, ell)[1]
-
-
 def _cone_defect(m: IntersectionModel, cls) -> Optional[str]:
     """Why the class is outside the positive cone (a ConeError message), or None.
 
@@ -279,7 +258,7 @@ def eval_z_bound(m: IntersectionModel, cls) -> float:
 def _normalize(m: IntersectionModel, cls):
     if m.n == 3:
         return cls * (2.0 / cls[-1])
-    return cls / math.sqrt(top_power(m, cls))
+    return cls / math.sqrt(_pairings(m, cls)[0])
 
 
 @dataclass(frozen=True)
@@ -305,6 +284,9 @@ def optimize_z_bound(m: IntersectionModel, seed=None) -> ZBoundResult:
     if seed is None:
         raise ValueError("no seed class: pass one or ship one with the model")
     x = _finite(seed, "seed class")
+    # a power-of-two scale is exact, so no pairing of a huge or tiny seed
+    # overflows and the cone test and the normalized seed keep their floats
+    x = np.ldexp(x, -np.frexp(np.max(np.abs(x), initial=0.0))[1])
     if _cone_defect(m, x):
         raise ConeError("seed class is outside the positive cone")
     if m.n == 3 and _pairings(m, x)[1] > 0:

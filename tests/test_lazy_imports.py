@@ -68,8 +68,7 @@ def test_unknown_attribute_raises():
 def _referenced_in_package(name, home):
     """Whether any Name or Attribute node under akscal/ spells `name`, outside
     the top-level definition of `name` in its own module `home`.  The
-    module's __all__ and the export table hold strings, not names, so they
-    never count."""
+    export table holds strings, not names, so it never counts."""
     for path in sorted((SRC / "akscal").glob("*.py")):
         tree = ast.parse(path.read_text())
         skip = set()

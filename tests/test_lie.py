@@ -164,7 +164,7 @@ def test_parse_errors_name_the_line(old, new, match):
 
 def test_non_finite_data_refused():
     spec = lie.kt_spec()
-    for d in (float("nan"), float("inf"), -1.0, 0, True):
+    for d in (float("nan"), float("inf"), -1.0, 0, True, None, [1], 1j):
         with pytest.raises(ValueError, match="positive and finite"):
             lie.kt_spec(d)
     with pytest.raises(ValueError, match="positive and finite"):

@@ -23,22 +23,23 @@ def nnz_diff(a, b):
 # -- reference assembly: every slot as a sparse matrix product ----------------
 
 
-def product_frame_slots(g, v):
+def product_frame_slots(g):
     e = g.frame()
+    gamma = ol._geometry(g.twisted)[1]
     ops = {}
     for i in range(4):
         for jj in range(i, 4):
             op = (e[jj] @ e[i]).tocsr()
             for k in range(4):
-                c = v.gamma[jj][i][k]
+                c = gamma[jj][i][k]
                 if c != 0.0:
                     op = op - c * e[k]
             ops[(i, jj)] = op.tocsr()
     return ops
 
 
-def product_chart_slots(g, v):
-    sided = v.name == "kt"
+def product_chart_slots(g):
+    sided = g.twisted
     if sided:
         dx = lift_axis(d1_sided(g.n, g.hx), "x", g)
         dxx = lift_axis(d2_sided(g.n, g.hx), "x", g)
@@ -124,33 +125,47 @@ def test_slot_round_trip_preserves_norm():
             assert np.max(np.abs(slot_values(inv, basis))) < 1e-13
 
 
-def test_get_variant():
-    kt = ol.get_variant("kt")
-    assert kt.twisted and kt.name == "kt"
-    assert np.allclose(np.diag(kt.r_minus), [-0.25, -0.5, 0.5, 0.25])
-    flat = ol.get_variant("flat")
-    assert not flat.twisted and np.max(np.abs(flat.r_minus)) == 0.0
-    with pytest.raises(ValueError):
-        ol.get_variant("round")
+def test_anti_slots_refuses_an_unlisted_j():
+    # J pairing (x, z) and (y, t): a signed permutation with J^2 = -I
+    j_xz = np.zeros((4, 4))
+    j_xz[[2, 3, 0, 1], [0, 1, 2, 3]] = [1.0, 1.0, -1.0, -1.0]
+    assert np.array_equal(j_xz @ j_xz, -np.eye(4))
+    for j in (j_xz, -ol.J_KT, ol.J_KT.ravel(), np.eye(4)):
+        with pytest.raises(ValueError, match="J_KT or J_FLAT"):
+            ol.anti_slots(j)
 
 
-def test_get_variant_is_shared_and_read_only():
-    kt = ol.get_variant("kt")
-    assert ol.get_variant("kt") is kt
-    for a in (kt.j, kt.gamma, kt.r_minus):
-        with pytest.raises(ValueError):
-            a[0, 0] = 1.0
+def test_unknown_variant_refused():
+    for call in (lambda: ol.build_system(4, variant="round"),
+                 lambda: ol.route_difference(4, "round"),
+                 lambda: ol.build_system(4, variant=["kt"])):
+        with pytest.raises(ValueError, match="unknown variant"):
+            call()
+
+
+def test_geometry_is_shared_and_read_only():
+    j, gamma, r_minus = ol._geometry(True)
+    assert j is ol.J_KT
+    assert np.allclose(np.diag(r_minus), [-0.25, -0.5, 0.5, 0.25])
+    assert ol._geometry(False)[0] is ol.J_FLAT
+    assert np.max(np.abs(ol._geometry(False)[2])) == 0.0
+    for variant, twisted in (("kt", True), ("flat", False)):
+        assert ol.build_system(4, variant=variant).grid.twisted is twisted
+        geom = ol._geometry(twisted)
+        assert ol._geometry(twisted) is geom
+        for a in geom:
+            with pytest.raises(ValueError):
+                a[0, 0] = 1.0
 
 
 @pytest.mark.parametrize("variant, n", [("kt", 8), ("flat", 6)])
 def test_applied_routes_match_product_assembly(variant, n):
-    v = ol.get_variant(variant)
-    g = QuotientGrid(n, n, 1.0, twisted=v.twisted)
+    g = QuotientGrid(n, n, 1.0, twisted=variant == "kt")
     psi = np.random.default_rng(5).standard_normal((g.size, 3))
     for applied, ref in ((ol.hessian_ops_frame(g, psi),
-                          product_frame_slots(g, v)),
+                          product_frame_slots(g)),
                          (dict(ol.hessian_ops_chart(g, psi)),
-                          product_chart_slots(g, v))):
+                          product_chart_slots(g))):
         assert applied.keys() == ref.keys()
         for key, got in applied.items():
             want = ref[key] @ psi
@@ -161,16 +176,16 @@ def test_applied_routes_match_product_assembly(variant, n):
 
 @pytest.mark.parametrize("variant", ["kt", "flat"])
 def test_adjoint_system_matches_product_assembly(variant):
-    v = ol.get_variant(variant)
-    g = QuotientGrid(6, 6, 1.0, twisted=v.twisted)
+    g = QuotientGrid(6, 6, 1.0, twisted=variant == "kt")
     system = ol.AdjointSystem(g)
-    hess = product_frame_slots(g, v)
+    hess = product_frame_slots(g)
+    r_minus = ol._geometry(g.twisted)[2]
     ident = sp.identity(g.size, format="csr")
     ops = []
     for (i, jj), (pi_, pj), sg in zip(system.basis.slots, system.basis.pairs,
                                       system.basis.signs):
         op = 0.5 * (hess[(i, jj)] - sg * hess[(min(pi_, pj), max(pi_, pj))])
-        r = v.r_minus[i][jj]
+        r = r_minus[i][jj]
         if r != 0.0:
             op = op - r * ident
         ops.append(op.tocsr())
@@ -499,15 +514,15 @@ def test_invariant_fields_descend():
 
 
 def test_route_difference_shrinks():
-    field = ol.theta_test_field(1.0)
+    field = [ol.theta_test_field(1.0)]
     coarse = ol.route_difference(8, "kt", 1.0, field)
     fine = ol.route_difference(16, "kt", 1.0, field)
-    assert fine[1] < coarse[1] / 3.0   # second order: x4 expected
+    assert fine[1][0] < coarse[1][0] / 3.0   # second order: x4 expected
 
 
 def test_richardson_order_on_theta_field():
-    fit = ol.richardson_orders(ns=(8, 12, 16), variant="kt", d=1.0,
-                               field=ol.theta_test_field(1.0))
+    fit, = ol.richardson_orders(ns=(8, 12, 16), variant="kt", d=1.0,
+                                field=[ol.theta_test_field(1.0)])
     assert fit.order_l2 >= 1.9
     assert fit.order_max >= 1.7
     assert len(fit.err_l2) == 3 and (np.diff(fit.err_l2) < 0).all()
@@ -516,8 +531,7 @@ def test_richardson_order_on_theta_field():
 def materialized_route_difference(n, variant, fields):
     """route_difference with both routes held as whole slot dicts, as a
     reference for the streamed chart route."""
-    v = ol.get_variant(variant)
-    g = QuotientGrid(n, n, 1.0, twisted=v.twisted)
+    g = QuotientGrid(n, n, 1.0, twisted=variant == "kt")
     psi = np.stack([g.sample(f) for f in fields], axis=1)
     frame = ol.hessian_ops_frame(g, psi)
     chart = dict(ol.hessian_ops_chart(g, psi))
@@ -536,13 +550,11 @@ def materialized_route_difference(n, variant, fields):
 def test_streamed_routes_match_materialized_routes(variant, n):
     one = [ol.theta_test_field(1.0)]
     three = [ol.random_invariant_field(1.0, s) for s in (1, 2, 3)]
-    want = materialized_route_difference(n, variant, one)
-    got = ol.route_difference(n, variant, field=one[0])
-    assert got == (float(want[0][0]), float(want[1][0]))
-    want = materialized_route_difference(n, variant, three)
-    got = ol.route_difference(n, variant, field=three)
-    for a, b in zip(got, want):
-        assert a.tobytes() == b.tobytes()
+    for fields in (one, three):
+        want = materialized_route_difference(n, variant, fields)
+        got = ol.route_difference(n, variant, field=fields)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
 
 
 def test_route_difference_traced_peak():
@@ -553,7 +565,7 @@ def test_route_difference_traced_peak():
     # differences, 17.4 while the chart route lifted them)
     n = 12
     fields = [ol.random_invariant_field(1.0, s) for s in range(3)]
-    ol.route_difference(4, field=fields)  # the kt variant is built once
+    ol.route_difference(4, field=fields)  # the kt geometry is built once
     tracemalloc.start()
     try:
         ol.route_difference(n, field=fields)
@@ -569,7 +581,8 @@ def test_richardson_orders_rejects_bad_grid_sizes(ns):
         ol.richardson_orders(ns=ns)
 
 
-@pytest.mark.parametrize("field", [[], [1.0], 1.0, "theta"])
+@pytest.mark.parametrize("field", [[], [1.0], 1.0, "theta",
+                                   ol.theta_test_field(1.0)])
 def test_route_difference_rejects_bad_fields(field):
     with pytest.raises(ValueError, match="callable"):
         ol.route_difference(4, field=field)
@@ -579,7 +592,7 @@ def test_route_difference_refuses_complex_fields():
     def wave(x, y, z, t):
         return np.exp(2j * np.pi * y)
 
-    for field in (wave, [ol.theta_test_field(1.0), wave]):
+    for field in ([wave], [ol.theta_test_field(1.0), wave]):
         with pytest.raises(ValueError, match="field must be real-valued"):
             ol.route_difference(4, field=field)
 
@@ -589,7 +602,7 @@ def test_route_difference_refuses_non_finite_fields(value):
     def bad(x, y, z, t):
         return np.where(x > 0.5, value, 0.0)
 
-    for field in (bad, [ol.theta_test_field(1.0), bad]):
+    for field in ([bad], [ol.theta_test_field(1.0), bad]):
         with pytest.raises(ValueError, match="field must be finite"):
             ol.route_difference(4, field=field)
         with pytest.raises(ValueError, match="field must be finite"):
@@ -601,8 +614,7 @@ def test_chart_route_builds_no_grid_matrix(variant):
     # every chart stencil is applied along its axis: a fresh grid's frame
     # fields stay unbuilt, and the grid is freed by reference counting alone
     # once its caller drops it
-    v = ol.get_variant(variant)
-    g = QuotientGrid(6, 6, 1.0, twisted=v.twisted)
+    g = QuotientGrid(6, 6, 1.0, twisted=variant == "kt")
     psi = np.random.default_rng(2).standard_normal((g.size, 1))
     assert len(list(ol.hessian_ops_chart(g, psi))) == 10
     assert g._frame is None
@@ -629,7 +641,7 @@ def test_batched_richardson_matches_single_field_fits():
     batched = ol.richardson_orders(ns=(8, 12), field=fields)
     assert len(batched) == 3
     for f, fit in zip(fields, batched):
-        one = ol.richardson_orders(ns=(8, 12), field=f)
+        one, = ol.richardson_orders(ns=(8, 12), field=[f])
         assert one.ns == fit.ns == (8, 12)
         assert np.array_equal(one.err_max, fit.err_max)
         assert np.array_equal(one.err_l2, fit.err_l2)

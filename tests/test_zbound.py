@@ -72,8 +72,8 @@ def test_cp2_value():
     m = zbound.cp2_model()
     v = zbound.eval_z_bound(m, [1.0])
     assert abs(v - 12.0 * ROOT2 * math.pi) <= 1e-9
-    assert zbound.top_power(m, [1.0]) == 1.0
-    assert zbound.chern_pairing(m, [1.0]) == 3.0
+    a, b, _, ell = zbound._pairings(m, [1.0])
+    assert zbound._top_chern(m, a, b, ell) == (1.0, 3.0)
 
 
 def test_eval_is_scale_invariant():
@@ -139,6 +139,22 @@ def test_optimizer_start_override():
     m = zbound.cp2_model()
     res = zbound.optimize_z_bound(m, seed=[2.5])
     assert res.value == pytest.approx(12.0 * ROOT2 * math.pi, abs=1e-9)
+
+
+def test_optimizer_takes_a_huge_or_tiny_seed():
+    # a power-of-two scale leaves the result bit-identical; no pairing of a
+    # 1e300 seed overflows, so it is not refused as outside the cone
+    m = zbound.barlow_sigma_model()
+    seed = np.array(m.seed)
+    base = zbound.optimize_z_bound(m)
+    scaled = zbound.optimize_z_bound(m, seed=2.0 ** 1000 * seed)
+    assert scaled.argmax.tobytes() == base.argmax.tobytes()
+    assert ((scaled.value, scaled.unbounded, scaled.iterations,
+             scaled.grad_norm)
+            == (base.value, base.unbounded, base.iterations, base.grad_norm))
+    for scale in (1e300, 1e-300):
+        res = zbound.optimize_z_bound(m, seed=scale * seed)
+        assert res.value == pytest.approx(-12.0 * math.pi, abs=1e-12)
 
 
 def test_optimizer_refuses_a_non_finite_seed():
