@@ -301,7 +301,7 @@ def cmd_rearrange(args) -> int:
     f = _parse_field(args.f)
     f1 = _parse_field(args.f1)
     # solve first, so a refused plan leaves no partial artifacts
-    phi, err, plan = rearrange.rearrange(f, f1, args.eps, args.p, args.max_arcs)
+    phi, err, plan = rearrange.rearrange(f, f1, args.eps, args.p)
     out = _out_dir(args)
     dmin = phi.min_derivative()
     arcs = np.array([(a.lo, a.hi, a.level) for a in plan.arcs]).T
@@ -414,7 +414,6 @@ def main(argv=None) -> int:
                    help="target function: expression in x or samples.csv")
     p.add_argument("--eps", type=float, default=0.1)
     p.add_argument("--p", type=float, default=2.0)
-    p.add_argument("--max-arcs", type=int, default=4096)
     p.add_argument("--emit-phi", default=None, metavar="PHI_CSV",
                    help="write dense isotopy samples to this file")
     p.set_defaults(fn=cmd_rearrange)

@@ -268,32 +268,22 @@ def connection_forms(spec: LieFrameSpec) -> np.ndarray:
     return f
 
 
-def curvature_direct(spec: LieFrameSpec) -> np.ndarray:
-    """R[a][b][i][j] = <R(e_a, e_b) e_j, e_i> from iterated covariant derivatives."""
-    return _riemann(spec.c, koszul_gamma(spec))
-
-
 def _riemann(c, g):
+    """R[a][b][i][j] = <R(e_a, e_b) e_j, e_i> from iterated covariant
+    derivatives of the Koszul connection g."""
     return (exact.einsum("bjk,aki->abij", g, g)
             - exact.einsum("ajk,bki->abij", g, g)
             - exact.einsum("abk,kji->abij", c, g))
 
 
 def curvature_cartan(spec: LieFrameSpec) -> np.ndarray:
-    """Same tensor as curvature_direct, via the Cartan structure equations."""
+    """The Riemann tensor of curvature_tables, via the second structure
+    equation Omega^i_j = d omega^i_j + omega^i_k ^ omega^k_j on the
+    connection forms, with d omega^i_j(e_a, e_b) = -c_ab^k omega^i_j(e_k)."""
     f = connection_forms(spec)
-    c = spec.c
-    m = spec.dim
-    r = np.empty((m, m, m, m), dtype=f.dtype)
-    for a in range(m):
-        for b in range(m):
-            for i in range(m):
-                for jj in range(m):
-                    d_om = -sum(c[a][b][k] * f[i][jj][k] for k in range(m))
-                    wedge = sum(f[i][k][a] * f[k][jj][b] - f[i][k][b] * f[k][jj][a]
-                                for k in range(m))
-                    r[a][b][i][jj] = d_om + wedge
-    return r
+    return (exact.einsum("ika,kjb->abij", f, f)
+            - exact.einsum("ikb,kja->abij", f, f)
+            - exact.einsum("abk,ijk->abij", spec.c, f))
 
 
 @dataclass(frozen=True)

@@ -78,11 +78,14 @@ def anti_slots(j: np.ndarray) -> SlotBasis:
     sig_i sig_j.  A diagonal slot, or one that is its own partner, fills two
     matrix entries; any other fills four.
     """
-    j = np.asarray(j, dtype=float)
-    slots = _PREFERRED_SLOTS.get(j.tobytes()) if j.shape == (4, 4) else None
-    if slots is None:
+    try:
+        if np.iscomplexobj(j):         # the cast would drop the imaginary part
+            raise TypeError
+        j = np.asarray(j, dtype=float)
+        slots = _PREFERRED_SLOTS[j.tobytes() if j.shape == (4, 4) else None]
+    except (KeyError, TypeError, ValueError):
         raise ValueError("J must be J_KT or J_FLAT, the structures with a "
-                         "listed slot order")
+                         "listed slot order") from None
     pi = np.argmax(np.abs(j), axis=0)
     sig = j[pi, np.arange(4)]
     pairs = tuple(tuple(sorted((int(pi[a]), int(pi[b])))) for a, b in slots)

@@ -46,32 +46,26 @@ _BUMP_NODES = 48         # Gauss-Legendre nodes of the smoothing bump
 
 
 class PlanError(ValueError):
-    """Planning failed; required_cap carries the arc count that would do,
-    reason the obstruction ("range": f1 leaves [inf f, sup f], bound then the
-    L^p distance by which every diffeomorphism misses f1, at least;
-    "cyclic-order": f1 turns more often than f)."""
+    """Planning failed; reason names the obstruction ("range": f1 leaves
+    [inf f, sup f], bound then the L^p distance by which every
+    diffeomorphism misses f1, at least; "cyclic-order": f1 turns more often
+    than f), None for the other refusals: no source interval in cyclic
+    order, or a p too large for eps."""
 
-    def __init__(self, message: str, required_cap: Optional[int] = None,
-                 reason: Optional[str] = None, bound: Optional[float] = None):
+    def __init__(self, message: str, reason: Optional[str] = None,
+                 bound: Optional[float] = None):
         super().__init__(message)
-        self.required_cap = required_cap
         self.reason = reason
         self.bound = bound
 
 
-def check_plan_parameters(eps: float, p: float, max_arcs: int) -> None:
-    """ValueError naming the first of eps, p, max_arcs that no plan accepts:
-    eps and p must be finite reals, not bools, with eps > 0 and p > 1, and
-    max_arcs an integer of at least the first partition's 4 arcs."""
+def check_plan_parameters(eps: float, p: float) -> None:
+    """ValueError naming the first of eps, p that no plan accepts: both must
+    be finite reals, not bools, with eps > 0 and p > 1."""
     if not (isinstance(eps, numbers.Real) and not isinstance(eps, bool)
             and eps > 0 and math.isfinite(eps)):
         raise ValueError(f"eps must be finite and positive, not {eps}")
     _check_p(p)
-    if not (isinstance(max_arcs, numbers.Integral)
-            and max_arcs >= _FIRST_ARCS):
-        raise ValueError(f"max_arcs must be an integer >= {_FIRST_ARCS} (the "
-                         f"first partition has {_FIRST_ARCS} arcs), not "
-                         f"{max_arcs}")
 
 
 def _check_p(p: float) -> None:
@@ -205,8 +199,8 @@ def _source_window(fs: np.ndarray, level: float, tol: float, i0: int,
     return None if first is None else (first, i1)
 
 
-def _allocate_sources(f: Callable, fx: np.ndarray, levels: list, tol: float,
-                      max_arcs: int) -> list:
+def _allocate_sources(f: Callable, fx: np.ndarray, levels: list,
+                      tol: float) -> list:
     """Source intervals (u, v) for the arcs at these levels, in one forward
     sweep around the target circle: each starts after the previous one
     ends, and the lap must close within 2*pi of the first.
@@ -241,10 +235,8 @@ def _allocate_sources(f: Callable, fx: np.ndarray, levels: list, tol: float,
                 run = base + run[0], base + run[1]
             step = CIRCLE / n_fine
         if run is None:
-            raise PlanError(
-                f"no source interval for arc {k} (level {level:.6g}) "
-                f"in cyclic order; the target geometry needs a finer "
-                f"partition than max_arcs={max_arcs}", required_cap=2 * n_arcs)
+            raise PlanError(f"no source interval for arc {k} (level "
+                            f"{level:.6g}) in cyclic order")
         lo, hi = run[0] * step, run[1] * step
         width = hi - lo
         take = max(0.25 * width, 1e-7)
@@ -261,19 +253,20 @@ def _allocate_sources(f: Callable, fx: np.ndarray, levels: list, tol: float,
     return sources
 
 
-def build_plan(f: Callable, f1: Callable, eps: float, p: float = 2.0,
-               max_arcs: int = 4096) -> RearrangementPlan:
+def build_plan(f: Callable, f1: Callable, eps: float,
+               p: float = 2.0) -> RearrangementPlan:
     """Partition, levels, and cyclically ordered source intervals.
 
     Arcs are refined by doubling until f1 oscillates less than 0.9*delta on
-    each; source intervals are allocated in one forward sweep so they sit in
-    the same cyclic order as the arcs (in one dimension disjoint intervals
-    cannot pass through each other, so order compatibility is mandatory).
-    Where the plan samples miss a level's band, the sweep rescans f finely
-    on the rest of the lap only, so f is sampled at 4096 and 16384 points
-    per lap and at 262144 only on that sliver.  A NaN or infinite value of
-    f1, or of f where it is sampled, raises ValueError naming it; so does a
-    complex value.
+    each, which ends at 16384 arcs (_PLAN_SAMPLES) at the latest: an arc
+    that holds one plan sample oscillates by 0.  Source intervals are
+    allocated in one forward sweep so they sit in the same cyclic order as
+    the arcs (in one dimension disjoint intervals cannot pass through each
+    other, so order compatibility is mandatory).  Where the plan samples
+    miss a level's band, the sweep rescans f finely on the rest of the lap
+    only, so f is sampled at 4096 and 16384 points per lap and at 262144
+    only on that sliver.  A NaN or infinite value of f1, or of f where it
+    is sampled, raises ValueError naming it; so does a complex value.
 
     Before any refinement, a target that turns more often per lap than f,
     counting only its swings above S = 4 tol + 2c (tol = 0.9 delta the band
@@ -283,10 +276,10 @@ def build_plan(f: Callable, f1: Callable, eps: float, p: float = 2.0,
     arcs at f1 extrema more than S apart get sources whose f values
     alternate alike, and in cyclic order within one lap.  This assumes the
     plan samples show every turn of f (as the range test assumes they show
-    its range) and that each arc holds four samples (<= 4096 arcs); past
-    that, S adds twice f1's largest step between adjacent samples.
+    its range); since an arc may hold a single sample, S also adds twice
+    f1's largest step between adjacent samples.
     """
-    check_plan_parameters(eps, p, max_arcs)
+    check_plan_parameters(eps, p)
     escape = _range_escape(f, f1, p)
     if escape > 0:
         raise PlanError(f"target is not within [inf f, sup f]: infeasible; every "
@@ -298,10 +291,9 @@ def build_plan(f: Callable, f1: Callable, eps: float, p: float = 2.0,
     delta = eps / (2.0 * (2.0 * CIRCLE) ** (1.0 / p))
     fmin, fmax = float(fx.min()), float(fx.max())
     tol = _OSC_MARGIN * delta
-    swing = 4.0 * tol + 2.0 * max(float(gx.max()) - fmax,
-                                  fmin - float(gx.min()), 0.0)
-    if 4 * max_arcs > _PLAN_SAMPLES:
-        swing += 2.0 * float(np.abs(np.diff(gx, append=gx[:1])).max())
+    swing = (4.0 * tol + 2.0 * max(float(gx.max()) - fmax,
+                                   fmin - float(gx.min()), 0.0)
+             + 2.0 * float(np.abs(np.diff(gx, append=gx[:1])).max()))
     turns = _turns(gx, swing)
     # f turns twice unless constant, and f1 cannot swing by S about a constant
     if turns > 2 and turns > (turns_f := _turns(fx, 0.0)):
@@ -321,21 +313,16 @@ def build_plan(f: Callable, f1: Callable, eps: float, p: float = 2.0,
                             - np.minimum.reduceat(gx, starts)))
 
     n_arcs = _FIRST_ARCS
-    while max_osc(n_arcs) >= tol:
-        if 2 * n_arcs > max_arcs:
-            need = 2 * n_arcs
-            while need < 2 ** 24 and max_osc(need) >= tol:
-                need *= 2
-            raise PlanError(
-                f"oscillation target needs more than {max_arcs} arcs "
-                f"(about {need}); raise max_arcs", required_cap=need)
+    # one sample per arc oscillates by 0 < tol, unless a subnormal eps
+    # underflowed tol to 0
+    while n_arcs < _PLAN_SAMPLES and max_osc(n_arcs) >= tol:
         n_arcs *= 2
     edges = np.linspace(0.0, CIRCLE, n_arcs + 1)
 
     # clip levels into the closed range of f so a source window always exists
     centres = 0.5 * (edges[:-1] + edges[1:])
     levels = np.clip(np.interp(centres, x, gx, period=CIRCLE), fmin, fmax)
-    sources = _allocate_sources(f, fx, levels.tolist(), tol, max_arcs)
+    sources = _allocate_sources(f, fx, levels.tolist(), tol)
     arcs = [Arc(lo, hi, b, float(level))
             for lo, hi, b, level in zip(edges[:-1], edges[1:], centres, levels)]
 
@@ -572,10 +559,9 @@ def rearrange_error(f: Callable, f1: Callable, phi: PiecewiseDiffeo,
     return float(sums.sum()) ** (1.0 / p)
 
 
-def rearrange(f: Callable, f1: Callable, eps: float, p: float = 2.0,
-              max_arcs: int = 4096):
+def rearrange(f: Callable, f1: Callable, eps: float, p: float = 2.0):
     """One-call pipeline; returns (phi, achieved error, plan)."""
-    plan = build_plan(f, f1, eps, p, max_arcs)
+    plan = build_plan(f, f1, eps, p)
     phi = realize_diffeo(plan)
     err = rearrange_error(f, f1, phi, p)
     return phi, err, plan

@@ -38,9 +38,11 @@ def _result(name, cap, t0, passed, detail) -> CheckResult:
 
 
 def check_curvature_tables(seed: int = 0) -> CheckResult:
-    """Exact rational frame tables of the sheared quotient."""
+    """Exact rational frame tables of the sheared quotient, the Riemann
+    tensor checked entry for entry against the Cartan route."""
     t0 = time.perf_counter()
-    tab = lie.curvature_tables(lie.kt_spec(1))
+    spec = lie.kt_spec(1)
+    tab = lie.curvature_tables(spec)
     half, quarter = Fraction(1, 2), Fraction(1, 4)
     checks = {
         "gamma_122": tab.gamma[0][1][2] == half,
@@ -56,6 +58,8 @@ def check_curvature_tables(seed: int = 0) -> CheckResult:
                        [-quarter, -half, half, quarter][i])
                        for i in range(4) for j in range(4)),
         "exact_types": exact.is_exact(tab.gamma) and exact.is_exact(tab.ricci),
+        "cartan": all(a == b for a, b in zip(
+            tab.riemann.flat, lie.curvature_cartan(spec).flat)),
     }
     bad = [k for k, ok in checks.items() if not ok]
     return _result("kt-curvature-tables", 1.0, t0, not bad,

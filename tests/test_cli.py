@@ -244,17 +244,20 @@ def test_rearrange_infeasible(tmp_path, capsys):
 
 def test_rearrange_refuses_cyclic_order(tmp_path, capsys):
     # targets that turn more often per lap than sin exit 2 with the
-    # library's cyclic-order refusal, before any directory or file is made
+    # library's cyclic-order refusal, before any directory or file is made;
+    # the swing S grows with twice f1's largest step between plan samples
     out, phi = tmp_path / "out", tmp_path / "phi.csv"
-    for f1, turns in (("sin(5*x)", 10), ("0.8*sin(20*x)", 40),
-                      ("0.5*sin(2*x)", 4), ("0.5*cos(2*x)", 4)):
+    for f1, turns, swing in (("sin(5*x)", 10, "0.0546"),
+                             ("0.8*sin(20*x)", 40, "0.063"),
+                             ("0.5*sin(2*x)", 4, "0.0515"),
+                             ("0.5*cos(2*x)", 4, "0.0515")):
         assert run(out, "rearrange", "--f", "sin(x)", "--f1", f1, "--eps",
                    "0.1", "--emit-phi", str(phi)) == 2
         assert capsys.readouterr().err == (
             f"error [rearrange]: f1 turns {turns} times per lap by more than "
-            f"0.0508 and f only 2 times: a circle diffeomorphism keeps cyclic "
-            f"order, so no partition can give f1's arcs source intervals in "
-            f"order (the obstruction is one-dimensional)\n")
+            f"{swing} and f only 2 times: a circle diffeomorphism keeps "
+            f"cyclic order, so no partition can give f1's arcs source "
+            f"intervals in order (the obstruction is one-dimensional)\n")
     assert not out.exists() and not phi.exists()
 
 
@@ -367,17 +370,15 @@ def test_rearrange_validates_parameters(tmp_path, capsys):
     assert run(tmp_path, "rearrange", "--f", "sin(x)", "--f1", "0*x",
                "--p", "1.0") == 2
     capsys.readouterr()
-    # non-finite eps or p and a cap below the first partition's 4 arcs are
-    # refused up front, each by its own name, before any planning
+    # non-finite eps or p are refused up front, each by its own name,
+    # before any planning
     for flag, value, name in (("--p", "inf", "p"), ("--eps", "nan", "eps"),
-                              ("--p", "nan", "p"), ("--eps", "inf", "eps"),
-                              ("--max-arcs", "-5", "max_arcs"),
-                              ("--max-arcs", "3", "max_arcs")):
+                              ("--p", "nan", "p"), ("--eps", "inf", "eps")):
         assert run(tmp_path, "rearrange", "--f", "sin(x)", "--f1",
                    "0.3*cos(x)", flag, value) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error [rearrange]: {name} must be ")
-        assert "Traceback" not in err and "finer partition" not in err
+        assert "Traceback" not in err and "source interval" not in err
     assert not list(tmp_path.glob("rearrange_plan.csv"))
 
 

@@ -1,5 +1,5 @@
 """The package resolves its public names on first use, only the commands
-that need the operator lab import it (and SciPy), and every public name has
+that need the operator lab import it (and SciPy), and every definition has
 a caller inside the package."""
 
 import ast
@@ -15,12 +15,14 @@ import akscal
 SRC = Path(akscal.__file__).resolve().parents[1]
 HEAVY = ("scipy.sparse", "akscal.grid", "akscal.operator_lab")
 
-# public names the package itself need not call, each with its reason
+# definitions the package itself need not call, each with its reason
 UNCALLED_BY_DESIGN = {
     "serialize_frame_spec": "writes the FORMATS.md frame-spec format; the "
                             "round-trip property tests read it back",
     "serialize_model": "writes the FORMATS.md model format; the round-trip "
                        "property tests read it back",
+    "__getattr__": "PEP 562 module hook: Python calls it for akscal.<name>",
+    "__dir__": "PEP 562 module hook: dir(akscal) calls it",
 }
 
 
@@ -65,30 +67,39 @@ def test_unknown_attribute_raises():
     assert not hasattr(akscal, "check_plan_parameters")
 
 
-def _referenced_in_package(name, home):
-    """Whether any Name or Attribute node under akscal/ spells `name`, outside
-    the top-level definition of `name` in its own module `home`.  The
-    export table holds strings, not names, so it never counts."""
+def _definitions_and_references():
+    """Every module-level function and class and every method under akscal/
+    but the protocol dunders a class defines, as (module, qualified name,
+    name, ids of the nodes inside it), and for each spelled name the ids of
+    the Name and Attribute nodes that spell it; each file is parsed once.
+    The export table holds strings, not names, so it never counts."""
+    defs, spelled = [], {}
+    trees = []                         # kept alive, so no node id is reused
     for path in sorted((SRC / "akscal").glob("*.py")):
-        tree = ast.parse(path.read_text())
-        skip = set()
-        if path.stem == home:
-            for node in tree.body:
-                if getattr(node, "name", None) == name:
-                    skip = {id(n) for n in ast.walk(node)}
+        trees.append(tree := ast.parse(path.read_text()))
         for node in ast.walk(tree):
-            if id(node) in skip:
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                spelled.setdefault(name, set()).add(id(node))
+        for top in tree.body:
+            if not isinstance(top, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            if (isinstance(node, ast.Name) and node.id == name
-                    or isinstance(node, ast.Attribute) and node.attr == name):
-                return True
-    return False
+            found = [(top.name, top)]
+            if isinstance(top, ast.ClassDef):
+                found += [(f"{top.name}.{m.name}", m) for m in top.body
+                          if isinstance(m, ast.FunctionDef)
+                          and not (m.name.startswith("__")
+                                   and m.name.endswith("__"))]
+            defs += [(path.stem, qual, node.name,
+                      {id(n) for n in ast.walk(node)}) for qual, node in found]
+    return defs, spelled
 
 
-def test_every_public_name_has_a_caller_in_the_package():
-    unused = [f"{module}.{name}" for module, names in akscal._EXPORTS.items()
-              for name in names if name not in UNCALLED_BY_DESIGN
-              and not _referenced_in_package(name, module)]
-    assert unused == []
-    for name in UNCALLED_BY_DESIGN:
-        assert name in akscal.__all__
+def test_every_definition_has_a_caller_in_the_package():
+    defs, spelled = _definitions_and_references()
+    uncalled = {name: f"{module}.{qual}" for module, qual, name, inside in defs
+                if not spelled.get(name, set()) - inside}
+    assert {name: where for name, where in uncalled.items()
+            if name not in UNCALLED_BY_DESIGN} == {}
+    # every allowance is still needed
+    assert set(UNCALLED_BY_DESIGN) <= set(uncalled)

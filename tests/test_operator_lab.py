@@ -130,8 +130,11 @@ def test_anti_slots_refuses_an_unlisted_j():
     j_xz = np.zeros((4, 4))
     j_xz[[2, 3, 0, 1], [0, 1, 2, 3]] = [1.0, 1.0, -1.0, -1.0]
     assert np.array_equal(j_xz @ j_xz, -np.eye(4))
-    for j in (j_xz, -ol.J_KT, ol.J_KT.ravel(), np.eye(4)):
-        with pytest.raises(ValueError, match="J_KT or J_FLAT"):
+    # neither a mapping nor a string converts to a matrix at all, and a
+    # complex J is refused rather than cast to its real part
+    for j in (j_xz, -ol.J_KT, ol.J_KT.ravel(), np.eye(4), {}, "J",
+              ol.J_KT + 1j * np.eye(4)):
+        with pytest.raises(ValueError, match="^J must be J_KT or J_FLAT"):
             ol.anti_slots(j)
 
 
