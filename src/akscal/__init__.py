@@ -12,8 +12,8 @@ loads no layer, and only the grid and operator lab import SciPy.
 import importlib
 
 _EXPORTS = {
-    "tensor": ("CompatibilityError", "anti_invariant_part", "invariant_part",
-               "exp_metric", "log_recover", "check_compatibility", "check_acs"),
+    "tensor": ("anti_invariant_part", "invariant_part", "exp_metric",
+               "log_recover", "check_acs"),
     "lie": ("LieFrameSpec", "CurvatureTables", "kt_spec", "abelian_spec",
             "make_frame_spec", "parse_frame_spec", "serialize_frame_spec",
             "curvature_tables", "nabla_j_norm_sq", "z_ratio"),

@@ -3,9 +3,8 @@
 Curvature tables of the shipped homogeneous structures are rational, so the
 whole frame calculus can run on ``fractions.Fraction`` entries.  numpy object
 arrays dispatch ``+``, ``*`` and ``@`` to the Fraction operators, which keeps
-the code identical to the floating path; the only thing numpy cannot do on
-object arrays is invert them, hence the Gauss-Jordan routine below.  From
-``half`` on, each helper follows its argument's arithmetic.
+the code identical to the floating path.  From ``half`` on, each helper
+follows its argument's arithmetic.
 
 Contractions go through ``einsum`` and follow the integer-numerator rule:
 when every operand is exact, each is scaled by the lcm of its denominators
@@ -66,8 +65,15 @@ def einsum(subscripts: str, *operands):
     return np.frompyfunc(over.__getitem__, 1, 1)(out)
 
 
-def to_float(a) -> np.ndarray:
-    return np.asarray(a, dtype=float)
+def to_float(a, name="value") -> np.ndarray:
+    """a as a float array; a complex or non-numeric entry is refused by name."""
+    try:
+        a = np.asarray(a)
+        if a.dtype.kind != "c":
+            return np.asarray(a, dtype=float)
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f"{name} must have real numeric entries")
 
 
 def zeros(shape) -> np.ndarray:
@@ -103,41 +109,3 @@ def nonzero(a, tol) -> bool:
         return any(v != 0 for v in a.flat)
     return bool((np.abs(a) > tol).any())
 
-
-def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a^-1 b, exact or by LAPACK (float a and b may be stacks); singular a
-    (in float: |det a| < 1e-300 too) raises ZeroDivisionError."""
-    if is_exact(a):
-        return mat_inv(a) @ b
-    try:
-        x = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError:
-        raise ZeroDivisionError("singular matrix") from None
-    if np.abs(np.linalg.det(a)).min() < 1e-300:
-        raise ZeroDivisionError("singular matrix")
-    return x
-
-
-def mat_inv(a: np.ndarray) -> np.ndarray:
-    """Exact inverse by Gauss-Jordan elimination; raises on singular input."""
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError("square matrix required")
-    m = as_exact(a)
-    inv = eye(n)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r, col] != 0), None)
-        if pivot is None:
-            raise ZeroDivisionError("singular matrix")
-        if pivot != col:
-            m[[col, pivot]] = m[[pivot, col]]
-            inv[[col, pivot]] = inv[[pivot, col]]
-        p = m[col, col]
-        m[col] = m[col] / p
-        inv[col] = inv[col] / p
-        for r in range(n):
-            if r != col and m[r, col] != 0:
-                f = m[r, col]
-                m[r] = m[r] - f * m[col]
-                inv[r] = inv[r] - f * inv[col]
-    return inv

@@ -46,10 +46,6 @@ class LieFrameSpec:
         return self.dim // 2
 
     @property
-    def omega(self) -> np.ndarray:
-        return self.j.T.copy()
-
-    @property
     def volume(self):
         return math.prod(self.lattice_volumes)
 

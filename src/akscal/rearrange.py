@@ -502,8 +502,13 @@ def realize_diffeo(plan: RearrangementPlan) -> PiecewiseDiffeo:
         ys.extend([u + m, v - m])
     xs = np.asarray(xs)
     ys = np.asarray(ys)
-    if np.any(np.diff(ys) <= 0):
-        raise PlanError("source intervals lost cyclic order; refine the plan")
+    bad = np.flatnonzero(np.diff(ys) <= 0)
+    if bad.size:
+        # ys[2k] and ys[2k + 1] lie in source k
+        k, inside = divmod(int(bad[0]) + 1, 2)
+        raise PlanError(f"source {k} {plan.sources[k]} is empty" if inside else
+                        f"source {k} {plan.sources[k]} starts before source "
+                        f"{k - 1} {plan.sources[k - 1]} ends")
     phi = PiecewiseDiffeo(xs, ys)
     if phi.min_derivative() < _DERIVATIVE_FLOOR:
         raise PlanError("smoothed map's derivative fell below "

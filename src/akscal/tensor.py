@@ -1,22 +1,22 @@
-"""Pointwise frame linear algebra for compatible triples (g, omega, J).
+"""Pointwise frame linear algebra for an almost-complex structure J.
 
 Everything here acts on orthonormal-frame component matrices (2n x 2n) rather
-than coordinate tensors.  Metrics are symmetric positive-definite, symplectic
-forms skew-symmetric, and an almost-complex structure J ties them together via
-g(X, Y) = omega(X, JY).  Symmetric 2-tensors split into J-invariant and
-J-anti-invariant parts; the anti-invariant ones parametrize the compatible
-metrics for a fixed omega through the exponential map g -> g.exp(g^-1 h).
+than coordinate tensors.  Metrics are symmetric positive-definite and an
+almost-complex structure squares to -I.  Symmetric 2-tensors split into
+J-invariant and J-anti-invariant parts; the anti-invariant ones parametrize
+the metrics compatible with a fixed symplectic form through the exponential
+map g -> g.exp(g^-1 h), and `log_recover` inverts that map.
 
 The checks and the J-splitting coerce their inputs once: when every input is
 an exact array (Fraction objects) they stay exact and a defect must vanish;
 otherwise all inputs become float arrays and a defect must stay within a
-tolerance (1e-10 relative for compatibility).  `exact` supplies the
-arithmetic-dependent pieces, so each check has one body.  The exponential
-and logarithm always run in floating point.
+tolerance.  A complex or non-numeric input is refused by name.  `exact`
+supplies the arithmetic-dependent pieces, so each check has one body.  The
+exponential and logarithm always run in floating point.
 
-The checks, the J-splitting, `exp_metric`, `log_recover` and (in float)
-`check_compatibility` take a matrix of shape (m, m) or a stack of shape
-(..., m, m); stacked arguments broadcast against each other as in `@`.
+The checks, the J-splitting, `exp_metric` and `log_recover` take a matrix of
+shape (m, m) or a stack of shape (..., m, m); stacked arguments broadcast
+against each other as in `@`.
 Each matrix of a stack is held to the tolerance of its own scale, so a stack
 passes exactly when every matrix would pass alone, and an error reports the
 worst defect in the stack.  A single matrix runs the same operations as a
@@ -29,19 +29,14 @@ import numpy as np
 
 from . import exact
 
-COMPAT_TOL = 1e-10
 ACS_TOL = 1e-12
 
 
-class CompatibilityError(ValueError):
-    """Raised when (g, omega) admits no compatible J, with defect sizes."""
-
-
-def _coerce(*mats):
-    """The inputs unchanged when all are exact, else all as float arrays."""
-    if all(map(exact.is_exact, mats)):
-        return mats
-    return [np.asarray(m, dtype=float) for m in mats]
+def _coerce(*named):
+    """The matrices of (name, matrix) pairs, as given if all are exact, else float."""
+    if all(exact.is_exact(m) for _, m in named):
+        return [m for _, m in named]
+    return [exact.to_float(m, name) for name, m in named]
 
 
 def _size(a) -> float:
@@ -70,7 +65,7 @@ def _check_square(a, name) -> int:
 
 
 def check_symmetric(a, name="tensor", tol=0.0):
-    (a,) = _coerce(a)
+    (a,) = _coerce((name, a))
     _check_square(a, name)
     d = a - _t(a)
     if exact.nonzero(d, tol):
@@ -78,35 +73,35 @@ def check_symmetric(a, name="tensor", tol=0.0):
     return a
 
 
+def _near_symmetric(a, name):
+    """check_symmetric to 1e-12 of each matrix's scale, once a is square."""
+    _check_square(a, name)
+    return check_symmetric(a, name, tol=1e-12 * _scale(a))
+
+
 def check_metric(g, name="metric"):
     """Symmetric positive-definite check; returns g as float array."""
-    g = np.asarray(g, dtype=float)
-    check_symmetric(g, name, tol=1e-12 * _scale(g))
+    g = _near_symmetric(exact.to_float(g, name), name)
     w = np.linalg.eigvalsh(g)
     if w.min() <= 0:
         raise ValueError(f"{name} is not positive-definite (min eigenvalue {w.min():.3g})")
     return g
 
 
-def check_acs(j, g=None):
-    """Verify J^2 = -I (and J^T g J = g when g is given)."""
-    j, g = _coerce(j, g) if g is not None else (*_coerce(j), None)
+def check_acs(j):
+    """Verify J^2 = -I."""
+    (j,) = _coerce(("J", j))
     n = _check_square(j, "J")
     d_acs = j @ j + exact.eye_as(j, n)
     if exact.nonzero(d_acs, ACS_TOL):
         raise ValueError(f"J^2 != -I (defect {_size(d_acs):.3g} > {ACS_TOL:g})")
-    if g is not None:
-        _check_square(g, "g")
-        d_iso = _t(j) @ g @ j - g
-        if exact.nonzero(d_iso, np.maximum(ACS_TOL, COMPAT_TOL * _scale(g))):
-            raise ValueError(f"J is not a g-isometry (defect {_size(d_iso):.3g})")
     return j
 
 
 def _j_part(a, j, combine):
     """(1/2) combine(A, J^T A J) for A symmetric and J an acs, both checked."""
-    a, j = _coerce(a, j)
-    a = check_symmetric(a, "A", tol=1e-12 * _scale(a))
+    a, j = _coerce(("A", a), ("J", j))
+    a = _near_symmetric(a, "A")
     j = check_acs(j)
     if a.shape[-1] != j.shape[-1]:
         raise ValueError("dimension mismatch between A and J")
@@ -141,8 +136,7 @@ def exp_metric(g, h):
     which is exact up to floating error because g^-1 h is g-self-adjoint.
     """
     g = check_metric(g)
-    h = np.asarray(h, dtype=float)
-    check_symmetric(h, "h", tol=1e-12 * _scale(h))
+    h = _near_symmetric(exact.to_float(h, "h"), "h")
     g_half, g_ihalf = _sym_sqrt(g)
     m = g_ihalf @ h @ g_ihalf
     m = 0.5 * (m + _t(m))
@@ -152,19 +146,11 @@ def exp_metric(g, h):
     return 0.5 * (out + _t(out))
 
 
-def log_recover(g, g_tilde, omega=None):
-    """The unique symmetric h with exp_metric(g, h) = g_tilde.
-
-    When omega is supplied, both metrics must be omega-compatible (verified via
-    check_compatibility) and the recovered h is verified J-anti-invariant to
-    1e-10; without omega this is the plain g-relative matrix logarithm.
-    """
+def log_recover(g, g_tilde):
+    """The unique symmetric h with exp_metric(g, h) = g_tilde: the plain
+    g-relative matrix logarithm."""
     g = check_metric(g)
     gt = check_metric(g_tilde, "g_tilde")
-    j = None
-    if omega is not None:
-        j = check_compatibility(g, omega)
-        check_compatibility(gt, omega)
     g_half, g_ihalf = _sym_sqrt(g)
     m = g_ihalf @ gt @ g_ihalf
     m = 0.5 * (m + _t(m))
@@ -173,40 +159,4 @@ def log_recover(g, g_tilde, omega=None):
         raise ValueError(f"logarithm undefined: non-positive eigenvalue {w.min():.3g}")
     lm = (v * np.log(w)[..., None, :]) @ _t(v)
     h = g_half @ lm @ g_half
-    h = 0.5 * (h + _t(h))
-    if j is not None:
-        d = h + _t(j) @ h @ j
-        if exact.nonzero(d, COMPAT_TOL * _scale(h)):
-            raise CompatibilityError(
-                f"recovered h is not J-anti-invariant (defect {_size(d):.3g})"
-            )
-    return h
-
-
-def check_compatibility(g, omega):
-    """The unique J with g(X, Y) = omega(X, JY), verified almost-complex.
-
-    Returns J; raises CompatibilityError (with the J^2+I and isometry defect
-    sizes) when the pair is not compatible.  Rational g, omega run exactly.
-    """
-    g, omega = _coerce(g, omega)
-    check_metric(g)
-    n = _check_square(omega, "omega")
-    if g.shape[-1] != omega.shape[-1]:
-        raise ValueError("dimension mismatch between g and omega")
-    if exact.nonzero(omega + _t(omega), COMPAT_TOL):
-        raise ValueError("omega is not skew-symmetric")
-    try:
-        j = exact.solve(omega, g)
-    except ZeroDivisionError:
-        raise CompatibilityError("omega is degenerate") from None
-    d_acs = j @ j + exact.eye_as(j, n)
-    d_iso = _t(j) @ g @ j - g
-    tol = COMPAT_TOL * _scale(g)
-    if exact.nonzero(d_acs, tol) or exact.nonzero(d_iso, tol):
-        raise CompatibilityError(
-            f"derived J fails compatibility: max|J^2+I| = {_size(d_acs):.3g}, "
-            f"max|J^T g J - g| = {_size(d_iso):.3g} (tol {COMPAT_TOL:g})"
-        )
-    return j
-
+    return 0.5 * (h + _t(h))

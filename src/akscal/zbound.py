@@ -23,6 +23,8 @@ from typing import Optional
 
 import numpy as np
 
+from . import exact
+
 CONE_EPS = 1e-9
 UNBOUNDED_THRESHOLD = 1e6
 _MAX_ASCENT_STEPS = 5000
@@ -185,8 +187,9 @@ def serialize_model(m: IntersectionModel) -> str:
 
 
 def _finite(x, name="class"):
-    """x as a float array; a NaN or infinite entry is refused by name."""
-    x = np.asarray(x, dtype=float)
+    """x as a float array; a complex, non-numeric, NaN or infinite entry is
+    refused by name."""
+    x = exact.to_float(x, name)
     if not np.isfinite(x).all():
         raise ValueError(f"{name} has a non-finite entry")
     return x

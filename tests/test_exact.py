@@ -1,7 +1,6 @@
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from akscal import exact
 
@@ -28,18 +27,6 @@ def test_to_float_round_trip():
     f = exact.to_float(a)
     assert f.dtype == float
     assert f[0, 0] == 0.25 and f[1, 1] == -0.625
-
-
-def test_mat_inv_exact():
-    m = exact.as_exact([[2, 1], [1, 1]])
-    inv = exact.mat_inv(m)
-    assert (inv == exact.as_exact([[1, -1], [-1, 2]])).all()
-    assert all(v == w for v, w in zip((m @ inv).flat, exact.eye(2).flat))
-
-
-def test_mat_inv_singular():
-    with pytest.raises(ZeroDivisionError):
-        exact.mat_inv(exact.as_exact([[1, 2], [2, 4]]))
 
 
 def test_einsum_on_integer_numerators():

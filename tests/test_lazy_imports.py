@@ -70,35 +70,39 @@ def test_unknown_attribute_raises():
 def _definitions_and_references():
     """Every module-level function and class and every method under akscal/
     but the protocol dunders a class defines, as (module, qualified name,
-    name, ids of the nodes inside it), and for each spelled name the ids of
-    the Name and Attribute nodes that spell it; each file is parsed once.
-    The export table holds strings, not names, so it never counts."""
-    defs, spelled = [], {}
+    ids of the nodes inside it, ids of the nodes that may call it); each
+    file is parsed once.  A module-level name is called by a Name or an
+    Attribute node that spells it, a method by an Attribute node alone, so
+    a local variable that shares a method's name calls nothing.  The export
+    table holds strings, not names, so it never counts."""
+    found, names, attrs = [], {}, {}
     trees = []                         # kept alive, so no node id is reused
     for path in sorted((SRC / "akscal").glob("*.py")):
         trees.append(tree := ast.parse(path.read_text()))
         for node in ast.walk(tree):
-            if isinstance(node, (ast.Name, ast.Attribute)):
-                name = node.id if isinstance(node, ast.Name) else node.attr
-                spelled.setdefault(name, set()).add(id(node))
+            if isinstance(node, ast.Name):
+                names.setdefault(node.id, set()).add(id(node))
+            elif isinstance(node, ast.Attribute):
+                attrs.setdefault(node.attr, set()).add(id(node))
         for top in tree.body:
             if not isinstance(top, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            found = [(top.name, top)]
+            found.append((path.stem, top.name, top, False))
             if isinstance(top, ast.ClassDef):
-                found += [(f"{top.name}.{m.name}", m) for m in top.body
-                          if isinstance(m, ast.FunctionDef)
+                found += [(path.stem, f"{top.name}.{m.name}", m, True)
+                          for m in top.body if isinstance(m, ast.FunctionDef)
                           and not (m.name.startswith("__")
                                    and m.name.endswith("__"))]
-            defs += [(path.stem, qual, node.name,
-                      {id(n) for n in ast.walk(node)}) for qual, node in found]
-    return defs, spelled
+    return [(module, qual, {id(n) for n in ast.walk(node)},
+             attrs.get(node.name, set())
+             | (set() if method else names.get(node.name, set())))
+            for module, qual, node, method in found]
 
 
 def test_every_definition_has_a_caller_in_the_package():
-    defs, spelled = _definitions_and_references()
-    uncalled = {name: f"{module}.{qual}" for module, qual, name, inside in defs
-                if not spelled.get(name, set()) - inside}
+    uncalled = {qual.rpartition(".")[2]: f"{module}.{qual}"
+                for module, qual, inside, callers
+                in _definitions_and_references() if not callers - inside}
     assert {name: where for name, where in uncalled.items()
             if name not in UNCALLED_BY_DESIGN} == {}
     # every allowance is still needed

@@ -111,8 +111,7 @@ def test_stacked_tensor_calls_match_per_matrix(seed, k, m):
     a = rng.standard_normal((k, m, m))
     a = a + t(a)
     spd = a @ t(a) + m * np.eye(m)
-    g = tensor.invariant_part(spd, j)     # J-invariant, so omega-compatible
-    omega = -g @ j
+    g = tensor.invariant_part(spd, j)     # J-invariant
     h = 0.3 * tensor.anti_invariant_part(a, j)
     gt = tensor.exp_metric(g, h)
     cases = [
@@ -120,12 +119,11 @@ def test_stacked_tensor_calls_match_per_matrix(seed, k, m):
         (tensor.invariant_part, spd, j),
         (tensor.check_symmetric, a),
         (tensor.check_metric, spd),
-        (tensor.check_acs, j, g),
+        (tensor.check_acs, j),
         (tensor.exp_metric, spd, h),
         (tensor.exp_metric, np.eye(m), h),
         (tensor.log_recover, spd, tensor.exp_metric(spd, h)),
-        (tensor.log_recover, g, gt, omega),
-        (tensor.check_compatibility, g, omega),
+        (tensor.log_recover, g, gt),
     ]
     for fn, *args in cases:
         _assert_close(fn(*args), _per_matrix(fn, *args))

@@ -1,5 +1,7 @@
 """Circle rearrangement: planning, realization, error and feasibility."""
 
+import dataclasses
+import re
 import tempfile
 import time
 import tracemalloc
@@ -206,6 +208,20 @@ def test_order_incompatible_target_is_refused():
                 r"0\.0\d+ and f only 2 times: .*no partition can ")) as info:
             rr.build_plan(f_sin, f1, eps=0.1)
         assert info.value.reason == "cyclic-order"
+
+
+def test_out_of_order_sources_refused_naming_the_first():
+    # nothing refines a plan, so the refusal names the source, not a remedy
+    plan = rr.build_plan(f_sin, lambda x: 0.3 * np.cos(x), eps=0.1)
+    s0, s1, *rest = plan.sources
+    swapped = dataclasses.replace(plan, sources=(s1, s0, *rest))
+    with pytest.raises(rr.PlanError, match=re.escape(
+            f"source 1 {s0} starts before source 0 {s1} ends")):
+        rr.realize_diffeo(swapped)
+    reversed_ = dataclasses.replace(plan, sources=(s0, s1[::-1], *rest))
+    with pytest.raises(rr.PlanError,
+                       match=re.escape(f"source 1 {s1[::-1]} is empty")):
+        rr.realize_diffeo(reversed_)
 
 
 def _reason(*case):

@@ -1,4 +1,4 @@
-"""Pointwise tensor algebra: splitting, metric exponentials, compatibility."""
+"""Pointwise tensor algebra: splitting, metric exponentials, refusals."""
 
 from fractions import Fraction
 
@@ -57,13 +57,7 @@ def test_check_acs_rejects_non_acs():
             tensor.check_acs(arith(bad, kind))
         with pytest.raises(ValueError, match="J\\^2 != -I"):
             tensor.check_acs(arith(2 * J4.astype(int), kind))
-        # J swaps e1 with e4 and e2 with e3: an isometry of diag(1, 2, 2, 1)
-        # but not of diag(1, 1, 2, 2)
-        with pytest.raises(ValueError, match="g-isometry"):
-            tensor.check_acs(arith(J4.astype(int), kind),
-                             arith(np.diag([1, 1, 2, 2]), kind))
-        assert tensor.check_acs(arith(J4.astype(int), kind),
-                                arith(np.diag([1, 2, 2, 1]), kind)) is not None
+        assert tensor.check_acs(arith(J4.astype(int), kind)) is not None
 
 
 def test_exp_metric_identity_direction():
@@ -105,72 +99,36 @@ def test_non_finite_entries_refused_by_name():
     # a NaN defect is within no tolerance, so it used to pass these checks
     with pytest.raises(ValueError, match="J has a non-finite entry"):
         tensor.check_acs(np.full((4, 4), np.nan))
-    for g in (np.full((4, 4), np.nan), np.diag([1.0, np.inf, 1.0, 1.0])):
-        with pytest.raises(ValueError, match="g has a non-finite entry"):
-            tensor.check_acs(J4, g)
-    with pytest.raises(ValueError, match="omega has a non-finite entry"):
-        tensor.check_compatibility(np.eye(4), np.full((4, 4), np.nan))
+    # complex input used to lose its imaginary part with a ComplexWarning
+    real = "must have real numeric entries"
+    with pytest.raises(ValueError, match=f"metric {real}"):
+        tensor.exp_metric({}, 0)
+    with pytest.raises(ValueError, match=f"h {real}"):
+        tensor.exp_metric(np.eye(4), 1j * np.eye(4))
+    with pytest.raises(ValueError, match=f"g_tilde {real}"):
+        tensor.log_recover(np.eye(4), 1j * np.eye(4))
+    with pytest.raises(ValueError, match=f"J {real}"):
+        tensor.check_acs(1j * J4)
+    with pytest.raises(ValueError, match=f"A {real}"):
+        tensor.anti_invariant_part({}, J4)
+    # None reads as a 0-d NaN, so its shape is refused before its scale
+    with pytest.raises(ValueError, match="metric must be a square matrix"):
+        tensor.exp_metric(None, 0)
+    with pytest.raises(ValueError, match="h must be a square matrix"):
+        tensor.exp_metric(np.eye(4), 0)
+    with pytest.raises(ValueError, match="A must be a square matrix"):
+        tensor.anti_invariant_part(None, J4)
 
 
-def test_compatibility_gate():
-    for kind in KINDS:
-        omega = arith(J4.T.astype(int), kind)
-        j = tensor.check_compatibility(arith(np.eye(4, dtype=int), kind), omega)
-        assert exact.is_exact(j) == (kind == "exact")
-        assert np.allclose(exact.to_float(j), J4)
-        with pytest.raises(tensor.CompatibilityError):
-            tensor.check_compatibility(arith(np.diag([1, 1, 2, 2]), kind), omega)
-        with pytest.raises(ValueError, match="not skew"):
-            tensor.check_compatibility(arith(np.eye(4, dtype=int), kind),
-                                       arith(np.eye(4, dtype=int), kind))
-
-
-OMEGA = J4.T.astype(int)
 G_BLOCK = np.array([[2, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 1]])
-G_DIAG = np.diag([Fraction(2), Fraction(1), Fraction(1), Fraction(1, 2)])
-
-
-@pytest.mark.parametrize("g, omega, error, match", [
-    # a negative-definite "metric" gives a J that squares to -I
-    (-np.eye(4, dtype=int), OMEGA, ValueError, "positive-definite"),
-    (G_BLOCK + np.triu(np.ones((4, 4), dtype=int), 1), OMEGA, ValueError,
-     "not symmetric"),
-    (np.eye(4, dtype=int), np.array([[0, 1, 0, 0], [-1, 0, 0, 0],
-                                     [0, 0, 0, 0], [0, 0, 0, 0]]),
-     tensor.CompatibilityError, "degenerate"),
-    (np.diag([1, 1, 2, 2]), OMEGA, tensor.CompatibilityError, "J\\^2\\+I"),
-    (G_BLOCK, OMEGA, None, None),
-    (G_DIAG, OMEGA, None, None),
-], ids=["negative-metric", "non-symmetric-g", "degenerate-omega",
-        "j-squared-not-minus-one", "accepted-block", "accepted-diagonal"])
-def test_compatibility_exact_and_float_agree(g, omega, error, match):
-    """Rational (g, omega) are accepted or refused alike by both routes, and
-    an accepted pair gives the same J."""
-    if error is not None:
-        for kind in KINDS:
-            with pytest.raises(error, match=match):
-                tensor.check_compatibility(arith(g, kind), arith(omega, kind))
-        return
-    j_float = tensor.check_compatibility(arith(g, "float"), arith(omega, "float"))
-    j_exact = tensor.check_compatibility(arith(g, "exact"), arith(omega, "exact"))
-    assert exact.is_exact(j_exact) and not exact.is_exact(j_float)
-    assert np.array_equal(exact.to_float(j_exact), j_float)
-    assert not (j_exact @ j_exact + exact.eye(4)).any()
 
 
 def test_mixed_exact_and_float_input_runs_in_float():
     g = arith(G_BLOCK, "exact")
-    j = tensor.check_compatibility(g, arith(OMEGA, "float"))
-    assert j.dtype == float
-    assert np.array_equal(j, tensor.check_compatibility(arith(G_BLOCK, "float"),
-                                                        arith(OMEGA, "float")))
     # a float J against an exact tensor: the split runs in float
     anti = tensor.anti_invariant_part(g, J4)
     assert anti.dtype == float
     assert np.array_equal(anti, tensor.anti_invariant_part(exact.to_float(g), J4))
-    # an exact J with a float g: the isometry defect is measured in float
-    assert tensor.check_acs(arith(J4.astype(int), "exact"),
-                            np.eye(4) + 1e-14).dtype == float
 
 
 def test_stack_refused_when_one_matrix_is():

@@ -104,6 +104,21 @@ def test_eval_refuses_a_non_finite_class():
             zbound.eval_z_bound(zbound.cp2_model(), cls)
 
 
+def test_complex_and_non_numeric_classes_refused_by_name():
+    # a complex class used to lose its imaginary part with a ComplexWarning
+    m = zbound.barlow_sigma_model()
+    for bad in (np.array(m.seed) + 1j, {}, "x", [object()]):
+        with pytest.raises(ValueError, match="class must have real numeric"):
+            zbound.eval_z_bound(m, bad)
+        with pytest.raises(ValueError, match="class must have real numeric"):
+            zbound.certify_global(m, bad)
+        with pytest.raises(ValueError,
+                           match="seed class must have real numeric"):
+            zbound.optimize_z_bound(m, bad)
+    with pytest.raises(ValueError, match="y must have real numeric"):
+        zbound.y_ratio(0.5j)
+
+
 def test_barlow_optimum():
     res = zbound.optimize_z_bound(zbound.barlow_sigma_model())
     assert not res.unbounded
