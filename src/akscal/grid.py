@@ -3,13 +3,13 @@
 The quotient identifies (x+1, y, z) with (x, y, z-y) — wrapping the first
 index shears the third by the second — while y, z, t wrap cleanly (t has
 circumference d).  Functions on the quotient are arrays over the fundamental
-vertex grid; all operators below are sparse matrices acting on the flattened
-array, so compositions, transposes, and permutation conjugations stay exact.
+vertex grid, flattened in C order.
 
 With twisted=False the same machinery produces the plain 4-torus.
 
 Every difference is a one-axis stencil, applied along its axis by `apply_axis`
-or lifted by `lift_axis`; each grid caches its frame fields only.
+or lifted by `lift_axis` into a sparse matrix; the frame fields are lifted by
+`QuotientGrid.frame` (each grid's only cache) or applied by `apply_frame`.
 """
 
 from __future__ import annotations
@@ -132,6 +132,25 @@ class QuotientGrid:
                 dy = (dy + x @ dz).tocsr()
             self._frame = (dx, dy, dz, dt)
         return self._frame
+
+    def apply_frame(self, k: int, block: np.ndarray, dz=None) -> np.ndarray:
+        """frame()[k] @ block, each ring applied along its axis; the sheared
+        x-wrap reads the sources diff("x") points to.  Bit for bit but for
+        the twisted E_y = D_y + x D_z, which adds x dz (dz = D_z block)."""
+        shape, block = np.shape(block), np.asarray(block).reshape(self.size, -1)
+        ring = self.ring(AXES[k])
+        out = apply_axis(ring, AXES[k], self, block)
+        if self.twisted and k == 1:
+            dz = apply_axis(self.ring("z"), "z", self, block) if dz is None else dz
+            out += self.sample(lambda x, y, z, t: x)[:, None] * dz.reshape(out.shape)
+        elif self.twisted and k == 0:
+            _, j, kz, l = self._open_indices()
+            lo, hi = (block[self.flat(i, j, kz, l).ravel()] for i in (-1, self.n))
+            b, o = (a.reshape(self.n, -1, block.shape[1]) for a in (block, out))
+            fwd, back = ring.data[:2]  # row 0: fwd at column 1, back at n - 1
+            o[0], o[-1] = fwd * b[1] + back * lo, fwd * hi + back * b[-2]
+            out = o.reshape(block.shape)
+        return out.reshape(shape)
 
     def refuse_overflow(self, finite: bool, what: str) -> None:
         """The one refusal of a t-period too small for float arithmetic:

@@ -7,13 +7,13 @@ in two independent discretizations:
 
 * the frame route: compositions of the invariant frame derivatives
   (x innermost, so the sheared x-wrap only ever acts on invariant samples),
-  corrected by the frame connection — assembled as sparse matrices, it is
-  the route the adjoint system, its exact-transpose forward operator, and
-  the normal operator are built on;
+  corrected by the frame connection — composed as sparse matrices for the
+  adjoint system, its exact-transpose forward and its normal operator, and
+  applied along the frame's axes to a field block, with no grid-size matrix;
 * the chart route: coordinate stencils of the ten chart Hessian formulas,
   applied to sampled fields: one-sided in x at the fundamental-domain faces
   so nothing crosses the sheared seam, and the grid's periodic y, z, t
-  rings, which the frame route's differences lift.
+  rings, which the frame route's differences use.
 
 Both routes are second order; their difference contracts like h^2, which the
 Richardson fit exposes.  Fourier modes feed the principal-symbol ratio check,
@@ -133,19 +133,25 @@ def hessian_ops_frame(g: QuotientGrid, psi=None) -> dict:
     would cost an order at the seam).  Each E_k psi is formed once and
     reused by every slot.
 
-    psi is a (size, m) field block, or None for the identity, which gives
-    the slot matrices themselves.  A sparse identity would give the same
-    values in another order (a sparse product reverses each row's entries),
-    and AdjointSystem.apply, which sums each row in stored order, would
-    change in the last bit.
+    psi is a (size, m) field block, which QuotientGrid.apply_frame takes
+    along the frame's axes, or None: the frame matrices composed into the
+    slot matrices.  A sparse identity psi would give the same values in
+    another order (a sparse product reverses each row's entries), and
+    AdjointSystem.apply, which sums each row in stored order, would change.
     """
-    e = g.frame()
-    first = e if psi is None else [ek @ psi for ek in e]
+    if psi is None:
+        e = g.frame()
+        first, along = e, (lambda k, a, dz: e[k] @ a)
+    else:
+        along, pz = g.apply_frame, g.apply_frame(2, psi)
+        first = [pz if k == 2 else along(k, psi, pz) for k in range(4)]
     gam = _geometry(g.twisted)[1]
     ops = {}
     for i in range(4):
+        # E_z first[i] is formed before E_y first[i], which reads it as D_z
+        zi = along(2, first[i], None) if i <= 2 else None
         for jj in range(i, 4):
-            op = e[jj] @ first[i]
+            op = zi if jj == 2 else along(jj, first[i], zi)
             for k in range(4):
                 c = gam[jj][i][k]
                 if c != 0.0:
@@ -162,7 +168,7 @@ def hessian_ops_chart(g: QuotientGrid, psi: np.ndarray):
     first differences.  On the sheared quotient x is one-sided at the faces
     of the fundamental domain, so the route never crosses the seam and stays
     second order; every other axis takes the grid's periodic rings, which
-    the frame route's differences lift.  The routes stay independent in x
+    the frame route's differences use.  The routes stay independent in x
     and in the Hessian formula (frame composition with connection terms vs
     the chart formulas).  Each n x n stencil is applied along its axis by
     apply_axis, so this route builds no grid-size matrix.
@@ -576,9 +582,9 @@ def route_difference(n: int, variant: str = "kt", d: float = 1.0,
 
     field is None (theta_test_field(d)) or a sequence of callables; each
     norm is an array with one entry per field.  The fields stream through
-    one grid, whose frame fields they share: each is sampled as a (size, 1)
-    column, both routes are applied to it, so no slot matrix is assembled,
-    and everything built for it is dropped before the next field is sampled.
+    one grid: each is sampled as a (size, 1) column and both routes are
+    applied to it along their axes, so no grid-size matrix is built, and
+    everything built for it is dropped before the next field is sampled.
     A complex, NaN or infinite field is refused before its slots are formed.
 
     The ten frame slots are formed at once; the chart slots one at a time,

@@ -59,8 +59,11 @@ class IntersectionModel:
 
 def make_model(name, q, c1, n=2, fiber_chern=None, chi=None, tau=None,
                seed=None) -> IntersectionModel:
-    q = np.asarray(q, dtype=np.int64)
-    c1 = np.asarray(c1, dtype=np.int64)
+    q, c1 = _finite(q, "Q"), _finite(c1, "c1")
+    for key, v in (("Q", q), ("c1", c1)):   # refused, not truncated
+        if not (np.all(v == np.round(v)) and np.all(np.abs(v) <= 2.0 ** 53)):
+            raise ValueError(f"{key} must have integer entries of at most 2^53")
+    q, c1 = q.astype(np.int64), c1.astype(np.int64)
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
         raise ValueError("Q must be a square matrix")
     if (q != q.T).any():
@@ -80,10 +83,10 @@ def make_model(name, q, c1, n=2, fiber_chern=None, chi=None, tau=None,
             raise ValueError(f"{key} must be an integer, got {v!r}")
         ints[key] = None if v is None else int(v)
     if seed is not None:
-        seed = tuple(float(v) for v in seed)
-        if len(seed) != q.shape[0] + (1 if n == 3 else 0):
+        seed = _finite(seed, "seed")
+        if seed.shape != (q.shape[0] + (1 if n == 3 else 0),):
             raise ValueError("seed length must match the class dimension")
-        _finite(seed, "seed")
+        seed = tuple(seed.tolist())
     return IntersectionModel(str(name), q, c1, int(n), seed=seed, **ints)
 
 

@@ -264,6 +264,27 @@ def test_apply_axis_matches_lift_axis(n, nt, twisted):
                 assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("n, nt", [(4, 6), (5, 4), (6, 9)])
+@pytest.mark.parametrize("twisted", [True, False])
+def test_apply_frame_matches_frame_matrices(n, nt, twisted):
+    # bit for bit, but for the twisted E_y = D_y + x D_z, whose applied
+    # form sums its D_y and x D_z parts apart
+    g = gr.QuotientGrid(n, nt=nt, d=0.7, twisted=twisted)
+    rng = np.random.default_rng(n * nt)
+    for cols in ((), (1,), (3,)):
+        block = rng.standard_normal((g.size,) + cols)
+        dz = g.apply_frame(2, block)
+        for k, ek in enumerate(g.frame()):
+            want = ek @ block
+            for got in (g.apply_frame(k, block), g.apply_frame(k, block, dz)):
+                assert got.shape == want.shape
+                if twisted and k == 1:
+                    scale = np.abs(want).max()
+                    assert np.abs(got - want).max() <= 1e-13 * scale
+                else:
+                    assert got.tobytes() == want.tobytes()
+
+
 def test_ring_refuses_other_orders():
     g = gr.QuotientGrid(4)
     for order in (0, 3, 1.5, "1"):

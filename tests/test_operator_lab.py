@@ -562,10 +562,11 @@ def test_streamed_routes_match_materialized_routes(variant, n):
 
 def test_route_difference_traced_peak():
     # the fields stream one at a time, one chart slot is formed at a time,
-    # the grid caches its frame fields only and the chart route applies
-    # its stencils along their axes: the peak is bounded in (size, 3) float
-    # blocks (11.3 measured; 12.5 while the grid also cached its plain
-    # differences, 17.4 while the chart route lifted them)
+    # and both routes apply their stencils along their axes, so no frame
+    # matrix is built: the peak is bounded in (size, 3) float blocks (5.7
+    # measured; 11.3 while the frame route multiplied the grid's frame
+    # matrices, 12.5 while the grid also cached its plain differences, 17.4
+    # while the chart route lifted them)
     n = 12
     fields = [ol.random_invariant_field(1.0, s) for s in range(3)]
     ol.route_difference(4, field=fields)  # the kt geometry is built once
@@ -575,7 +576,7 @@ def test_route_difference_traced_peak():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 14 * (n ** 4 * 3 * 8)
+    assert peak <= 7 * (n ** 4 * 3 * 8)
 
 
 @pytest.mark.parametrize("ns", [(8,), (8, 8), (), (8.0, 12.0), (3, 8), 8])
@@ -614,14 +615,14 @@ def test_route_difference_refuses_non_finite_fields(value):
 
 @pytest.mark.parametrize("variant", ["kt", "flat"])
 def test_chart_route_builds_no_grid_matrix(variant):
-    # every chart stencil is applied along its axis: a fresh grid's frame
-    # fields stay unbuilt, and the grid is freed by reference counting alone
-    # once its caller drops it
+    # both routes apply their stencils along their axes: a fresh grid's
+    # frame matrices stay unbuilt after both run on a block, and the grid is
+    # freed by reference counting alone once its caller drops it
     g = QuotientGrid(6, 6, 1.0, twisted=variant == "kt")
     psi = np.random.default_rng(2).standard_normal((g.size, 1))
     assert len(list(ol.hessian_ops_chart(g, psi))) == 10
+    assert len(ol.hessian_ops_frame(g, psi)) == 10
     assert g._frame is None
-    ol.hessian_ops_frame(g, psi)
     assert g.frame() is g.frame()
     ref = weakref.ref(g)
     gc.disable()

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -32,6 +33,36 @@ def test_make_model_validation():
             with pytest.raises(ValueError, match=f"^{key} must be an integer"):
                 zbound.make_model("x", [[1]], [1], n=3,
                                   **{"fiber_chern": -2, key: bad})
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"seed": [1j]}, "seed must have real numeric entries"),
+    ({"seed": [{}]}, "seed must have real numeric entries"),
+    ({"seed": [None]}, "seed has a non-finite entry"),
+    ({"seed": 1.0}, "seed length must match the class dimension"),
+    ({"q": [[1j]]}, "Q must have real numeric entries"),
+    ({"q": None}, "Q has a non-finite entry"),
+    ({"q": [[1.5]]}, "Q must have integer entries of at most 2^53"),
+    ({"q": [[2.0 ** 60]]}, "Q must have integer entries of at most 2^53"),
+    ({"c1": [2.7]}, "c1 must have integer entries of at most 2^53"),
+    ({"c1": ["x"]}, "c1 must have real numeric entries"),
+])
+def test_make_model_refuses_bad_input_by_name(kwargs, message):
+    # no TypeError leaks and no lattice entry is truncated
+    args = {"q": [[1]], "c1": [3], "seed": None, **kwargs}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as err:
+            zbound.make_model("x", args["q"], args["c1"], n=2,
+                              seed=args["seed"])
+    assert str(err.value) == message
+
+
+def test_make_model_keeps_integral_float_lattices():
+    m = zbound.make_model("x", [[1.0]], [3.0], n=2, seed=np.array([2]))
+    assert m.q.dtype == m.c1.dtype == np.int64
+    assert m.q.tolist() == [[1]] and m.c1.tolist() == [3]
+    assert m.seed == (2.0,) and type(m.seed[0]) is float
 
 
 def test_serialize_round_trip():
