@@ -187,7 +187,7 @@ def cmd_operator(args) -> int:
         for slot, norm in zip(system.basis.slots,
                               system.slot_residual_norms(psi)):
             rows.append((name, f"{slot[0] + 1}{slot[1] + 1}", norm))
-    sweep = operator_lab.symbol_sweep(system) if args.symbol_sweep else None
+    sweep = operator_lab.symbol_sweep(g) if args.symbol_sweep else None
 
     out = _out_dir(args)
     tag = f"{args.variant}_N{args.N}"

@@ -66,9 +66,13 @@ def einsum(subscripts: str, *operands):
 
 
 def to_float(a, name="value") -> np.ndarray:
-    """a as a float array; a complex or non-numeric entry is refused by name."""
+    """a as a float array; a ragged shape, or a complex or non-numeric entry,
+    is refused by name."""
     try:
         a = np.asarray(a)
+    except ValueError:                 # numpy's refusal of a ragged nesting
+        raise ValueError(f"{name} has a ragged shape") from None
+    try:
         if a.dtype.kind != "c":
             return np.asarray(a, dtype=float)
     except (TypeError, ValueError):

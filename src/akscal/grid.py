@@ -7,9 +7,11 @@ vertex grid, flattened in C order.
 
 With twisted=False the same machinery produces the plain 4-torus.
 
-Every difference is a one-axis stencil, applied along its axis by `apply_axis`
-or lifted by `lift_axis` into a sparse matrix; the frame fields are lifted by
-`QuotientGrid.frame` (each grid's only cache) or applied by `apply_frame`.
+Every difference is a one-axis stencil, a ring the grid builds once, applied
+along its axis by `apply_axis` or lifted by `lift_axis` into a sparse matrix;
+the frame fields are lifted by `QuotientGrid.frame` (the grid's other cache),
+applied by `apply_frame`, or applied on one (z, t) Fourier sector by
+`Sector.apply_frame`.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ class QuotientGrid:
         self.size = self.n ** 3 * self.nt
         self.cell_volume = self.hx * self.hy * self.hz * self.ht
         self._frame: tuple | None = None
+        self._rings: dict = {}
 
     def spacing(self, axis: str) -> float:
         return (self.hx, self.hy, self.hz, self.ht)[_axis(axis)]
@@ -92,20 +95,27 @@ class QuotientGrid:
 
     def ring(self, axis: str, order: int = 1) -> sp.csr_matrix:
         """The periodic centered first (order 1) or narrow 3-point second
-        (order 2) difference along axis, as an n x n one-axis stencil."""
+        (order 2) difference along axis, as an n x n one-axis stencil, built
+        once per grid and shared, its arrays read-only."""
         if order not in (1, 2):
             raise ValueError(f"need order 1 or 2, got {order!r}")
-        h, eye = self.spacing(axis), np.eye(self.shape[_axis(axis)])
-        if not h * h * sys.float_info.min < 1.0:
-            raise ValueError(f"h_t = d/nt = {self.ht:.3g} is too large: the "
-                             f"Hessian weights, of order 1/h_t^2, underflow "
-                             f"a float")
-        self.refuse_overflow(h ** 2 * sys.float_info.max > 1.0,
-                             "the Hessian weights, of order 1/h_t^2,")
-        c = 1.0 / h ** 2
-        weights = ({-1: -0.5 / h, 1: 0.5 / h}, {-1: c, 0: -2.0 * c, 1: c})
-        return sp.csr_matrix(sum(w * np.roll(eye, s, axis=1)
-                                 for s, w in weights[order - 1].items()))
+        key = (_axis(axis), order)
+        if key not in self._rings:
+            h, eye = self.spacing(axis), np.eye(self.shape[key[0]])
+            if not h * h * sys.float_info.min < 1.0:
+                raise ValueError(f"h_t = d/nt = {self.ht:.3g} is too large: "
+                                 f"the Hessian weights, of order 1/h_t^2, "
+                                 f"underflow a float")
+            self.refuse_overflow(h ** 2 * sys.float_info.max > 1.0,
+                                 "the Hessian weights, of order 1/h_t^2,")
+            c = 1.0 / h ** 2
+            weights = ({-1: -0.5 / h, 1: 0.5 / h}, {-1: c, 0: -2.0 * c, 1: c})
+            m = sp.csr_matrix(sum(w * np.roll(eye, s, axis=1)
+                                  for s, w in weights[order - 1].items()))
+            for a in (m.data, m.indices, m.indptr):
+                a.flags.writeable = False
+            self._rings[key] = m
+        return self._rings[key]
 
     def diff(self, axis: str) -> sp.csr_matrix:
         """Centered first difference along one axis (wrap per the quotient):
@@ -160,6 +170,47 @@ class QuotientGrid:
         if not finite:
             raise ValueError(f"h_t = d/nt = {self.ht:.3g} is too small: "
                              f"{what} overflow a float")
+
+
+class Sector:
+    """The frame on one (kz, kt) Fourier sector: apply_frame(k, phi) (x) wave
+    = E_k (phi (x) wave) for an (n^2, m) complex (x, y) block phi and the
+    wave e^{2 pi i (kz k/n + kt l/nt)}.  E_z and E_t multiply by their ring's
+    symbol; E_x and E_y take their rings along the slab, and on the sheared
+    quotient E_x's wrapped entries carry the phase e^{+-2 pi i kz j/n} (row
+    0 reads (n-1, j), row n-1 reads (0, j)) and E_y adds x E_z (dz)."""
+
+    def __init__(self, grid: QuotientGrid, kz: int, kt: int):
+        self.grid, self.twisted, self.shape = grid, grid.twisted, grid.shape[:2]
+        self.phase = unit_roots(grid.n)[kz * np.arange(grid.n) % grid.n, None]
+        self.symbols = [(grid.ring(a) @ unit_roots(m)[k * np.arange(m) % m])[0]
+                        for a, k, m in (("z", kz, grid.n), ("t", kt, grid.nt))]
+
+    def apply_frame(self, k: int, block: np.ndarray, dz=None) -> np.ndarray:
+        block = np.asarray(block, dtype=complex)
+        if k >= 2:
+            return self.symbols[k - 2] * block
+        g, ring = self.grid, self.grid.ring(AXES[k])
+        out = apply_axis(ring, AXES[k], self, block)
+        if self.twisted and k == 1:
+            x = np.repeat(np.arange(g.n) * g.hx, g.n)[:, None]
+            out += x * (self.symbols[0] * block if dz is None else dz)
+        elif self.twisted and k == 0:
+            b, o = (a.reshape(*self.shape, -1) for a in (block, out))
+            fwd, back = ring.data[:2]  # row 0: fwd at column 1, back at n - 1
+            o[0] = fwd * b[1] + back * (self.phase * b[-1])
+            o[-1] = fwd * (self.phase.conj() * b[0]) + back * b[-2]
+            out = o.reshape(out.shape)
+        return out
+
+
+def unit_roots(m: int) -> np.ndarray:
+    """e^{2 pi i a / m} for a = 0..m-1, with entry m - a the exact conjugate
+    of entry a, so conjugate sectors fold to exactly conjugate blocks."""
+    e = np.exp(2j * math.pi * np.arange(m) / m)
+    e[m // 2 + 1:] = np.conj(e[1:(m + 1) // 2][::-1])
+    return e
+
 
 def _axis(axis: str) -> int:
     if axis not in AXES:
@@ -231,10 +282,12 @@ def apply_axis(m1d: sp.spmatrix, axis: str, grid: QuotientGrid,
     """lift_axis(m1d, axis, grid) @ block, bit for bit, for a (size, m)
     block, with no lift: the axis is moved to the front and the canonical
     stencil acts there through the same CSR kernel, so each output sums its
-    stencil row in stored order, as the lifted row does."""
+    stencil row in stored order, as the lifted row does.  A canonical CSR
+    stencil is not copied.  On a Sector, x and y act on its (n^2, m) slab."""
     pos = _axis(axis)
     before, n = math.prod(grid.shape[:pos]), grid.shape[pos]
-    m = sp.csr_matrix(m1d, copy=True)
+    canonical = getattr(m1d, "has_canonical_format", False)
+    m = sp.csr_matrix(m1d, copy=not canonical)
     m.sum_duplicates()
     block = np.asarray(block)
     moved = block.reshape(before, n, -1).transpose(1, 0, 2).reshape(n, -1)

@@ -16,9 +16,10 @@ in two independent discretizations:
   rings, which the frame route's differences use.
 
 Both routes are second order; their difference contracts like h^2, which the
-Richardson fit exposes.  Fourier modes feed the principal-symbol ratio check,
-and the spectral floor of the normal operator certifies the kernel gap
-against the flat-torus baseline.
+Richardson fit exposes.  Plane waves feed the principal-symbol ratio check,
+each evaluated on its (z, t) Fourier sector's (x, y) slab, where the frame
+route applies the grid's Sector frame; the spectral floor of the normal
+operator certifies the kernel gap against the flat-torus baseline.
 
 Variants: "kt" (the sheared quotient, curved connection) and "flat" (plain
 4-torus, pairing (x,y) and (z,t), zero connection).  A grid's twist picks its
@@ -32,14 +33,15 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import exact, lie
-from .grid import AXES, QuotientGrid, apply_axis, d1_sided, d2_sided
+from .grid import (AXES, QuotientGrid, Sector, apply_axis, d1_sided,
+                   d2_sided, unit_roots)
 
 J_KT = np.array(lie.KT_J, dtype=float)
 J_FLAT = np.array([[0., -1., 0., 0.], [1., 0., 0., 0.],
@@ -134,10 +136,11 @@ def hessian_ops_frame(g: QuotientGrid, psi=None) -> dict:
     reused by every slot.
 
     psi is a (size, m) field block, which QuotientGrid.apply_frame takes
-    along the frame's axes, or None: the frame matrices composed into the
-    slot matrices.  A sparse identity psi would give the same values in
-    another order (a sparse product reverses each row's entries), and
-    AdjointSystem.apply, which sums each row in stored order, would change.
+    along the frame's axes (g may be a Sector, and psi an (n^2, m) block on
+    its slab), or None: the frame matrices composed into the slot matrices.
+    A sparse identity psi would give the same values in another order (a
+    sparse product reverses each row's entries), and AdjointSystem.apply,
+    which sums each row in stored order, would change.
     """
     if psi is None:
         e = g.frame()
@@ -231,25 +234,30 @@ def _real_matvec(op, v: np.ndarray) -> np.ndarray:
     return out
 
 
+def _anti_slots_of(hess: dict, g, ident) -> tuple:
+    """(basis, the slots 0.5 (H_s - sign_s H_pair(s)) - r^-_s ident of
+    (Hess psi)^- - r^- psi): ident is the sparse identity for slot matrices,
+    psi for slot blocks."""
+    j, _, r_minus = _geometry(g.twisted)
+    basis = anti_slots(j)
+    ops = []
+    for s, pair, sg in zip(basis.slots, basis.pairs, basis.signs):
+        op = 0.5 * (hess[s] - sg * hess[pair])
+        if r_minus[s] != 0.0:
+            op = op - r_minus[s] * ident
+        ops.append(op)
+    return basis, ops
+
+
 class AdjointSystem:
     """Slot operators A_s of (Hess psi)^- - r^- psi on one grid, frame route,
     in the variant the grid's twist carries."""
 
     def __init__(self, g: QuotientGrid):
         self.grid = g
-        j, _, r_minus = _geometry(g.twisted)
-        self.basis = anti_slots(j)
-        hess = hessian_ops_frame(g)
-        ident = sp.identity(g.size, format="csr")
-        self.ops = []
-        for (i, jj), (pi_, pj), sg in zip(self.basis.slots, self.basis.pairs,
-                                          self.basis.signs):
-            partner = hess[(min(pi_, pj), max(pi_, pj))]
-            op = 0.5 * (hess[(i, jj)] - sg * partner)
-            r = r_minus[i][jj]
-            if r != 0.0:
-                op = op - r * ident
-            self.ops.append(op.tocsr())
+        self.basis, ops = _anti_slots_of(hessian_ops_frame(g), g,
+                                         sp.identity(g.size, format="csr"))
+        self.ops = [op.tocsr() for op in ops]
         self.weights = self.basis.weights
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
@@ -283,15 +291,6 @@ class AdjointSystem:
             left = op.T if rows is None else op[:, rows].T
             m = m + w * (left @ op)
         return m.tocsr()
-
-    @cached_property
-    def laplacian(self) -> sp.csr_matrix:
-        """Frame Laplacian: the trace sum_i H_ii of the frame Hessian."""
-        hess = hessian_ops_frame(self.grid)
-        lap = sp.csr_matrix((self.grid.size, self.grid.size))
-        for i in range(4):
-            lap = lap + hess[(i, i)]
-        return lap.tocsr()
 
     def slot_residual_norms(self, psi: np.ndarray) -> np.ndarray:
         """Per-slot L2 norms of apply(psi) — unweighted, cell-volume measure,
@@ -328,19 +327,6 @@ def _frequencies(k) -> tuple:
     return tuple(int(v) for v in ks)
 
 
-def fourier_mode(g: QuotientGrid, k: tuple) -> np.ndarray:
-    """Complex plane wave with integer frequencies (kx, ky, kz, kt).
-
-    On the sheared quotient only kz = 0 modes descend (the z-frequency would
-    have to twist with y), so anything else is rejected there.
-    """
-    kx, ky, kz, kt = _frequencies(k)
-    if g.twisted and kz != 0:
-        raise ValueError("sheared quotient admits plane waves with kz = 0 only")
-    return g.sample(lambda x, y, z, t: np.exp(
-        1j * (2.0 * math.pi * (kx * x + ky * y + kz * z + kt * t / g.d))))
-
-
 def mode_xi(g: QuotientGrid, k: tuple) -> float:
     """Continuum wavevector length 2 pi |(kx, ky, kz, kt/d)|."""
     kx, ky, kz, kt = _frequencies(k)
@@ -348,39 +334,56 @@ def mode_xi(g: QuotientGrid, k: tuple) -> float:
                                      + (kt / g.d) ** 2)
 
 
-def symbol_check(system: AdjointSystem, k: tuple) -> float:
+def symbol_check(g: QuotientGrid, k: tuple) -> float:
+    """The symbol ratio (see symbol_ratios) of one plane wave."""
+    return float(symbol_ratios(g, [k])[0])
+
+
+def symbol_ratios(g: QuotientGrid, modes) -> np.ndarray:
     """Weighted squared norm of the slot symbols against half the squared
-    Laplacian symbol, evaluated on one discrete plane wave.
+    Laplacian symbol, evaluated on each discrete plane wave of modes.
 
     In the flat model the ratio is identically 1 (the discrete identity
     matches the principal symbol of half the squared Laplacian exactly); on
     the sheared quotient lower-order connection terms add O(|sigma|^-2)
-    corrections that die off up the spectrum.
+    corrections that die off up the spectrum, and only kz = 0 modes descend
+    (the z-frequency would have to twist with y).  No grid-size array is
+    built: the modes of a (kz, kt) sector are the (kx, ky) columns of one
+    block on its Sector's slab, where the frame route runs, and the wave in
+    z and t has modulus one, so slab norms give the grid ratios.
     """
-    g = system.grid
-    psi = fourier_mode(g, k)
-    u = system.apply(psi)
-    num = g.cell_volume * sum(w * float(np.vdot(us, us).real)
-                              for w, us in zip(system.weights, u))
-    lp = _real_matvec(system.laplacian, psi)
-    den = 0.5 * g.cell_volume * float(np.vdot(lp, lp).real)
-    if den == 0.0:
-        raise ValueError("zero-frequency mode has no symbol ratio")
-    return num / den
+    ks = [_frequencies(k) for k in modes]
+    if g.twisted and any(k[2] for k in ks):
+        raise ValueError("sheared quotient admits plane waves with kz = 0 only")
+    i, j = np.divmod(np.arange(g.n ** 2), g.n)
+    out = np.empty(len(ks))
+    for kz, kt in sorted({k[2:] for k in ks}):
+        cols = [c for c, k in enumerate(ks) if k[2:] == (kz, kt)]
+        kx, ky = np.array([ks[c][:2] for c in cols]).T
+        phi = unit_roots(g.n)[(np.outer(i, kx) + np.outer(j, ky)) % g.n]
+        hess = hessian_ops_frame(Sector(g, kz, kt), phi)
+        basis, slots = _anti_slots_of(hess, g, phi)
+        num = sum(w * np.sum(abs(u) ** 2, axis=0)
+                  for w, u in zip(basis.weights, slots))
+        lap = sum(hess[(a, a)] for a in range(4))
+        den = 0.5 * np.sum(abs(lap) ** 2, axis=0)
+        if not den.all():
+            raise ValueError("zero-frequency mode has no symbol ratio")
+        out[cols] = num / den
+    return out
 
 
-def symbol_sweep(system: AdjointSystem):
+def symbol_sweep(g: QuotientGrid):
     """Ratio decay along the modes (1, 0, 0, e) for e = 1..nt/4; returns
     (|xi|, |ratio-1|, slope).
 
     kz must vanish on the sheared quotient, and the x-frequency pins the
-    corrections on.  The slope is the least-squares fit of log|ratio-1|
-    against log|xi|.
+    corrections on.  Each mode is its own (kz, kt) sector.  The slope is
+    the least-squares fit of log|ratio-1| against log|xi|.
     """
-    g = system.grid
     xi, dev = [], []
     for k in ((1, 0, 0, e) for e in range(1, g.nt // 4 + 1)):
-        ratio = symbol_check(system, k)
+        ratio = symbol_check(g, k)
         xi.append(mode_xi(g, k))
         dev.append(abs(ratio - 1.0))
     xi, dev = np.array(xi), np.array(dev)
@@ -407,14 +410,6 @@ class SpectralReport:
     @property
     def floor(self) -> float:
         return float(self.values[0])
-
-
-def _unit_roots(m: int) -> np.ndarray:
-    """e^{2 pi i a / m} for a = 0..m-1, with entry m - a the exact conjugate
-    of entry a, so conjugate sectors fold to exactly conjugate blocks."""
-    e = np.exp(2j * math.pi * np.arange(m) / m)
-    e[m // 2 + 1:] = np.conj(e[1:(m + 1) // 2][::-1])
-    return e
 
 
 def spectral_floor(system: AdjointSystem, k: int = 2) -> SpectralReport:
@@ -457,7 +452,7 @@ def spectral_floor(system: AdjointSystem, k: int = 2) -> SpectralReport:
     xy, rest = np.divmod(rows.col, n * nt)
     kc, lc = np.divmod(rest, nt)
     flat = rows.row * nxy + xy
-    ez, et = _unit_roots(n), _unit_roots(nt)
+    ez, et = unit_roots(n), unit_roots(nt)
 
     def block(kz: int, kt: int) -> np.ndarray:
         w = rows.data * ez[kz * kc % n] * et[kt * lc % nt]

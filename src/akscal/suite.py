@@ -152,22 +152,18 @@ def check_collapsing(seed: int = 0) -> CheckResult:
 def check_symbol(seed: int = 0) -> CheckResult:
     """Flat symbol identity to rounding; sheared correction decay, at N = 8."""
     from . import operator_lab
+    from .grid import QuotientGrid
 
     t0 = time.perf_counter()
     n = 8
-    flat = operator_lab.build_system(n, 2 * n, 1.0, "flat")
-    worst = 0.0
-    for kx in range(n // 4 + 1):
-        for ky in range(n // 4 + 1):
-            for kz in range(n // 4 + 1):
-                for kt in range(2 * n // 4 + 1):
-                    if (kx, ky, kz, kt) == (0, 0, 0, 0):
-                        continue
-                    worst = max(worst, abs(
-                        operator_lab.symbol_check(flat, (kx, ky, kz, kt)) - 1.0))
+    # 134 flat modes in their 15 (kz, kt) sectors, 9 (kx, ky) columns each
+    low = range(n // 4 + 1)
+    modes = [(kx, ky, kz, kt) for kx in low for ky in low for kz in low
+             for kt in range(2 * n // 4 + 1) if kx or ky or kz or kt]
+    flat = QuotientGrid(n, 2 * n, 1.0, twisted=False)
+    worst = float(np.max(np.abs(operator_lab.symbol_ratios(flat, modes) - 1.0)))
     h2 = 5.0 / n ** 2
-    kt_sys = operator_lab.build_system(n, 2 * n, 1.0, "kt")
-    _, dev, slope = operator_lab.symbol_sweep(kt_sys)
+    _, dev, slope = operator_lab.symbol_sweep(QuotientGrid(n, 2 * n, 1.0))
     ok = worst <= h2 and slope <= -0.8
     return _result(
         "symbol-check", 30.0, t0, ok,

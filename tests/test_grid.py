@@ -285,6 +285,46 @@ def test_apply_frame_matches_frame_matrices(n, nt, twisted):
                     assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("n, nt", [(4, 6), (5, 4), (6, 6)])
+@pytest.mark.parametrize("twisted", [True, False])
+def test_sector_frame_matches_frame_matrices(n, nt, twisted):
+    # E_k of phi (x) wave, with kz != 0 on the sheared grid too
+    g = gr.QuotientGrid(n, nt=nt, d=0.7, twisted=twisted)
+    rng = np.random.default_rng(n * nt)
+    for kz, kt in ((0, 0), (1, 2), (n - 1, 1), (2, nt - 1)):
+        sector = gr.Sector(g, kz, kt)
+        wave = np.multiply.outer(gr.unit_roots(n)[kz * np.arange(n) % n],
+                                 gr.unit_roots(nt)[kt * np.arange(nt) % nt])
+        for cols in (1, 3):      # a real block, then a complex one
+            phi = rng.standard_normal((n * n, cols)) + (
+                1j * rng.standard_normal((n * n, cols)) if cols == 3 else 0)
+            full = np.multiply.outer(phi, wave.ravel()).transpose(0, 2, 1)
+            dz = sector.apply_frame(2, phi)
+            for k, ek in enumerate(g.frame()):
+                want = (ek @ full.reshape(g.size, cols)).reshape(full.shape)
+                for got in (sector.apply_frame(k, phi),
+                            sector.apply_frame(k, phi, dz)):
+                    assert got.shape == phi.shape
+                    err = np.abs(got[:, None, :] * wave.reshape(-1, 1) - want)
+                    assert err.max() <= 1e-14 * np.abs(want).max()
+
+
+def test_rings_are_built_once_read_only_and_unchanged():
+    g = gr.QuotientGrid(5, nt=6, d=0.7)
+    for axis, size in zip(gr.AXES, g.shape):
+        h = g.spacing(axis)
+        c = 1.0 / h ** 2
+        weights = ({-1: -0.5 / h, 1: 0.5 / h}, {-1: c, 0: -2.0 * c, 1: c})
+        for order in (1, 2):
+            ring = g.ring(axis, order)
+            assert g.ring(axis, order) is ring
+            ref = sp.csr_matrix(sum(w * np.roll(np.eye(size), s, axis=1)
+                                    for s, w in weights[order - 1].items()))
+            for a, b in ((ring.data, ref.data), (ring.indices, ref.indices),
+                         (ring.indptr, ref.indptr)):
+                assert a.tobytes() == b.tobytes() and not a.flags.writeable
+
+
 def test_ring_refuses_other_orders():
     g = gr.QuotientGrid(4)
     for order in (0, 3, 1.5, "1"):

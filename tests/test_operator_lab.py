@@ -9,8 +9,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from akscal import grid as grid_module
 from akscal import operator_lab as ol
-from akscal.grid import AXES, QuotientGrid, d1_sided, d2_sided, lift_axis
+from akscal import suite
+from akscal.grid import (AXES, QuotientGrid, d1_sided, d2_sided, lift_axis,
+                         unit_roots)
 from test_grid import shift
 
 
@@ -244,7 +247,8 @@ def test_forward_is_the_weighted_adjoint():
 
 def test_flat_normal_matrix_is_half_biharmonic():
     system = ol.build_system(6, 6, 1.0, "flat")
-    lap = system.laplacian
+    hess = ol.hessian_ops_frame(system.grid)
+    lap = sum((hess[(i, i)] for i in range(4)), sp.csr_matrix(hess[(0, 0)].shape))
     assert nnz_diff(system.normal_rows(), 0.5 * (lap.T @ lap)) == 0
 
 
@@ -266,30 +270,30 @@ def test_normal_matrix_commutes_with_deck_maps():
 # -- Fourier symbols -------------------------------------------------------------
 
 
-def test_fourier_mode_rejects_twisted_kz():
-    g = QuotientGrid(4, twisted=True)
-    with pytest.raises(ValueError):
-        ol.fourier_mode(g, (0, 0, 1, 0))
-    ol.fourier_mode(QuotientGrid(4, twisted=False), (0, 0, 1, 0))
+def test_symbol_check_rejects_twisted_kz():
+    for k in ((0, 0, 1, 0), (1, 0, -2, 1)):
+        with pytest.raises(ValueError, match="kz = 0 only"):
+            ol.symbol_check(QuotientGrid(4, twisted=True), k)
+    assert ol.symbol_check(QuotientGrid(4, twisted=False), (0, 0, 1, 0)) > 0
 
 
 @pytest.mark.parametrize("k", [(1.7, 0, 0, 1.2), ("1", 0, 0, "2"),
                                (None, 0, 0, 1), (1, 0, 0), 3,
                                (True, 0, 0, 0)])
 def test_non_integer_frequencies_are_refused_by_name(k):
-    flat = ol.build_system(6, variant="flat")
-    for call in (lambda: ol.fourier_mode(flat.grid, k),
-                 lambda: ol.mode_xi(flat.grid, k),
-                 lambda: ol.symbol_check(flat, k)):
+    flat = QuotientGrid(6, twisted=False)
+    for call in (lambda: ol.mode_xi(flat, k),
+                 lambda: ol.symbol_check(flat, k),
+                 lambda: ol.symbol_ratios(flat, [(1, 0, 0, 0), k])):
         with pytest.raises(ValueError, match="need four integer frequencies"):
             call()
 
 
 def test_numpy_integer_frequencies_read_the_same_mode():
-    flat = ol.build_system(6, variant="flat")
+    flat = QuotientGrid(6, twisted=False)
     k = np.array([1, 0, 2, 1])
     assert ol.symbol_check(flat, k) == ol.symbol_check(flat, (1, 0, 2, 1))
-    assert ol.mode_xi(flat.grid, k) == ol.mode_xi(flat.grid, (1, 0, 2, 1))
+    assert ol.mode_xi(flat, k) == ol.mode_xi(flat, (1, 0, 2, 1))
 
 
 def test_mode_xi():
@@ -299,15 +303,56 @@ def test_mode_xi():
 
 
 def test_flat_symbol_ratio_is_one():
-    system = ol.build_system(8, 8, 1.0, "flat")
+    g = QuotientGrid(8, 8, 1.0, twisted=False)
     for k in ((1, 0, 0, 0), (1, 1, 0, 0), (2, 1, 1, 0), (0, 2, 0, 2)):
-        assert abs(ol.symbol_check(system, k) - 1.0) < 1e-12
+        assert abs(ol.symbol_check(g, k) - 1.0) < 1e-12
+
+
+def grid_space_ratio(g, k):
+    """Test-only reference: the symbol ratio of the sampled plane wave in
+    grid space, through the composed slot matrices."""
+    kx, ky, kz, kt = k
+    system = ol.AdjointSystem(g)
+    psi = g.sample(lambda x, y, z, t: np.exp(
+        2j * np.pi * (kx * x + ky * y + kz * z + kt * t / g.d)))
+    num = sum(w * np.vdot(u, u).real
+              for w, u in zip(system.weights, system.apply(psi)))
+    hess = ol.hessian_ops_frame(g, psi[:, None])
+    lap = sum(hess[(i, i)] for i in range(4))
+    return num / (0.5 * np.vdot(lap, lap).real)
+
+
+@pytest.mark.parametrize("twisted", [True, False])
+def test_symbol_check_matches_grid_space_ratio(twisted):
+    g = QuotientGrid(6, 8, 0.7, twisted=twisted)
+    modes = [(1, 0, 0, 0), (0, 1, 0, 2), (2, 1, 0, 1), (1, 2, 0, 3),
+             (0, 0, 0, 1)] + ([] if twisted else [(1, 1, 1, 0), (0, 2, 2, 3)])
+    ratios = ol.symbol_ratios(g, modes)
+    for k, ratio in zip(modes, ratios):
+        want = grid_space_ratio(g, k)
+        assert abs(ol.symbol_check(g, k) - want) <= 1e-12
+        assert abs(ratio - want) <= 1e-12
+
+
+def test_zero_mode_has_no_symbol_ratio():
+    for twisted in (True, False):
+        with pytest.raises(ValueError, match="zero-frequency mode"):
+            ol.symbol_check(QuotientGrid(4, twisted=twisted), (0, 0, 0, 0))
+
+
+def test_symbol_check_builds_no_grid_size_system(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the symbol check built a grid-size matrix")
+
+    monkeypatch.setattr(QuotientGrid, "frame", refuse)
+    monkeypatch.setattr(grid_module, "lift_axis", refuse)
+    result = suite.check_symbol()
+    assert result.passed, result.detail
 
 
 @pytest.mark.parametrize("n", [6, 8])
 def test_kt_pure_x_symbol_closed_form(n):
-    system = ol.build_system(n, n, 1.0, "kt")
-    ratio = ol.symbol_check(system, (1, 0, 0, 0))
+    ratio = ol.symbol_check(QuotientGrid(n, n, 1.0), (1, 0, 0, 0))
     h = 1.0 / n
     lam = (np.sin(2 * np.pi * h) / h) ** 2   # centered-difference Laplacian symbol
     assert ratio - 1.0 == pytest.approx(1.25 / lam ** 2, rel=1e-12)
@@ -364,7 +409,7 @@ def all_sector_floor(system, k):
     xy, rest = np.divmod(rows.col, n * nt)
     kc, lc = np.divmod(rest, nt)
     flat = rows.row * nxy + xy
-    ez, et = ol._unit_roots(n), ol._unit_roots(nt)
+    ez, et = unit_roots(n), unit_roots(nt)
 
     def block(kz, kt):
         w = rows.data * ez[kz * kc % n] * et[kt * lc % nt]

@@ -111,6 +111,12 @@ def test_non_finite_entries_refused_by_name():
         tensor.check_acs(1j * J4)
     with pytest.raises(ValueError, match=f"A {real}"):
         tensor.anti_invariant_part({}, J4)
+    # a ragged nesting is refused by its shape, not its entries
+    for call, name in ((lambda: tensor.check_metric([[1, 0], [0]]), "metric"),
+                       (lambda: tensor.exp_metric(np.eye(4), [[0], [0, 0]]),
+                        "h")):
+        with pytest.raises(ValueError, match=f"^{name} has a ragged shape"):
+            call()
     # None reads as a 0-d NaN, so its shape is refused before its scale
     with pytest.raises(ValueError, match="metric must be a square matrix"):
         tensor.exp_metric(None, 0)

@@ -46,6 +46,9 @@ def test_make_model_validation():
     ({"q": [[2.0 ** 60]]}, "Q must have integer entries of at most 2^53"),
     ({"c1": [2.7]}, "c1 must have integer entries of at most 2^53"),
     ({"c1": ["x"]}, "c1 must have real numeric entries"),
+    ({"q": [[1, 0], [1]], "c1": [1, 1]},
+     "Q has a ragged shape"),
+    ({"seed": [1.0, [2.0]]}, "seed has a ragged shape"),
 ])
 def test_make_model_refuses_bad_input_by_name(kwargs, message):
     # no TypeError leaks and no lattice entry is truncated
@@ -80,6 +83,8 @@ def test_parse_rejects_garbage():
         zbound.parse_model("name x\nn 7\n")
     with pytest.raises(ValueError):
         zbound.parse_model("")
+    with pytest.raises(ValueError, match="^Q has a ragged shape"):
+        zbound.parse_model("name x\nn 2\nQ 1 0\nQ 1\nc1 1 1\n")
 
 
 @pytest.mark.parametrize("text, message", [
