@@ -198,10 +198,15 @@ def cmd_operator(args) -> int:
         xi, dev, slope = sweep
         _write_csv(out / f"operator_symbol_{tag}.csv",
                    ("xi", "abs_ratio_minus_1"), list(zip(xi, dev)))
-        if len(xi) >= 2:
-            print(f"symbol sweep slope {slope:.4f} over {len(xi)} modes")
-        else:
+        if len(xi) < 2:
             print("symbol sweep: too few t-modes for a slope (raise --Nt)")
+        elif math.isnan(slope):
+            # symbol_sweep fits only nonzero deviations, and the flat ones
+            # are 0 or a rounding error of the identity ratio 1
+            print(f"symbol sweep: deviations at rounding level (largest "
+                  f"{max(dev):.1e}) over {len(xi)} modes; no slope fitted")
+        else:
+            print(f"symbol sweep slope {slope:.4f} over {len(xi)} modes")
     if rep is not None:
         _write_csv(out / f"operator_spectrum_{tag}.csv",
                    ("index", "eigenvalue", "residual", "method", "size",
@@ -210,7 +215,7 @@ def cmd_operator(args) -> int:
                      *rep.sectors[i]) for i in range(len(rep.values))])
         print(f"spectral floor {_fmt(rep.floor)} ({rep.method}, "
               f"{rep.size} nodes, {rep.solved} of {g.n * g.nt} sectors "
-              f"solved)")
+              f"solved, {rep.pruned} pruned)")
     return 0
 
 

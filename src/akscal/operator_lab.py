@@ -298,7 +298,7 @@ class AdjointSystem:
         u = self.apply(psi)
         root = np.sqrt(self.grid.cell_volume)
         with np.errstate(over="ignore"):
-            norms = np.array([float(root * np.linalg.norm(us)) for us in u])
+            norms = np.array([root * _l2(us) for us in u])
         self.grid.refuse_overflow(np.isfinite(norms).all(),
                                   "the slot residual norms, of order 1/h_t^2,")
         return norms
@@ -401,15 +401,63 @@ def symbol_sweep(g: QuotientGrid):
 class SpectralReport:
     values: np.ndarray
     vectors: np.ndarray      # complex grid-space columns, unit norm
-    residuals: np.ndarray    # ||sum_s w_s A_s^T (A_s v) - lambda v||
+    residuals: np.ndarray    # ||B phi - lambda phi|| in each value's sector
     method: str
     size: int
     sectors: tuple           # (kz, kt) DFT index of each value
     solved: int              # sector blocks sent to eigvalsh
+    pruned: int              # twin orbits skipped by a Cholesky of B - mu I
 
     @property
     def floor(self) -> float:
         return float(self.values[0])
+
+
+def _l2(a: np.ndarray) -> float:
+    """Euclidean norm by numpy's pairwise sum, which uses no BLAS thread
+    pool, so its bytes do not depend on the thread count."""
+    return float(np.sqrt(np.sum(a.real * a.real + a.imag * a.imag)))
+
+
+def _prune_margin(n: int, beta: float, v: float) -> float:
+    """The shift delta for which a completed Cholesky of B - (v + delta) I
+    proves that eigvalsh(B) returns no value <= v, for an n x n Hermitian
+    block B with ||B||_2 and every |B_ii| at most beta.
+
+    With u the unit roundoff, mu = v + delta and C = fl(B - mu I):
+    * forming C rounds its diagonal only, by at most u (beta + |mu|);
+    * Higham, Thm 10.3: a Cholesky of C that runs to completion gives
+      R^H R = C + dC with |dC| <= g |R^H| |R|.  g = gamma_{4(n+1)} covers
+      complex arithmetic (a complex product errs by at most sqrt(2)
+      gamma_2 < 3u, Higham 3.6), and the bound holds for any order of the
+      inner products, so for LAPACK's blocked potrf too.  As ||R||_F^2 =
+      tr(C + dC), ||dC||_2 <= g/(1 - g) tr(C) <= g/(1 - g) n (1 + u)
+      (beta + |mu|);
+    * R^H R is positive definite, so every eigenvalue of B exceeds mu
+      less those two terms;
+    * eigvalsh is normwise backward stable: each computed value lies within
+      p(n) u ||B||_2 of one of B's (LAPACK Users' Guide 4.7 leaves p(n)
+      "modestly growing"); we take p(n) = n^2.
+    So every computed value exceeds mu - a (beta + |mu|), with
+    a = u + n (1 + u) g/(1 - g) + n^2 u, and delta = a (beta + |v|)/(1 - a)
+    makes that at least v.
+    """
+    u = np.finfo(float).eps / 2
+    g = 4 * (n + 1) * u / (1 - 4 * (n + 1) * u)
+    a = u + n * (1 + u) * g / (1 - g) + n * n * u
+    return a * (beta + abs(v)) / (1 - a)
+
+
+def _cholesky_completes(b: np.ndarray, mu: float) -> bool:
+    """Whether a Cholesky of b - mu I runs to completion (both it and
+    eigvalsh read b's lower triangle)."""
+    c = b.copy()
+    c.flat[:: len(c) + 1] -= mu
+    try:
+        np.linalg.cholesky(c)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def spectral_floor(system: AdjointSystem, k: int = 2) -> SpectralReport:
@@ -424,8 +472,8 @@ def spectral_floor(system: AdjointSystem, k: int = 2) -> SpectralReport:
     The sheared x-wrap needs no extra phase: the column indices k' are
     canonical, so the shear is already in them.
 
-    eigvalsh runs once per orbit of two exact pairings, and its values are
-    copied to every twin sector:
+    eigvalsh runs at most once per orbit of two exact pairings, and its
+    values are copied to every twin sector:
 
     * conjugation, (kz, kt) ~ (-kz, -kt): M is real, so B(-k) = conj B(k)
       has the same spectrum (the phase tables are conjugate-symmetric to
@@ -434,10 +482,25 @@ def spectral_floor(system: AdjointSystem, k: int = 2) -> SpectralReport:
       the folded rows has an even t-offset l': then both sectors read the
       same exponent indices, and their blocks are equal entry for entry.
 
+    Orbits are taken in sector order, so (0, 0) comes first.  Once k values
+    are known, let v be the k-th smallest so far and mu = v + delta, with
+    delta = a (beta + |v|)/(1 - a), a = u + n^2 (1 + u) g/(1 - g) + n^4 u,
+    g = gamma_{4(n^2+1)} and u the unit roundoff (_prune_margin derives
+    it from Higham, Thm 10.3, and eigvalsh's backward error).  beta is
+    twice the largest absolute row sum of the folded rows, which bounds
+    ||B||_inf >= ||B||_2 for every sector; the factor covers the fold's
+    rounding.  An orbit whose block passes a Cholesky of B - mu I is
+    pruned: by Sylvester's law of inertia and the margin, eigvalsh would
+    give it no value <= v, and the final k-th value is at most v.  So no
+    pruned orbit could be picked, ties included (the flat floor is 16-fold,
+    the kt floor 12-fold), and the values, sectors and vectors are those of
+    solving every orbit.
+
     The k smallest values over all sectors are kept (stable sort, so ties go
     to the first sector in (kz, kt) order), each picked sector's own block
-    gives its vectors, and residuals are recomputed in grid space as
-    sum_s w_s A_s^T (A_s v) - lambda v.
+    gives its vectors, and each residual ||B phi - lambda phi|| is taken on
+    that block; for the unit grid vector phi (x) wave / sqrt(n nt) it equals
+    the grid-space ||M v - lambda v||.
     """
     g = system.grid
     n, nt, nxy = g.n, g.nt, g.n * g.n
@@ -467,27 +530,36 @@ def spectral_floor(system: AdjointSystem, k: int = 2) -> SpectralReport:
         twins += [(tz, (tt + nt // 2) % nt) for tz, tt in twins]
     first = np.min([tz * nt + tt for tz, tt in twins], axis=0)
     per = min(k, nxy)
-    vals = np.empty((n * nt, per))
+    vals = np.full((n * nt, per), np.inf)
     reps = np.unique(first)
+    beta = 2.0 * np.max(np.bincount(rows.row, np.abs(rows.data), nxy))
+    kth, solved = np.inf, 0
     for r in reps:
-        vals[first == r] = np.linalg.eigvalsh(block(*divmod(r, nt)))[:per]
+        b = block(*divmod(r, nt))
+        if kth < np.inf and _cholesky_completes(
+                b, kth + _prune_margin(nxy, beta, kth)):
+            continue
+        vals[first == r] = np.linalg.eigvalsh(b)[:per]
+        solved += 1
+        kth = np.partition(vals, k - 1, axis=None)[k - 1]
     vals = vals.ravel()
     order = np.argsort(vals, kind="stable")[:k]
     picked = tuple(divmod(int(i // per), nt) for i in order)
     vecs = np.empty((g.size, k), dtype=complex)
-    bases: dict = {}
+    res = np.empty(k)
+    folded: dict = {}
     for col, (i, (kz, kt)) in enumerate(zip(order, picked)):
-        if (kz, kt) not in bases:
-            bases[(kz, kt)] = np.linalg.eigh(block(kz, kt))[1]
+        if (kz, kt) not in folded:
+            b = block(kz, kt)
+            folded[(kz, kt)] = b, np.linalg.eigh(b)[1]
+        b, basis = folded[(kz, kt)]
         wave = np.multiply.outer(ez[kz * np.arange(n) % n],
                                  et[kt * np.arange(nt) % nt])
-        phi = bases[(kz, kt)][:, i % per]
+        phi = basis[:, i % per]
         vecs[:, col] = np.multiply.outer(phi, wave).ravel() / math.sqrt(n * nt)
-    values = vals[order]
-    res = np.array([np.linalg.norm(system.forward(system.apply(v)) - lam * v)
-                    for v, lam in zip(vecs.T, values)])
-    return SpectralReport(values, vecs, res, "fourier-sector", g.size, picked,
-                          len(reps))
+        res[col] = _l2(b @ phi - vals[i] * phi)
+    return SpectralReport(vals[order], vecs, res, "fourier-sector", g.size,
+                          picked, solved, len(reps) - solved)
 
 
 def kernel_gap(n: int, nt: Optional[int] = None, d: float = 1.0,

@@ -4,6 +4,7 @@ interpreters where the environment matters."""
 import csv
 import io
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -175,10 +176,45 @@ def test_operator_artifacts(tmp_path, capsys):
     # flat constants are annihilated slot by slot
     for line in residuals.splitlines()[1:7]:
         assert line.startswith("constant,") and line.endswith(",0")
-    assert "6 of 16 sectors solved" in capsys.readouterr().out
+    # 6 twin orbits, each solved or pruned
+    floor_line = capsys.readouterr().out.splitlines()[-1]
+    solved, pruned = re.search(r"(\d+) of 16 sectors solved, (\d+) pruned\)$",
+                               floor_line).groups()
+    assert int(solved) + int(pruned) == 6
     spectrum = (tmp_path / "operator_spectrum_flat_N4.csv").read_text()
     floor = float(spectrum.splitlines()[1].split(",")[1])
     assert abs(floor) <= 1e-8
+
+
+def test_flat_symbol_sweep_prints_no_nan(tmp_path, capsys):
+    # the flat ratio is identically 1, so its deviations are 0 or rounding
+    # errors and no slope is fitted; the CSV still holds every deviation
+    assert run(tmp_path, "operator", "--variant", "flat", "--N", "8",
+               "--symbol-sweep") == 0
+    out = capsys.readouterr().out
+    assert "nan" not in out.lower()
+    assert ("symbol sweep: deviations at rounding level (largest 1.1e-16) "
+            "over 2 modes; no slope fitted") in out
+    rows = (tmp_path / "operator_symbol_flat_N8.csv").read_text().splitlines()
+    assert rows[0] == "xi,abs_ratio_minus_1" and len(rows) == 3
+
+
+def test_operator_artifacts_ignore_blas_threads(tmp_path):
+    # fresh interpreters at one and two OpenBLAS threads write the same
+    # slot residual bytes; the variable is set in the children only
+    files = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "akscal.cli", "--out", str(out),
+             "operator", "--N", "12", "--kernel-gap", "20"],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        files.append((out / "operator_residuals_kt_N12.csv").read_bytes())
+    assert files[0] == files[1]
 
 
 def test_rearrange_run_and_phi(tmp_path):

@@ -4,6 +4,7 @@ import gc
 import tracemalloc
 import warnings
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -400,9 +401,9 @@ def test_normal_rows_match_normal_matrix(n, nt, d, variant):
         assert same_csr(system.normal_rows(rows), whole[rows])
 
 
-def all_sector_floor(system, k):
-    """Test-only reference: eigvalsh in every (kz, kt) sector of the fold of
-    the global normal matrix, no twin pairing."""
+def sector_blocks(system):
+    """Test-only fold of the global normal matrix: {(kz, kt): block} for
+    every (z, t) Fourier sector."""
     g = system.grid
     n, nt, nxy = g.n, g.nt, g.n * g.n
     rows = system.normal_rows()[np.arange(nxy) * (n * nt)].tocoo()
@@ -416,15 +417,25 @@ def all_sector_floor(system, k):
         return (np.bincount(flat, w.real, nxy * nxy)
                 + 1j * np.bincount(flat, w.imag, nxy * nxy)).reshape(nxy, nxy)
 
-    sectors = [(kz, kt) for kz in range(n) for kt in range(nt)]
+    return {(kz, kt): block(kz, kt) for kz in range(n) for kt in range(nt)}
+
+
+def all_sector_floor(system, k):
+    """Test-only reference: eigvalsh in every (kz, kt) sector of the fold of
+    the global normal matrix, no twin pairing and no prune."""
+    g = system.grid
+    n, nt, nxy = g.n, g.nt, g.n * g.n
+    blocks = sector_blocks(system)
+    sectors = list(blocks)
     per = min(k, nxy)
-    vals = np.concatenate([np.linalg.eigvalsh(block(*s))[:per]
+    vals = np.concatenate([np.linalg.eigvalsh(blocks[s])[:per]
                            for s in sectors])
     order = np.argsort(vals, kind="stable")[:k]
     picked = tuple(sectors[i // per] for i in order)
+    ez, et = unit_roots(n), unit_roots(nt)
     vecs = np.empty((g.size, k), dtype=complex)
     for col, (i, (kz, kt)) in enumerate(zip(order, picked)):
-        phi = np.linalg.eigh(block(kz, kt))[1][:, i % per]
+        phi = np.linalg.eigh(blocks[(kz, kt)])[1][:, i % per]
         wave = np.multiply.outer(ez[kz * np.arange(n) % n],
                                  et[kt * np.arange(nt) % nt])
         vecs[:, col] = np.multiply.outer(phi, wave).ravel() / np.sqrt(n * nt)
@@ -446,13 +457,76 @@ def test_twin_pairing_matches_all_sector_solve(n, nt, d, variant):
         assert np.max(rep.residuals) < 1e-8
 
 
-@pytest.mark.parametrize("n, nt, solved", [(6, 20, 32), (8, 8, 18),
+@pytest.mark.parametrize("n, nt, orbits", [(6, 20, 32), (8, 8, 18),
                                             (6, 7, 22)])
-def test_spectral_floor_solves_one_sector_per_orbit(n, nt, solved):
+def test_spectral_floor_solves_one_sector_per_orbit(n, nt, orbits):
     # conjugation pairs (kz, kt) with (-kz, -kt); an even nt also pairs kt
-    # with kt + nt/2, an odd one (nt = 7) has conjugation only
+    # with kt + nt/2, an odd one (nt = 7) has conjugation only; each orbit
+    # is solved once or pruned
     rep = ol.spectral_floor(ol.build_system(n, nt, 1.0, "kt"), k=2)
-    assert rep.solved == solved
+    assert rep.solved + rep.pruned == orbits
+    # the floor's checkerboard sectors (0, 0) and (n/2, 0) head the only
+    # orbits below the bottom of every other sector
+    assert rep.solved == 2
+
+
+@pytest.mark.parametrize("variant", ["kt", "flat"])
+@pytest.mark.parametrize("n, nt", [(4, 4), (4, 5), (6, 6), (6, 7), (8, 8),
+                                   (8, 9)])
+def test_inertia_prune_matches_all_sector_solve(monkeypatch, variant, n, nt):
+    system = ol.build_system(n, nt, 1.0, variant)
+    blocks = sector_blocks(system)
+    spectra = [np.linalg.eigvalsh(b) for b in blocks.values()]
+    eigvalsh, heads, bottom = np.linalg.eigvalsh, Counter(), {}
+
+    def spy(b):
+        # adding 0.0 turns -0.0 into 0.0, so equal blocks share a key
+        key = (b + 0.0).tobytes()
+        values = eigvalsh(b)
+        heads[key] += 1
+        bottom[key] = values[0]
+        return values
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    for k in (1, 2, 12, 20):
+        heads.clear()
+        rep = ol.spectral_floor(system, k=k)
+        pruned = Counter(heads)
+        # the same solve with every Cholesky failing solves every orbit
+        heads.clear()
+        with monkeypatch.context() as m:
+            m.setattr(ol, "_cholesky_completes", lambda b, mu: False)
+            every = ol.spectral_floor(system, k=k)
+        assert every.pruned == 0 and every.solved == heads.total()
+        assert rep.solved == pruned.total() and rep.pruned > 0
+        assert rep.solved + rep.pruned == every.solved
+        for got, want in ((rep.values, every.values),
+                          (rep.vectors, every.vectors)):
+            assert got.tobytes() == want.tobytes()
+        assert rep.sectors == every.sectors
+        # each pruned orbit's bottom value exceeds the last reported value
+        assert not pruned - heads
+        for key in heads - pruned:
+            assert bottom[key] > rep.values[-1]
+        # and the values are those of eigvalsh in every sector, no pairing
+        per = min(k, n * n)
+        vals = np.concatenate([v[:per] for v in spectra])
+        order = np.argsort(vals, kind="stable")[:k]
+        assert rep.sectors == tuple(list(blocks)[i // per] for i in order)
+        assert np.allclose(rep.values, vals[order], rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("n, nt, variant", [(4, 4, "kt"), (6, 7, "kt"),
+                                            (4, 5, "flat"), (6, 6, "flat")])
+def test_sector_residuals_match_grid_space(n, nt, variant):
+    # the residual is taken on the sector block; through the slot operators
+    # in grid space, sum_s w_s A_s^T (A_s v) - lambda v, it agrees to
+    # rounding, so the fold stays checked against the slot operators
+    system = ol.build_system(n, nt, 1.0, variant)
+    rep = ol.spectral_floor(system, k=12)
+    grid = [np.linalg.norm(system.forward(system.apply(v)) - lam * v)
+            for v, lam in zip(rep.vectors.T, rep.values)]
+    assert np.max(np.abs(rep.residuals - grid)) < 1e-12
 
 
 def test_t_parity_pairing_needs_even_t_offsets():
@@ -463,7 +537,7 @@ def test_t_parity_pairing_needs_even_t_offsets():
     forward = shift(g, "t", 1) - sp.identity(g.size, format="csr")
     system.ops = [(op + forward).tocsr() for op in system.ops]
     rep = ol.spectral_floor(system, k=6)
-    assert rep.solved == 14
+    assert rep.solved + rep.pruned == 14
     values, sectors, vectors = all_sector_floor(system, 6)
     assert rep.values.tobytes() == values.tobytes()
     assert rep.sectors == sectors
