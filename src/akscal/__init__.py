@@ -24,10 +24,9 @@ _EXPORTS = {
                "h_function_max", "y_ratio", "y_ratio_min", "certify_global"),
     "grid": ("QuotientGrid",),
     "operator_lab": ("AdjointSystem", "SlotBasis", "SpectralReport", "OrderFit",
-                     "build_system", "anti_slots", "symbol_check",
-                     "symbol_sweep", "kernel_gap", "spectral_floor",
-                     "richardson_orders", "theta_test_field",
-                     "random_invariant_field"),
+                     "build_system", "anti_slots", "symbol_sweep",
+                     "kernel_gap", "spectral_floor", "richardson_orders",
+                     "theta_test_field", "random_invariant_field"),
     "rearrange": ("RearrangementPlan", "PiecewiseDiffeo", "PlanError",
                   "build_plan", "realize_diffeo", "rearrange_error"),
 }

@@ -9,7 +9,7 @@ With twisted=False the same machinery produces the plain 4-torus.
 
 Every difference is a one-axis stencil, a ring the grid builds once, applied
 along its axis by `apply_axis` or lifted by `lift_axis` into a sparse matrix;
-the frame fields are lifted by `QuotientGrid.frame` (the grid's other cache),
+the frame fields are lifted by `QuotientGrid.frame` (built per call),
 applied by `apply_frame`, or applied on one (z, t) Fourier sector by
 `Sector.apply_frame`.
 """
@@ -49,7 +49,6 @@ class QuotientGrid:
         self.shape = (self.n, self.n, self.n, self.nt)
         self.size = self.n ** 3 * self.nt
         self.cell_volume = self.hx * self.hy * self.hz * self.ht
-        self._frame: tuple | None = None
         self._rings: dict = {}
 
     def spacing(self, axis: str) -> float:
@@ -132,16 +131,14 @@ class QuotientGrid:
         return m
 
     def frame(self) -> tuple:
-        """The frame fields (E_x, E_y, E_z, E_t), built once per grid and
-        shared, not to be modified: the axis differences, except E_y = D_y +
-        x D_z, the invariant field, on the sheared quotient."""
-        if self._frame is None:
-            dx, dy, dz, dt = (self.diff(a) for a in AXES)
-            if self.twisted:
-                x = sp.diags(self.sample(lambda x, y, z, t: x))
-                dy = (dy + x @ dz).tocsr()
-            self._frame = (dx, dy, dz, dt)
-        return self._frame
+        """The frame fields (E_x, E_y, E_z, E_t) as grid-size matrices, built
+        per call: the axis differences, except E_y = D_y + x D_z, the
+        invariant field, on the sheared quotient."""
+        dx, dy, dz, dt = (self.diff(a) for a in AXES)
+        if self.twisted:
+            x = sp.diags(self.sample(lambda x, y, z, t: x))
+            dy = (dy + x @ dz).tocsr()
+        return dx, dy, dz, dt
 
     def apply_frame(self, k: int, block: np.ndarray, dz=None) -> np.ndarray:
         """frame()[k] @ block, each ring applied along its axis; the sheared
@@ -206,7 +203,9 @@ class Sector:
 
 def unit_roots(m: int) -> np.ndarray:
     """e^{2 pi i a / m} for a = 0..m-1, with entry m - a the exact conjugate
-    of entry a, so conjugate sectors fold to exactly conjugate blocks."""
+    of entry a for a != m/2, so conjugate sectors fold to conjugate blocks
+    entry for entry wherever the Nyquist entry e^{i pi} (imaginary part
+    1.2e-16) does not enter."""
     e = np.exp(2j * math.pi * np.arange(m) / m)
     e[m // 2 + 1:] = np.conj(e[1:(m + 1) // 2][::-1])
     return e

@@ -10,10 +10,12 @@ in two independent discretizations:
   corrected by the frame connection — composed as sparse matrices for the
   adjoint system, its exact-transpose forward and its normal operator, and
   applied along the frame's axes to a field block, with no grid-size matrix;
-* the chart route: coordinate stencils of the ten chart Hessian formulas,
-  applied to sampled fields: one-sided in x at the fundamental-domain faces
-  so nothing crosses the sheared seam, and the grid's periodic y, z, t
-  rings, which the frame route's differences use.
+* the chart route, on the sheared quotient only: coordinate stencils of the
+  ten chart Hessian formulas, applied to sampled fields: one-sided in x at
+  the fundamental-domain faces so nothing crosses the sheared seam, and the
+  grid's periodic y, z, t rings, which the frame route's differences use.
+  On the flat torus the two routes share every off-diagonal stencil, so
+  they would be no independent cross-check.
 
 Both routes are second order; their difference contracts like h^2, which the
 Richardson fit exposes.  Plane waves feed the principal-symbol ratio check,
@@ -165,35 +167,31 @@ def hessian_ops_frame(g: QuotientGrid, psi=None) -> dict:
 
 def hessian_ops_chart(g: QuotientGrid, psi: np.ndarray):
     """Chart-route Hessian slots applied to psi, a (size, m) array of m field
-    columns (route_difference passes one column at a time).
+    columns (route_difference passes one column at a time), on the sheared
+    quotient; an untwisted grid is refused.
 
     The ten chart Hessian formulas in narrow 3-point second and centered
-    first differences.  On the sheared quotient x is one-sided at the faces
-    of the fundamental domain, so the route never crosses the seam and stays
-    second order; every other axis takes the grid's periodic rings, which
-    the frame route's differences use.  The routes stay independent in x
-    and in the Hessian formula (frame composition with connection terms vs
-    the chart formulas).  Each n x n stencil is applied along its axis by
-    apply_axis, so this route builds no grid-size matrix.
+    first differences.  x is one-sided at the faces of the fundamental
+    domain, so the route never crosses the seam and stays second order;
+    every other axis takes the grid's periodic rings, which the frame
+    route's differences use.  The routes stay independent in x and in the
+    Hessian formula (frame composition with connection terms vs the chart
+    formulas).  Each n x n stencil is applied along its axis by apply_axis,
+    so this route builds no grid-size matrix.
 
     The result iterates ((i, j), slot) pairs in the frame route's key order,
     each slot of psi's shape formed only when asked for.  Each shared
     difference of psi is formed once and dropped after its last slot, so at
-    most five arrays of psi's shape (kt; one flat) are held between slots.
+    most five arrays of psi's shape are held between slots.
     """
-    return (_kt_chart_slots if g.twisted else _flat_chart_slots)(g, psi)
+    if not g.twisted:
+        raise ValueError("the chart route needs the sheared quotient (a "
+                         "twisted grid): on the flat torus it would repeat "
+                         "the frame route")
+    return _chart_slots(g, psi)
 
 
-def _flat_chart_slots(g, psi):
-    first = [g.ring(a) for a in AXES]
-    for i, a in enumerate(AXES):
-        yield (i, i), apply_axis(g.ring(a, 2), a, g, psi)
-        once = apply_axis(first[i], a, g, psi) if i < 3 else None
-        for jj in range(i + 1, 4):
-            yield (i, jj), apply_axis(first[jj], AXES[jj], g, once)
-
-
-def _kt_chart_slots(g, psi):
+def _chart_slots(g, psi):
     x = g.sample(lambda x, y, z, t: x)[:, None]
     dy, dz, dt = (g.ring(a) for a in AXES[1:])
     yield (0, 0), apply_axis(d2_sided(g.n, g.hx), "x", g, psi)
@@ -222,16 +220,6 @@ def _kt_chart_slots(g, psi):
 
 # ---------------------------------------------------------------------------
 # the adjoint system
-
-
-def _real_matvec(op, v: np.ndarray) -> np.ndarray:
-    """op @ v for a real sparse op; a complex v as two real products, the
-    same sums as the mixed product, which recasts op to complex per call."""
-    if not np.iscomplexobj(v):
-        return op @ v
-    out = np.empty(op.shape[0], dtype=v.dtype)
-    out.real, out.imag = op @ v.real, op @ v.imag
-    return out
 
 
 def _anti_slots_of(hess: dict, g, ident) -> tuple:
@@ -263,7 +251,7 @@ class AdjointSystem:
     def apply(self, psi: np.ndarray) -> np.ndarray:
         """Slot values of the adjoint operator: shape (6, size)."""
         psi = np.asarray(psi).ravel()
-        return np.stack([_real_matvec(op, psi) for op in self.ops])
+        return np.stack([op @ psi for op in self.ops])
 
     def forward(self, u: np.ndarray) -> np.ndarray:
         """Exact discrete adjoint of apply() in the weighted inner product:
@@ -275,7 +263,7 @@ class AdjointSystem:
                              f"{(len(self.ops), self.grid.size)}")
         out = np.zeros(self.grid.size, dtype=u.dtype)
         for w, op, us in zip(self.weights, self.ops, u):
-            out = out + w * _real_matvec(op.T, us)
+            out = out + w * (op.T @ us)
         return out
 
     def normal_rows(self, rows=None) -> sp.csr_matrix:
@@ -334,11 +322,6 @@ def mode_xi(g: QuotientGrid, k: tuple) -> float:
                                      + (kt / g.d) ** 2)
 
 
-def symbol_check(g: QuotientGrid, k: tuple) -> float:
-    """The symbol ratio (see symbol_ratios) of one plane wave."""
-    return float(symbol_ratios(g, [k])[0])
-
-
 def symbol_ratios(g: QuotientGrid, modes) -> np.ndarray:
     """Weighted squared norm of the slot symbols against half the squared
     Laplacian symbol, evaluated on each discrete plane wave of modes.
@@ -381,12 +364,9 @@ def symbol_sweep(g: QuotientGrid):
     corrections on.  Each mode is its own (kz, kt) sector.  The slope is
     the least-squares fit of log|ratio-1| against log|xi|.
     """
-    xi, dev = [], []
-    for k in ((1, 0, 0, e) for e in range(1, g.nt // 4 + 1)):
-        ratio = symbol_check(g, k)
-        xi.append(mode_xi(g, k))
-        dev.append(abs(ratio - 1.0))
-    xi, dev = np.array(xi), np.array(dev)
+    modes = [(1, 0, 0, e) for e in range(1, g.nt // 4 + 1)]
+    xi = np.array([mode_xi(g, k) for k in modes])
+    dev = np.abs(symbol_ratios(g, modes) - 1.0)
     good = dev > 0
     slope = float(np.polyfit(np.log(xi[good]), np.log(dev[good]), 1)[0]) \
         if good.sum() >= 2 else math.nan
@@ -400,7 +380,6 @@ def symbol_sweep(g: QuotientGrid):
 @dataclass(frozen=True)
 class SpectralReport:
     values: np.ndarray
-    vectors: np.ndarray      # complex grid-space columns, unit norm
     residuals: np.ndarray    # ||B phi - lambda phi|| in each value's sector
     method: str
     size: int
@@ -461,7 +440,8 @@ def _cholesky_completes(b: np.ndarray, mu: float) -> bool:
 
 
 def spectral_floor(system: AdjointSystem, k: int = 2) -> SpectralReport:
-    """Smallest k eigenpairs of the normal operator, one (z, t) sector at a time.
+    """Smallest k eigenvalues of the normal operator, with their (z, t)
+    sectors and residuals, one sector at a time.
 
     M commutes with the z and t translations (the central-character splitting
     of the Heisenberg quotient), so it is block diagonal on the plane waves
@@ -475,9 +455,14 @@ def spectral_floor(system: AdjointSystem, k: int = 2) -> SpectralReport:
     eigvalsh runs at most once per orbit of two exact pairings, and its
     values are copied to every twin sector:
 
-    * conjugation, (kz, kt) ~ (-kz, -kt): M is real, so B(-k) = conj B(k)
-      has the same spectrum (the phase tables are conjugate-symmetric to
-      the last bit, so this holds entry for entry);
+    * conjugation, (kz, kt) ~ (-kz, -kt): M is real, so B(-k) = conj B(k).
+      The phase tables are conjugate-symmetric to the last bit but for the
+      Nyquist entry e^{i pi}, whose 1.2e-16 imaginary part conjugation does
+      not flip, so the folded blocks are conjugates entry for entry except
+      where that entry enters, and there to rounding.  Their exact spectra
+      agree, but eigvalsh(conj B) may differ from eigvalsh(B) in the last
+      bits, so a twin reports the values of its orbit's first sector, not
+      those of a solve of its own block;
     * t-parity, kt ~ kt + nt/2, when nt is even and every nonzero entry of
       the folded rows has an even t-offset l': then both sectors read the
       same exponent indices, and their blocks are equal entry for entry.
@@ -493,14 +478,16 @@ def spectral_floor(system: AdjointSystem, k: int = 2) -> SpectralReport:
     pruned: by Sylvester's law of inertia and the margin, eigvalsh would
     give it no value <= v, and the final k-th value is at most v.  So no
     pruned orbit could be picked, ties included (the flat floor is 16-fold,
-    the kt floor 12-fold), and the values, sectors and vectors are those of
-    solving every orbit.
+    the kt floor 12-fold), and the values, sectors and residuals are those
+    of solving every orbit.
 
     The k smallest values over all sectors are kept (stable sort, so ties go
-    to the first sector in (kz, kt) order), each picked sector's own block
-    gives its vectors, and each residual ||B phi - lambda phi|| is taken on
-    that block; for the unit grid vector phi (x) wave / sqrt(n nt) it equals
-    the grid-space ||M v - lambda v||.
+    to the first sector in (kz, kt) order).  Each picked sector's block is
+    folded once more and its eigh basis gives the phi of each of its values;
+    each residual ||B phi - lambda phi|| is taken on that block, and for the
+    unit grid vector phi (x) wave / sqrt(n nt) it equals the grid-space
+    ||M v - lambda v||.  One block and its basis are held at a time, and no
+    grid-space vector is formed.
     """
     g = system.grid
     n, nt, nxy = g.n, g.nt, g.n * g.n
@@ -545,20 +532,15 @@ def spectral_floor(system: AdjointSystem, k: int = 2) -> SpectralReport:
     vals = vals.ravel()
     order = np.argsort(vals, kind="stable")[:k]
     picked = tuple(divmod(int(i // per), nt) for i in order)
-    vecs = np.empty((g.size, k), dtype=complex)
     res = np.empty(k)
-    folded: dict = {}
-    for col, (i, (kz, kt)) in enumerate(zip(order, picked)):
-        if (kz, kt) not in folded:
-            b = block(kz, kt)
-            folded[(kz, kt)] = b, np.linalg.eigh(b)[1]
-        b, basis = folded[(kz, kt)]
-        wave = np.multiply.outer(ez[kz * np.arange(n) % n],
-                                 et[kt * np.arange(nt) % nt])
-        phi = basis[:, i % per]
-        vecs[:, col] = np.multiply.outer(phi, wave).ravel() / math.sqrt(n * nt)
-        res[col] = _l2(b @ phi - vals[i] * phi)
-    return SpectralReport(vals[order], vecs, res, "fourier-sector", g.size,
+    for sector in dict.fromkeys(picked):
+        b = block(*sector)
+        basis = np.linalg.eigh(b)[1]
+        for col in (c for c, s in enumerate(picked) if s == sector):
+            phi = basis[:, order[col] % per]
+            res[col] = _l2(b @ phi - vals[order[col]] * phi)
+        del b, basis
+    return SpectralReport(vals[order], res, "fourier-sector", g.size,
                           picked, solved, len(reps) - solved)
 
 
@@ -643,9 +625,9 @@ def _field_list(field, d: float) -> list:
     return fields
 
 
-def route_difference(n: int, variant: str = "kt", d: float = 1.0,
-                     field=None):
-    """(max, L2) norms of (frame route - chart route) over all ten slots.
+def route_difference(n: int, d: float = 1.0, field=None):
+    """(max, L2) norms of (frame route - chart route) over all ten slots, on
+    the sheared quotient.
 
     field is None (theta_test_field(d)) or a sequence of callables; each
     norm is an array with one entry per field.  The fields stream through
@@ -659,7 +641,7 @@ def route_difference(n: int, variant: str = "kt", d: float = 1.0,
     the next is formed.
     """
     fields = _field_list(field, d)
-    g = QuotientGrid(n, n, d, twisted=_twisted(variant))
+    g = QuotientGrid(n, n, d)
     err_max = np.zeros(len(fields))
     err_sq = np.zeros(len(fields))
     for f, fn in enumerate(fields):
@@ -689,8 +671,7 @@ class OrderFit:
     order_l2: float
 
 
-def richardson_orders(ns=(8, 12, 16, 20), variant: str = "kt", d: float = 1.0,
-                      field=None):
+def richardson_orders(ns=(8, 12, 16, 20), d: float = 1.0, field=None):
     """Least-squares convergence orders of the two-route difference.
 
     ns must hold at least two distinct integer grid sizes >= 4.  field is
@@ -709,7 +690,7 @@ def richardson_orders(ns=(8, 12, 16, 20), variant: str = "kt", d: float = 1.0,
                          f">= 4, got {ns!r}")
     fields = _field_list(field, d)
     h = np.array([1.0 / n for n in ns])
-    per_n = [route_difference(n, variant, d, fields) for n in ns]
+    per_n = [route_difference(n, d, fields) for n in ns]
     fits = []
     for i in range(len(fields)):
         err_max = np.array([p[0][i] for p in per_n])

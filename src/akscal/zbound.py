@@ -224,7 +224,8 @@ def _cone_defect(m: IntersectionModel, cls) -> Optional[str]:
     t = _top_chern(m, a, b, ell)[0]
     scale = float(beta @ beta) * (1.0 if m.n == 2 else 3.0 * abs(ell))
     if t <= CONE_EPS * scale:
-        return f"class has non-positive top power {t:.3g}"
+        return (f"class has non-positive top power {t:.3g} (scaled to a "
+                f"largest |entry| in [1/2, 1))")
     if m.n == 3 and ell <= 0:
         return "fiber coefficient must be positive"
     return None
@@ -252,9 +253,18 @@ def _bound(m: IntersectionModel, cls, grad=False):
     return val, k4pi * (dc * u ** (-p) - c * p * u ** (-p - 1) * dt / fact)
 
 
+def _rescaled(x: np.ndarray) -> np.ndarray:
+    """x scaled by the power of two that puts its largest |entry| in [1/2, 1).
+
+    The scale is exact and the bound and the cone are scale-invariant, so no
+    pairing of a huge or tiny class overflows or underflows, and a class
+    differing from another by a power of two gives the same floats."""
+    return np.ldexp(x, -np.frexp(np.max(np.abs(x), initial=0.0))[1])
+
+
 def eval_z_bound(m: IntersectionModel, cls) -> float:
     """The scale-invariant bound at one symplectic class (top power must be > 0)."""
-    cls = _finite(cls)
+    cls = _rescaled(_finite(cls))
     defect = _cone_defect(m, cls)
     if defect:
         raise ConeError(defect)
@@ -289,10 +299,7 @@ def optimize_z_bound(m: IntersectionModel, seed=None) -> ZBoundResult:
         seed = m.seed
     if seed is None:
         raise ValueError("no seed class: pass one or ship one with the model")
-    x = _finite(seed, "seed class")
-    # a power-of-two scale is exact, so no pairing of a huge or tiny seed
-    # overflows and the cone test and the normalized seed keep their floats
-    x = np.ldexp(x, -np.frexp(np.max(np.abs(x), initial=0.0))[1])
+    x = _rescaled(_finite(seed, "seed class"))
     if _cone_defect(m, x):
         raise ConeError("seed class is outside the positive cone")
     if m.n == 3 and _pairings(m, x)[1] > 0:

@@ -43,20 +43,10 @@ def product_frame_slots(g):
 
 
 def product_chart_slots(g):
-    sided = g.twisted
-    if sided:
-        dx = lift_axis(d1_sided(g.n, g.hx), "x", g)
-        dxx = lift_axis(d2_sided(g.n, g.hx), "x", g)
-    else:
-        dx, dxx = (lift_axis(g.ring("x", k), "x", g) for k in (1, 2))
+    dx = lift_axis(d1_sided(g.n, g.hx), "x", g)
+    dxx = lift_axis(d2_sided(g.n, g.hx), "x", g)
     dy, dz, dt = (lift_axis(g.ring(a), a, g) for a in AXES[1:])
     dyy, dzz, dtt = (lift_axis(g.ring(a, 2), a, g) for a in AXES[1:])
-    if not sided:
-        first = dict(zip(AXES, (dx, dy, dz, dt)))
-        second = dict(zip(AXES, (dxx, dyy, dzz, dtt)))
-        return {(i, jj): (second[AXES[i]] if i == jj
-                          else first[AXES[jj]] @ first[AXES[i]])
-                for i in range(4) for jj in range(i, 4)}
     x = sp.diags(g.sample(lambda x, y, z, t: x))
     return {
         (0, 0): dxx,
@@ -144,7 +134,6 @@ def test_anti_slots_refuses_an_unlisted_j():
 
 def test_unknown_variant_refused():
     for call in (lambda: ol.build_system(4, variant="round"),
-                 lambda: ol.route_difference(4, "round"),
                  lambda: ol.build_system(4, variant=["kt"])):
         with pytest.raises(ValueError, match="unknown variant"):
             call()
@@ -167,12 +156,14 @@ def test_geometry_is_shared_and_read_only():
 
 @pytest.mark.parametrize("variant, n", [("kt", 8), ("flat", 6)])
 def test_applied_routes_match_product_assembly(variant, n):
+    # the chart route runs on the sheared quotient only
     g = QuotientGrid(n, n, 1.0, twisted=variant == "kt")
     psi = np.random.default_rng(5).standard_normal((g.size, 3))
-    for applied, ref in ((ol.hessian_ops_frame(g, psi),
-                          product_frame_slots(g)),
-                         (dict(ol.hessian_ops_chart(g, psi)),
-                          product_chart_slots(g))):
+    routes = [(ol.hessian_ops_frame(g, psi), product_frame_slots(g))]
+    if g.twisted:
+        routes.append((dict(ol.hessian_ops_chart(g, psi)),
+                       product_chart_slots(g)))
+    for applied, ref in routes:
         assert applied.keys() == ref.keys()
         for key, got in applied.items():
             want = ref[key] @ psi
@@ -271,11 +262,15 @@ def test_normal_matrix_commutes_with_deck_maps():
 # -- Fourier symbols -------------------------------------------------------------
 
 
+def ratio(g, k):
+    return float(ol.symbol_ratios(g, [k])[0])
+
+
 def test_symbol_check_rejects_twisted_kz():
     for k in ((0, 0, 1, 0), (1, 0, -2, 1)):
         with pytest.raises(ValueError, match="kz = 0 only"):
-            ol.symbol_check(QuotientGrid(4, twisted=True), k)
-    assert ol.symbol_check(QuotientGrid(4, twisted=False), (0, 0, 1, 0)) > 0
+            ratio(QuotientGrid(4, twisted=True), k)
+    assert ratio(QuotientGrid(4, twisted=False), (0, 0, 1, 0)) > 0
 
 
 @pytest.mark.parametrize("k", [(1.7, 0, 0, 1.2), ("1", 0, 0, "2"),
@@ -284,7 +279,7 @@ def test_symbol_check_rejects_twisted_kz():
 def test_non_integer_frequencies_are_refused_by_name(k):
     flat = QuotientGrid(6, twisted=False)
     for call in (lambda: ol.mode_xi(flat, k),
-                 lambda: ol.symbol_check(flat, k),
+                 lambda: ol.symbol_ratios(flat, [k]),
                  lambda: ol.symbol_ratios(flat, [(1, 0, 0, 0), k])):
         with pytest.raises(ValueError, match="need four integer frequencies"):
             call()
@@ -293,7 +288,7 @@ def test_non_integer_frequencies_are_refused_by_name(k):
 def test_numpy_integer_frequencies_read_the_same_mode():
     flat = QuotientGrid(6, twisted=False)
     k = np.array([1, 0, 2, 1])
-    assert ol.symbol_check(flat, k) == ol.symbol_check(flat, (1, 0, 2, 1))
+    assert ratio(flat, k) == ratio(flat, (1, 0, 2, 1))
     assert ol.mode_xi(flat, k) == ol.mode_xi(flat, (1, 0, 2, 1))
 
 
@@ -306,7 +301,7 @@ def test_mode_xi():
 def test_flat_symbol_ratio_is_one():
     g = QuotientGrid(8, 8, 1.0, twisted=False)
     for k in ((1, 0, 0, 0), (1, 1, 0, 0), (2, 1, 1, 0), (0, 2, 0, 2)):
-        assert abs(ol.symbol_check(g, k) - 1.0) < 1e-12
+        assert abs(ratio(g, k) - 1.0) < 1e-12
 
 
 def grid_space_ratio(g, k):
@@ -329,16 +324,16 @@ def test_symbol_check_matches_grid_space_ratio(twisted):
     modes = [(1, 0, 0, 0), (0, 1, 0, 2), (2, 1, 0, 1), (1, 2, 0, 3),
              (0, 0, 0, 1)] + ([] if twisted else [(1, 1, 1, 0), (0, 2, 2, 3)])
     ratios = ol.symbol_ratios(g, modes)
-    for k, ratio in zip(modes, ratios):
+    for k, got in zip(modes, ratios):
         want = grid_space_ratio(g, k)
-        assert abs(ol.symbol_check(g, k) - want) <= 1e-12
-        assert abs(ratio - want) <= 1e-12
+        assert abs(ratio(g, k) - want) <= 1e-12
+        assert abs(got - want) <= 1e-12
 
 
 def test_zero_mode_has_no_symbol_ratio():
     for twisted in (True, False):
         with pytest.raises(ValueError, match="zero-frequency mode"):
-            ol.symbol_check(QuotientGrid(4, twisted=twisted), (0, 0, 0, 0))
+            ratio(QuotientGrid(4, twisted=twisted), (0, 0, 0, 0))
 
 
 def test_symbol_check_builds_no_grid_size_system(monkeypatch):
@@ -353,10 +348,10 @@ def test_symbol_check_builds_no_grid_size_system(monkeypatch):
 
 @pytest.mark.parametrize("n", [6, 8])
 def test_kt_pure_x_symbol_closed_form(n):
-    ratio = ol.symbol_check(QuotientGrid(n, n, 1.0), (1, 0, 0, 0))
+    got = ratio(QuotientGrid(n, n, 1.0), (1, 0, 0, 0))
     h = 1.0 / n
     lam = (np.sin(2 * np.pi * h) / h) ** 2   # centered-difference Laplacian symbol
-    assert ratio - 1.0 == pytest.approx(1.25 / lam ** 2, rel=1e-12)
+    assert got - 1.0 == pytest.approx(1.25 / lam ** 2, rel=1e-12)
 
 
 # -- spectra ---------------------------------------------------------------------
@@ -375,9 +370,12 @@ def test_spectral_floor_matches_dense_reference():
         ref = np.linalg.eigvalsh(m.toarray())[:6]
         assert np.max(np.abs(rep.values - ref)) < 1e-9
         # eigen-residuals are honest: ||M v - lambda v|| recomputed directly
-        # on the complex grid-space vectors
+        # on the complex grid-space vectors, which the test-local all-sector
+        # solve builds from the same sector blocks
+        _, sectors, vectors = all_sector_floor(system, 6)
+        assert rep.sectors == sectors
         for i, (kz, kt) in enumerate(rep.sectors):
-            v = rep.vectors[:, i]
+            v = vectors[:, i]
             assert abs(np.linalg.norm(v) - 1.0) < 1e-12
             assert np.linalg.norm(m @ v - rep.values[i] * v) < 1e-8
             # each vector lives in its sector: z and t steps act by phases
@@ -401,16 +399,16 @@ def test_normal_rows_match_normal_matrix(n, nt, d, variant):
         assert same_csr(system.normal_rows(rows), whole[rows])
 
 
-def sector_blocks(system):
+def sector_blocks(system, roots=unit_roots):
     """Test-only fold of the global normal matrix: {(kz, kt): block} for
-    every (z, t) Fourier sector."""
+    every (z, t) Fourier sector, with the phase tables roots(n), roots(nt)."""
     g = system.grid
     n, nt, nxy = g.n, g.nt, g.n * g.n
     rows = system.normal_rows()[np.arange(nxy) * (n * nt)].tocoo()
     xy, rest = np.divmod(rows.col, n * nt)
     kc, lc = np.divmod(rest, nt)
     flat = rows.row * nxy + xy
-    ez, et = unit_roots(n), unit_roots(nt)
+    ez, et = roots(n), roots(nt)
 
     def block(kz, kt):
         w = rows.data * ez[kz * kc % n] * et[kt * lc % nt]
@@ -418,6 +416,14 @@ def sector_blocks(system):
                 + 1j * np.bincount(flat, w.imag, nxy * nxy)).reshape(nxy, nxy)
 
     return {(kz, kt): block(kz, kt) for kz in range(n) for kt in range(nt)}
+
+
+def real_nyquist_roots(m):
+    """unit_roots(m) with entry m/2 of an even m set to exactly -1."""
+    e = unit_roots(m).copy()
+    if m % 2 == 0:
+        e[m // 2] = -1.0
+    return e
 
 
 def all_sector_floor(system, k):
@@ -445,15 +451,30 @@ def all_sector_floor(system, k):
 @pytest.mark.parametrize("n, nt, d, variant", [
     (6, 6, 1.0, "kt"), (6, 16, 1.0, "kt"), (6, 20, 1.0, "kt"),
     (8, 8, 1.0, "kt"), (8, 16, 0.5, "kt"), (6, 7, 1.0, "kt"),
-    (6, 6, 1.0, "flat"), (8, 8, 1.0, "flat")])
+    (8, 9, 1.0, "kt"), (6, 6, 1.0, "flat"), (8, 8, 1.0, "flat")])
 def test_twin_pairing_matches_all_sector_solve(n, nt, d, variant):
     system = ol.build_system(n, nt, d, variant)
+    # a conjugate twin's block is the conjugate to rounding; entry for entry
+    # once the Nyquist phase e^{i pi}, whose 1.2e-16 imaginary part
+    # conjugation does not flip, is made exactly -1
+    blocks = sector_blocks(system)
+    exact = sector_blocks(system, roots=real_nyquist_roots)
+    for (kz, kt), b in blocks.items():
+        twin = (-kz % n, -kt % nt)
+        assert np.max(np.abs(blocks[twin] - b.conj())) \
+            <= 1e-15 * np.max(np.abs(b))
+        assert np.array_equal(exact[twin], exact[(kz, kt)].conj())
     for k in (2, 6, 20):
         rep = ol.spectral_floor(system, k=k)
-        values, sectors, vectors = all_sector_floor(system, k)
-        assert rep.values.tobytes() == values.tobytes()
+        values, sectors, _ = all_sector_floor(system, k)
         assert rep.sectors == sectors
-        assert rep.vectors.tobytes() == vectors.tobytes()
+        # a twin reports its orbit head's values, while eigvalsh(conj B) may
+        # differ from eigvalsh(B) in the last bits: the bytes agree at the
+        # listed sizes, but not in general (at kt (8, 9), k = 12, by 2e-12)
+        if (n, nt, variant) == (8, 9, "kt"):
+            np.testing.assert_allclose(rep.values, values, rtol=1e-13)
+        else:
+            assert rep.values.tobytes() == values.tobytes()
         assert np.max(rep.residuals) < 1e-8
 
 
@@ -501,7 +522,7 @@ def test_inertia_prune_matches_all_sector_solve(monkeypatch, variant, n, nt):
         assert rep.solved == pruned.total() and rep.pruned > 0
         assert rep.solved + rep.pruned == every.solved
         for got, want in ((rep.values, every.values),
-                          (rep.vectors, every.vectors)):
+                          (rep.residuals, every.residuals)):
             assert got.tobytes() == want.tobytes()
         assert rep.sectors == every.sectors
         # each pruned orbit's bottom value exceeds the last reported value
@@ -524,8 +545,10 @@ def test_sector_residuals_match_grid_space(n, nt, variant):
     # rounding, so the fold stays checked against the slot operators
     system = ol.build_system(n, nt, 1.0, variant)
     rep = ol.spectral_floor(system, k=12)
+    _, sectors, vectors = all_sector_floor(system, 12)
+    assert rep.sectors == sectors
     grid = [np.linalg.norm(system.forward(system.apply(v)) - lam * v)
-            for v, lam in zip(rep.vectors.T, rep.values)]
+            for v, lam in zip(vectors.T, rep.values)]
     assert np.max(np.abs(rep.residuals - grid)) < 1e-12
 
 
@@ -538,10 +561,9 @@ def test_t_parity_pairing_needs_even_t_offsets():
     system.ops = [(op + forward).tocsr() for op in system.ops]
     rep = ol.spectral_floor(system, k=6)
     assert rep.solved + rep.pruned == 14
-    values, sectors, vectors = all_sector_floor(system, 6)
+    values, sectors, _ = all_sector_floor(system, 6)
     assert rep.values.tobytes() == values.tobytes()
     assert rep.sectors == sectors
-    assert rep.vectors.tobytes() == vectors.tobytes()
 
 
 def test_spectral_floor_rejects_bad_k():
@@ -619,6 +641,21 @@ def test_kernel_gap_n12():
     assert np.max(kt.residuals) < 1e-8
 
 
+def test_kernel_gap_traced_peak():
+    # no grid-space eigenvector is formed and one picked sector's block and
+    # basis are held at a time: k = 1024 at N = 8 (4096 nodes) peaks near
+    # the k = 2 solve (about 7 MB), not at the 64 MB of 1024 complex vectors
+    ol.kernel_gap(4, k=2)  # the kt geometry is built once
+    tracemalloc.start()
+    try:
+        rep = ol.kernel_gap(8, k=1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rep.values) == len(rep.residuals) == 1024
+    assert peak < 16 * 2 ** 20
+
+
 # -- two-route Hessian consistency ------------------------------------------------
 
 
@@ -637,23 +674,23 @@ def test_invariant_fields_descend():
 
 def test_route_difference_shrinks():
     field = [ol.theta_test_field(1.0)]
-    coarse = ol.route_difference(8, "kt", 1.0, field)
-    fine = ol.route_difference(16, "kt", 1.0, field)
+    coarse = ol.route_difference(8, 1.0, field)
+    fine = ol.route_difference(16, 1.0, field)
     assert fine[1][0] < coarse[1][0] / 3.0   # second order: x4 expected
 
 
 def test_richardson_order_on_theta_field():
-    fit, = ol.richardson_orders(ns=(8, 12, 16), variant="kt", d=1.0,
+    fit, = ol.richardson_orders(ns=(8, 12, 16), d=1.0,
                                 field=[ol.theta_test_field(1.0)])
     assert fit.order_l2 >= 1.9
     assert fit.order_max >= 1.7
     assert len(fit.err_l2) == 3 and (np.diff(fit.err_l2) < 0).all()
 
 
-def materialized_route_difference(n, variant, fields):
+def materialized_route_difference(n, fields):
     """route_difference with both routes held as whole slot dicts, as a
     reference for the streamed chart route."""
-    g = QuotientGrid(n, n, 1.0, twisted=variant == "kt")
+    g = QuotientGrid(n, n, 1.0)
     psi = np.stack([g.sample(f) for f in fields], axis=1)
     frame = ol.hessian_ops_frame(g, psi)
     chart = dict(ol.hessian_ops_chart(g, psi))
@@ -667,14 +704,13 @@ def materialized_route_difference(n, variant, fields):
     return err_max, np.sqrt(g.cell_volume * err_sq)
 
 
-@pytest.mark.parametrize("variant", ["kt", "flat"])
 @pytest.mark.parametrize("n", [8, 12])
-def test_streamed_routes_match_materialized_routes(variant, n):
+def test_streamed_routes_match_materialized_routes(n):
     one = [ol.theta_test_field(1.0)]
     three = [ol.random_invariant_field(1.0, s) for s in (1, 2, 3)]
     for fields in (one, three):
-        want = materialized_route_difference(n, variant, fields)
-        got = ol.route_difference(n, variant, field=fields)
+        want = materialized_route_difference(n, fields)
+        got = ol.route_difference(n, field=fields)
         for a, b in zip(got, want):
             assert a.tobytes() == b.tobytes()
 
@@ -733,16 +769,25 @@ def test_route_difference_refuses_non_finite_fields(value):
 
 
 @pytest.mark.parametrize("variant", ["kt", "flat"])
-def test_chart_route_builds_no_grid_matrix(variant):
-    # both routes apply their stencils along their axes: a fresh grid's
-    # frame matrices stay unbuilt after both run on a block, and the grid is
-    # freed by reference counting alone once its caller drops it
+def test_chart_route_builds_no_grid_matrix(monkeypatch, variant):
+    # both routes apply their stencils along their axes, so neither builds
+    # the frame matrices nor lifts a stencil; the chart route refuses the
+    # flat torus by name; and the grid is freed by reference counting alone
+    # once its caller drops it
+    def refuse(*args, **kwargs):
+        raise AssertionError("a route built a grid-size matrix")
+
     g = QuotientGrid(6, 6, 1.0, twisted=variant == "kt")
     psi = np.random.default_rng(2).standard_normal((g.size, 1))
-    assert len(list(ol.hessian_ops_chart(g, psi))) == 10
-    assert len(ol.hessian_ops_frame(g, psi)) == 10
-    assert g._frame is None
-    assert g.frame() is g.frame()
+    with monkeypatch.context() as m:
+        m.setattr(QuotientGrid, "frame", refuse)
+        m.setattr(grid_module, "lift_axis", refuse)
+        if g.twisted:
+            assert len(list(ol.hessian_ops_chart(g, psi))) == 10
+        else:
+            with pytest.raises(ValueError, match="needs the sheared quotient"):
+                ol.hessian_ops_chart(g, psi)
+        assert len(ol.hessian_ops_frame(g, psi)) == 10
     ref = weakref.ref(g)
     gc.disable()
     try:

@@ -208,6 +208,21 @@ def test_optimizer_takes_a_huge_or_tiny_seed():
         assert res.value == pytest.approx(-12.0 * math.pi, abs=1e-12)
 
 
+def test_eval_takes_a_huge_or_tiny_class():
+    # the power-of-two rescale the optimizer uses: no pairing of a 1e300
+    # class overflows, so it is not refused as outside the cone, and a
+    # 1e-300 class does not underflow
+    m = zbound.barlow_sigma_model()
+    seed = np.array(m.seed)
+    base = zbound.eval_z_bound(m, seed)
+    assert zbound.eval_z_bound(m, 2.0 ** 1000 * seed) == base
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scale in (1e300, 1e-300):
+            got = zbound.eval_z_bound(m, scale * seed)
+            assert abs(got - base) <= 1e-15 * abs(base)
+
+
 def test_optimizer_refuses_a_non_finite_seed():
     with pytest.raises(ValueError, match="seed class has a non-finite entry"):
         zbound.optimize_z_bound(zbound.cp2_model(), seed=[math.nan])
