@@ -8,10 +8,10 @@ vertex grid, flattened in C order.
 With twisted=False the same machinery produces the plain 4-torus.
 
 Every difference is a one-axis stencil, a ring the grid builds once, applied
-along its axis by `apply_axis` or lifted by `lift_axis` into a sparse matrix;
-the frame fields are lifted by `QuotientGrid.frame` (built per call),
-applied by `apply_frame`, or applied on one (z, t) Fourier sector by
-`Sector.apply_frame`.
+along its axis by `apply_axis`; `QuotientGrid.diff` writes a first-difference
+ring out as a grid-size CSR.  The frame fields are built from these by
+`QuotientGrid.frame` (per call), applied by `apply_frame`, or applied on
+(z, t) Fourier sectors, one per column of a block, by `Sector.apply_frame`.
 """
 
 from __future__ import annotations
@@ -117,18 +117,31 @@ class QuotientGrid:
         return self._rings[key]
 
     def diff(self, axis: str) -> sp.csr_matrix:
-        """Centered first difference along one axis (wrap per the quotient):
-        ring(axis) lifted.  On the sheared x-wrap the wrapped column of each
+        """Centered first difference along one axis (wrap per the quotient),
+        as a grid-size CSR built directly: a node at position p on the axis
+        takes row p of ring(axis), each ring column c read c - p strides
+        away in the ring's column order, so the first and last slabs wrap
+        by n - 1 strides.  On the sheared x-wrap the wrapped column of each
         first- and last-slab row is re-pointed through the index reduction;
         the shear moves k alone and CSR column order is fixed by i, so every
         row stays sorted."""
-        m = lift_axis(self.ring(axis), axis, self)
+        ring, pos = self.ring(axis), _axis(axis)
+        n, stride = ring.shape[0], math.prod(self.shape[pos + 1:])
+        idx = np.int32 if 2 * self.size < 2 ** 31 else np.int64
+        # the columns of the first n slabs, then moved to each later n
+        moves = (ring.indices.reshape(n, 2) - np.arange(n)[:, None]) * stride
+        first = (np.repeat(np.arange(n * stride, dtype=idx), 2)
+                 + np.repeat(moves.astype(idx), stride, axis=0).ravel())
+        cols = first + np.arange(0, self.size, n * stride, dtype=idx)[:, None]
         if axis == "x" and self.twisted:
             _, j, k, l = self._open_indices()
-            cols = m.indices.reshape(self.n, -1, 2)
-            cols[0, :, -1] = self.flat(-1, j, k, l).ravel()
-            cols[-1, :, 0] = self.flat(self.n, j, k, l).ravel()
-        return m
+            slabs = cols.reshape(n, stride, 2)
+            slabs[0, :, -1] = self.flat(-1, j, k, l).ravel()
+            slabs[-1, :, 0] = self.flat(self.n, j, k, l).ravel()
+        data = np.repeat(ring.data.reshape(n, 2), stride, axis=0).ravel()
+        return sp.csr_matrix((np.tile(data, len(cols)), cols.ravel(),
+                              np.arange(0, 2 * self.size + 1, 2, dtype=idx)),
+                             shape=(self.size, self.size))
 
     def frame(self) -> tuple:
         """The frame fields (E_x, E_y, E_z, E_t) as grid-size matrices, built
@@ -170,18 +183,22 @@ class QuotientGrid:
 
 
 class Sector:
-    """The frame on one (kz, kt) Fourier sector: apply_frame(k, phi) (x) wave
+    """The frame on (kz, kt) Fourier sectors: apply_frame(k, phi) (x) wave
     = E_k (phi (x) wave) for an (n^2, m) complex (x, y) block phi and the
-    wave e^{2 pi i (kz k/n + kt l/nt)}.  E_z and E_t multiply by their ring's
-    symbol; E_x and E_y take their rings along the slab, and on the sheared
-    quotient E_x's wrapped entries carry the phase e^{+-2 pi i kz j/n} (row
-    0 reads (n-1, j), row n-1 reads (0, j)) and E_y adds x E_z (dz)."""
+    wave e^{2 pi i (kz k/n + kt l/nt)}.  kz and kt are integers, or integer
+    arrays of length m that give each column its own sector.  E_z and E_t
+    multiply by their ring's symbol; E_x and E_y take their rings along the
+    slab, and on the sheared quotient E_x's wrapped entries carry the phase
+    e^{+-2 pi i kz j/n} (row 0 reads (n-1, j), row n-1 reads (0, j)) and
+    E_y adds x E_z (dz)."""
 
-    def __init__(self, grid: QuotientGrid, kz: int, kt: int):
+    def __init__(self, grid: QuotientGrid, kz, kt):
         self.grid, self.twisted, self.shape = grid, grid.twisted, grid.shape[:2]
-        self.phase = unit_roots(grid.n)[kz * np.arange(grid.n) % grid.n, None]
-        self.symbols = [(grid.ring(a) @ unit_roots(m)[k * np.arange(m) % m])[0]
-                        for a, k, m in (("z", kz, grid.n), ("t", kt, grid.nt))]
+        # phase[j, c] and symbols[a][c] belong to column c's sector
+        self.phase = unit_roots(grid.n)[np.outer(np.arange(grid.n), kz) % grid.n]
+        self.symbols = [
+            (grid.ring(a) @ unit_roots(m)[np.outer(np.arange(m), k) % m])[0]
+            for a, k, m in (("z", kz, grid.n), ("t", kt, grid.nt))]
 
     def apply_frame(self, k: int, block: np.ndarray, dz=None) -> np.ndarray:
         block = np.asarray(block, dtype=complex)
@@ -203,11 +220,12 @@ class Sector:
 
 def unit_roots(m: int) -> np.ndarray:
     """e^{2 pi i a / m} for a = 0..m-1, with entry m - a the exact conjugate
-    of entry a for a != m/2, so conjugate sectors fold to conjugate blocks
-    entry for entry wherever the Nyquist entry e^{i pi} (imaginary part
-    1.2e-16) does not enter."""
+    of entry a, the Nyquist entry of an even m exactly -1, so conjugate
+    sectors fold to conjugate blocks entry for entry."""
     e = np.exp(2j * math.pi * np.arange(m) / m)
     e[m // 2 + 1:] = np.conj(e[1:(m + 1) // 2][::-1])
+    if m % 2 == 0:
+        e[m // 2] = -1.0
     return e
 
 
@@ -242,47 +260,14 @@ def d2_sided(n: int, h: float) -> sp.csr_matrix:
     return (m * (1.0 / h ** 2)).tocsr()
 
 
-def lift_axis(m1d: sp.spmatrix, axis: str, grid: QuotientGrid) -> sp.csr_matrix:
-    """Promote a one-axis stencil to the full grid: I (x) m1d (x) I in C order.
-
-    The one builder of grid stencils, from index arithmetic: grid row
-    (b, r, a) holds row r of the stencil, its column c moved to (b, c, a),
-    which is the canonical CSR the Kronecker products give.  The arrays are
-    filled in place, so nothing but the result is allocated at full size.
-    """
-    pos = _axis(axis)
-    before = math.prod(grid.shape[:pos])
-    after = math.prod(grid.shape[pos + 1:])
-    m = sp.csr_matrix(m1d, copy=True)
-    m.sum_duplicates()
-    n, block = m.shape[0], m.nnz * after
-    idx = np.int32 if max(grid.size, before * block) < 2 ** 31 else np.int64
-    indices = np.empty((before, block), dtype=idx)
-    data = np.empty((before, block))
-    a = np.arange(after, dtype=idx)[:, None]
-    for lo, hi in zip(m.indptr[:-1].tolist(), m.indptr[1:].tolist()):
-        # stencil row r fills the block rows (r, a), entry k at (a, k)
-        part = slice(lo * after, hi * after)
-        np.add(a, m.indices[lo:hi].astype(idx) * after,
-               out=indices[0, part].reshape(after, hi - lo))
-        data[0, part].reshape(after, hi - lo)[...] = m.data[lo:hi]
-    np.add(indices[0], (np.arange(1, before, dtype=idx) * (n * after))[:, None],
-           out=indices[1:])
-    data[1:] = data[0]
-    indptr = np.zeros(grid.size + 1, dtype=idx)
-    np.cumsum(np.tile(np.repeat(np.diff(m.indptr).astype(idx), after), before),
-              out=indptr[1:])
-    return sp.csr_matrix((data.ravel(), indices.ravel(), indptr),
-                         shape=(grid.size, grid.size))
-
-
 def apply_axis(m1d: sp.spmatrix, axis: str, grid: QuotientGrid,
                block: np.ndarray) -> np.ndarray:
-    """lift_axis(m1d, axis, grid) @ block, bit for bit, for a (size, m)
-    block, with no lift: the axis is moved to the front and the canonical
-    stencil acts there through the same CSR kernel, so each output sums its
-    stencil row in stored order, as the lifted row does.  A canonical CSR
-    stencil is not copied.  On a Sector, x and y act on its (n^2, m) slab."""
+    """(I (x) m1d (x) I) @ block in C order, the stencil lifted to the whole
+    grid as a canonical CSR, bit for bit, for a (size, m) block, with no
+    lift: the axis is moved to the front and the canonical stencil acts
+    there through the same CSR kernel, so each output sums its stencil row
+    in stored order, as the lifted row does.  A canonical CSR stencil is
+    not copied.  On a Sector, x and y act on its (n^2, m) slab."""
     pos = _axis(axis)
     before, n = math.prod(grid.shape[:pos]), grid.shape[pos]
     canonical = getattr(m1d, "has_canonical_format", False)

@@ -266,18 +266,15 @@ class AdjointSystem:
             out = out + w * (op.T @ us)
         return out
 
-    def normal_rows(self, rows=None) -> sp.csr_matrix:
+    def normal_rows(self, rows) -> sp.csr_matrix:
         """Rows of M = sum_s w_s A_s^T A_s, as sum_s w_s (A_s[:, rows])^T A_s.
 
-        rows=None gives all of M.  The rows are cut from each A_s before the
-        product, not from A_s^T after it, so row r holds the same bytes as
-        row r of the whole M.
+        The rows are cut from each A_s before the product, not from A_s^T
+        after it, so row r holds the same bytes as row r of the whole M.
         """
-        size = self.grid.size
-        m = sp.csr_matrix((size if rows is None else len(rows), size))
+        m = sp.csr_matrix((len(rows), self.grid.size))
         for w, op in zip(self.weights, self.ops):
-            left = op.T if rows is None else op[:, rows].T
-            m = m + w * (left @ op)
+            m = m + w * (op[:, rows].T @ op)
         return m.tocsr()
 
     def slot_residual_norms(self, psi: np.ndarray) -> np.ndarray:
@@ -331,29 +328,29 @@ def symbol_ratios(g: QuotientGrid, modes) -> np.ndarray:
     the sheared quotient lower-order connection terms add O(|sigma|^-2)
     corrections that die off up the spectrum, and only kz = 0 modes descend
     (the z-frequency would have to twist with y).  No grid-size array is
-    built: the modes of a (kz, kt) sector are the (kx, ky) columns of one
-    block on its Sector's slab, where the frame route runs, and the wave in
-    z and t has modulus one, so slab norms give the grid ratios.
+    built: each mode is one column of an (n^2, len(modes)) block on the
+    (x, y) slab, carrying its own (kz, kt) sector, where the frame route runs
+    once for all; the wave in z and t has modulus one, so slab norms give
+    the grid ratios.  Each column is summed alone, pairwise, so each ratio
+    holds the bytes of its mode evaluated alone.
     """
-    ks = [_frequencies(k) for k in modes]
-    if g.twisted and any(k[2] for k in ks):
+    ks = np.array([_frequencies(k) for k in modes], dtype=int).reshape(-1, 4)
+    kx, ky, kz, kt = ks.T
+    if g.twisted and kz.any():
         raise ValueError("sheared quotient admits plane waves with kz = 0 only")
     i, j = np.divmod(np.arange(g.n ** 2), g.n)
-    out = np.empty(len(ks))
-    for kz, kt in sorted({k[2:] for k in ks}):
-        cols = [c for c, k in enumerate(ks) if k[2:] == (kz, kt)]
-        kx, ky = np.array([ks[c][:2] for c in cols]).T
-        phi = unit_roots(g.n)[(np.outer(i, kx) + np.outer(j, ky)) % g.n]
-        hess = hessian_ops_frame(Sector(g, kz, kt), phi)
-        basis, slots = _anti_slots_of(hess, g, phi)
-        num = sum(w * np.sum(abs(u) ** 2, axis=0)
-                  for w, u in zip(basis.weights, slots))
-        lap = sum(hess[(a, a)] for a in range(4))
-        den = 0.5 * np.sum(abs(lap) ** 2, axis=0)
-        if not den.all():
-            raise ValueError("zero-frequency mode has no symbol ratio")
-        out[cols] = num / den
-    return out
+    phi = unit_roots(g.n)[(np.outer(i, kx) + np.outer(j, ky)) % g.n]
+    hess = hessian_ops_frame(Sector(g, kz, kt), phi)
+    basis, slots = _anti_slots_of(hess, g, phi)
+
+    def column_sums(u):
+        return np.sum(np.ascontiguousarray((abs(u) ** 2).T), axis=1)
+
+    num = sum(w * column_sums(u) for w, u in zip(basis.weights, slots))
+    den = 0.5 * column_sums(sum(hess[(a, a)] for a in range(4)))
+    if not den.all():
+        raise ValueError("zero-frequency mode has no symbol ratio")
+    return num / den
 
 
 def symbol_sweep(g: QuotientGrid):
@@ -456,13 +453,11 @@ def spectral_floor(system: AdjointSystem, k: int = 2) -> SpectralReport:
     values are copied to every twin sector:
 
     * conjugation, (kz, kt) ~ (-kz, -kt): M is real, so B(-k) = conj B(k).
-      The phase tables are conjugate-symmetric to the last bit but for the
-      Nyquist entry e^{i pi}, whose 1.2e-16 imaginary part conjugation does
-      not flip, so the folded blocks are conjugates entry for entry except
-      where that entry enters, and there to rounding.  Their exact spectra
-      agree, but eigvalsh(conj B) may differ from eigvalsh(B) in the last
-      bits, so a twin reports the values of its orbit's first sector, not
-      those of a solve of its own block;
+      The phase tables are conjugate-symmetric to the last bit (unit_roots),
+      so the folded blocks are conjugates entry for entry.  LAPACK does not
+      promise that eigvalsh(conj B) and eigvalsh(B) agree in the last bits,
+      so a twin reports the values of its orbit's first sector, not those
+      of a solve of its own block;
     * t-parity, kt ~ kt + nt/2, when nt is even and every nonzero entry of
       the folded rows has an even t-offset l': then both sectors read the
       same exponent indices, and their blocks are equal entry for entry.

@@ -167,42 +167,26 @@ def test_sided_stencils_exact_on_quadratics(maker, order):
     assert np.allclose(vals, want, atol=1e-12)
 
 
-def test_lift_axis_applies_along_one_axis():
+def test_apply_axis_applies_along_one_axis():
     g = gr.QuotientGrid(5, nt=4)
-    dxx = gr.lift_axis(gr.d2_sided(g.n, g.hx), "x", g)
     f = g.sample(lambda x, y, z, t: x ** 2 + 3.0 * y)
-    assert np.allclose(dxx @ f, 2.0, atol=1e-10)
-    dtt = gr.lift_axis(gr.d2_sided(g.nt, g.ht), "t", g)
-    assert np.allclose(dtt @ f, 0.0, atol=1e-12)
+    dxx = gr.apply_axis(gr.d2_sided(g.n, g.hx), "x", g, f)
+    assert np.allclose(dxx, 2.0, atol=1e-10)
+    dtt = gr.apply_axis(gr.d2_sided(g.nt, g.ht), "t", g, f)
+    assert np.allclose(dtt, 0.0, atol=1e-12)
 
 
 def _kron_lift(m1d, axis, grid):
-    """The Kronecker-product lift that lift_axis replaces, as a reference."""
+    """I (x) m1d (x) I in C order by Kronecker products, as a canonical CSR:
+    a one-axis stencil lifted to the whole grid, as a reference.  CSR
+    products store no explicit zeros, as block (BSR) ones would."""
     out = None
     for ax, size in zip(gr.AXES, grid.shape):
         m = m1d if ax == axis else sp.identity(size)
-        out = m if out is None else sp.kron(out, m)
-    return out.tocsr()
-
-
-@pytest.mark.parametrize("n, nt, twisted", [(4, 4, True), (5, 7, True),
-                                            (8, 16, False), (12, 12, True)])
-def test_lift_axis_matches_kron_lift(n, nt, twisted):
-    g = gr.QuotientGrid(n, nt=nt, twisted=twisted)
-    # the chart route's one-sided x-stencils lift to the kron CSR arrays;
-    # diff lifts its periodic ring the same way
-    for stencil in (gr.d1_sided, gr.d2_sided):
-        new = gr.lift_axis(stencil(g.n, g.hx), "x", g)
-        ref = _kron_lift(stencil(g.n, g.hx), "x", g)
-        assert np.array_equal(new.indptr, ref.indptr)
-        assert np.array_equal(new.indices, ref.indices)
-        assert new.data.tobytes() == ref.data.tobytes()
-    # on the other axes sp.kron may store a dense-looking stencil in blocks,
-    # explicit zeros included, so there only the matrices agree
-    for axis, size in zip(gr.AXES[1:], g.shape[1:]):
-        m1d = gr.d2_sided(size, g.spacing(axis))
-        new, ref = gr.lift_axis(m1d, axis, g), _kron_lift(m1d, axis, g)
-        assert new.has_canonical_format and (new != ref).nnz == 0
+        out = m if out is None else sp.kron(out, m, format="csr")
+    out = sp.csr_matrix(out)
+    out.sum_duplicates()
+    return out
 
 
 def _shift_diffs(g, axis):
@@ -225,8 +209,9 @@ def test_diffs_match_shift_arithmetic(n, nt, twisted):
         # no second difference crosses the sheared x-wrap: the chart route
         # is one-sided in x there
         if not (twisted and axis == "x"):
-            pairs.append((gr.lift_axis(g.ring(axis, 2), axis, g), second))
+            pairs.append((_kron_lift(g.ring(axis, 2), axis, g), second))
         for new, ref in pairs:
+            assert new.has_canonical_format
             for a in ("indptr", "indices", "data"):
                 got, want = getattr(new, a), getattr(ref, a)
                 assert got.dtype == want.dtype
@@ -237,7 +222,6 @@ def test_unknown_axis_is_refused_by_name():
     g = gr.QuotientGrid(4)
     for call in (lambda: g.diff("w"), lambda: g.ring("w"),
                  lambda: g.spacing("w"), lambda: shift(g, "w"),
-                 lambda: gr.lift_axis(gr.d1_sided(4, 0.25), "w", g),
                  lambda: gr.apply_axis(gr.d1_sided(4, 0.25), "w", g,
                                        np.zeros(g.size))):
         with pytest.raises(ValueError,
@@ -255,7 +239,7 @@ def test_apply_axis_matches_lift_axis(n, nt, twisted):
         stencils = [g.ring(axis), g.ring(axis, 2), gr.d1_sided(size, h),
                     gr.d2_sided(size, h)]
         for m1d in stencils:
-            lifted = gr.lift_axis(m1d, axis, g)
+            lifted = _kron_lift(m1d, axis, g)
             for cols in (1, 3):
                 block = rng.standard_normal((g.size, cols))
                 got = gr.apply_axis(m1d, axis, g, block)
@@ -307,6 +291,40 @@ def test_sector_frame_matches_frame_matrices(n, nt, twisted):
                     assert got.shape == phi.shape
                     err = np.abs(got[:, None, :] * wave.reshape(-1, 1) - want)
                     assert err.max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n, nt", [(4, 6), (5, 4), (6, 9), (8, 16)])
+@pytest.mark.parametrize("twisted", [True, False])
+def test_sector_arrays_match_one_sector_per_column(n, nt, twisted):
+    # integer arrays kz, kt give each column its own sector: bit for bit
+    # the scalar Sector of that column's (kz, kt) on that column alone
+    g = gr.QuotientGrid(n, nt=nt, d=0.7, twisted=twisted)
+    rng = np.random.default_rng(n * nt)
+    kz, kt = rng.integers(-n, 2 * n, 9), rng.integers(-nt, 2 * nt, 9)
+    kz[:3], kt[:3] = (0, n // 2, n - 1), (0, nt // 2, 1)
+    phi = rng.standard_normal((n * n, 9)) + 1j * rng.standard_normal((n * n, 9))
+    dz = rng.standard_normal((n * n, 9)) + 1j * rng.standard_normal((n * n, 9))
+    sector = gr.Sector(g, kz, kt)
+    singles = [gr.Sector(g, int(z), int(t)) for z, t in zip(kz, kt)]
+    for k in range(4):
+        for d in (None, dz):
+            got = sector.apply_frame(k, phi, d)
+            assert got.shape == phi.shape
+            for c, single in enumerate(singles):
+                want = single.apply_frame(k, phi[:, c:c + 1],
+                                          None if d is None else d[:, c:c + 1])
+                assert got[:, c:c + 1].tobytes() == want.tobytes()
+
+
+def test_unit_roots_are_conjugate_symmetric_to_the_bit():
+    for m in range(1, 41):
+        e = gr.unit_roots(m)
+        assert e[0] == 1.0
+        assert np.array_equal(e[(-np.arange(m)) % m], e.conj())
+        if m % 2 == 0:
+            assert e[m // 2] == -1.0
+        assert np.allclose(e, np.exp(2j * np.pi * np.arange(m) / m),
+                           rtol=0, atol=1e-14)
 
 
 def test_rings_are_built_once_read_only_and_unchanged():

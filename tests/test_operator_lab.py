@@ -10,12 +10,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from akscal import grid as grid_module
 from akscal import operator_lab as ol
 from akscal import suite
-from akscal.grid import (AXES, QuotientGrid, d1_sided, d2_sided, lift_axis,
-                         unit_roots)
-from test_grid import shift
+from akscal.grid import AXES, QuotientGrid, d1_sided, d2_sided, unit_roots
+from test_grid import _kron_lift, shift
 
 
 def nnz_diff(a, b):
@@ -43,10 +41,10 @@ def product_frame_slots(g):
 
 
 def product_chart_slots(g):
-    dx = lift_axis(d1_sided(g.n, g.hx), "x", g)
-    dxx = lift_axis(d2_sided(g.n, g.hx), "x", g)
-    dy, dz, dt = (lift_axis(g.ring(a), a, g) for a in AXES[1:])
-    dyy, dzz, dtt = (lift_axis(g.ring(a, 2), a, g) for a in AXES[1:])
+    dx = _kron_lift(d1_sided(g.n, g.hx), "x", g)
+    dxx = _kron_lift(d2_sided(g.n, g.hx), "x", g)
+    dy, dz, dt = (_kron_lift(g.ring(a), a, g) for a in AXES[1:])
+    dyy, dzz, dtt = (_kron_lift(g.ring(a, 2), a, g) for a in AXES[1:])
     x = sp.diags(g.sample(lambda x, y, z, t: x))
     return {
         (0, 0): dxx,
@@ -193,7 +191,7 @@ def test_adjoint_system_matches_product_assembly(variant):
     normal = sp.csr_matrix((g.size, g.size))
     for w, op in zip(system.weights, ops):
         normal = normal + w * (op.T @ op)
-    assert same_csr(system.normal_rows(), normal.tocsr())
+    assert same_csr(system.normal_rows(np.arange(g.size)), normal.tocsr())
 
 
 # -- constant-field oracles ----------------------------------------------------
@@ -213,9 +211,11 @@ def test_constant_is_exact_eigenvector():
     ones = np.ones(sys_kt.grid.size)
     # M 1 = (2/16 + 2/4) 1 = (5/8) 1: Hessian of a constant vanishes and the
     # difference transposes annihilate constants, leaving only the r-shifts
-    assert np.max(np.abs(sys_kt.normal_rows() @ ones - 0.625 * ones)) < 1e-12
+    m = sys_kt.normal_rows(np.arange(sys_kt.grid.size))
+    assert np.max(np.abs(m @ ones - 0.625 * ones)) < 1e-12
     sys_flat = ol.build_system(6, 6, 1.0, "flat")
-    assert np.max(np.abs(sys_flat.normal_rows() @ np.ones(sys_flat.grid.size))) < 1e-13
+    m_flat = sys_flat.normal_rows(np.arange(sys_flat.grid.size))
+    assert np.max(np.abs(m_flat @ np.ones(m_flat.shape[0]))) < 1e-13
 
 
 # -- adjoint structure ----------------------------------------------------------
@@ -241,19 +241,20 @@ def test_flat_normal_matrix_is_half_biharmonic():
     system = ol.build_system(6, 6, 1.0, "flat")
     hess = ol.hessian_ops_frame(system.grid)
     lap = sum((hess[(i, i)] for i in range(4)), sp.csr_matrix(hess[(0, 0)].shape))
-    assert nnz_diff(system.normal_rows(), 0.5 * (lap.T @ lap)) == 0
+    m = system.normal_rows(np.arange(system.grid.size))
+    assert nnz_diff(m, 0.5 * (lap.T @ lap)) == 0
 
 
 def test_normal_matrix_commutes_with_deck_maps():
     system = ol.build_system(4, 4, 1.0, "kt")
-    m = system.normal_rows()
     g = system.grid
+    m = system.normal_rows(np.arange(g.size))
     # z and t translations survive the shear; x and y do not (x-dependent
     # frame).  This is the symmetry the Fourier-sector spectral floor uses.
     for s in (shift(g, "z", 1), shift(g, "t", 1)):
         assert nnz_diff(m @ s, s @ m) == 0
     flat = ol.build_system(4, 4, 1.0, "flat")
-    m_flat = flat.normal_rows()
+    m_flat = flat.normal_rows(np.arange(flat.grid.size))
     for axis in "xyzt":
         s = shift(flat.grid, axis, 1)
         assert nnz_diff(m_flat @ s, s @ m_flat) == 0
@@ -330,6 +331,46 @@ def test_symbol_check_matches_grid_space_ratio(twisted):
         assert abs(got - want) <= 1e-12
 
 
+@pytest.mark.parametrize("n, nt", [(6, 9), (6, 16), (8, 9), (8, 16)])
+@pytest.mark.parametrize("twisted", [True, False])
+def test_symbol_ratios_match_each_mode_alone(n, nt, twisted):
+    # the modes share one block, many of them one (kz, kt) sector, yet each
+    # ratio holds the bytes of its mode evaluated alone
+    g = QuotientGrid(n, nt, 0.7, twisted=twisted)
+    modes = [(kx, ky, kz, kt) for kx in (-1, 0, 1, 2) for ky in (0, 1, 2)
+             for kz in ((0,) if twisted else (0, 1, 2)) for kt in range(4)
+             if (kx, ky, kz, kt) != (0, 0, 0, 0)]
+    ratios = ol.symbol_ratios(g, modes)
+    alone = [ol.symbol_ratios(g, [k]) for k in modes]
+    assert ratios.tobytes() == np.concatenate(alone).tobytes()
+
+
+def test_symbol_ratios_run_the_frame_route_once(monkeypatch):
+    calls = []
+    frame_route = ol.hessian_ops_frame
+
+    def spy(g, psi=None):
+        calls.append(np.shape(psi))
+        return frame_route(g, psi)
+
+    monkeypatch.setattr(ol, "hessian_ops_frame", spy)
+    for g, modes in ((QuotientGrid(6, 8, twisted=False),
+                      [(1, 0, 0, 0), (0, 1, 2, 3), (1, 1, 1, 0), (2, 0, 2, 3)]),
+                     (QuotientGrid(6, 8), [(1, 0, 0, e) for e in range(1, 5)])):
+        calls.clear()
+        ol.symbol_ratios(g, modes)
+        assert calls == [(g.n ** 2, len(modes))]
+    calls.clear()
+    ol.symbol_sweep(QuotientGrid(6, 16))
+    assert calls == [(36, 4)]
+
+
+def test_symbol_ratios_of_no_modes_are_empty():
+    for twisted in (True, False):
+        got = ol.symbol_ratios(QuotientGrid(4, twisted=twisted), [])
+        assert got.shape == (0,) and got.dtype == float
+
+
 def test_zero_mode_has_no_symbol_ratio():
     for twisted in (True, False):
         with pytest.raises(ValueError, match="zero-frequency mode"):
@@ -341,7 +382,7 @@ def test_symbol_check_builds_no_grid_size_system(monkeypatch):
         raise AssertionError("the symbol check built a grid-size matrix")
 
     monkeypatch.setattr(QuotientGrid, "frame", refuse)
-    monkeypatch.setattr(grid_module, "lift_axis", refuse)
+    monkeypatch.setattr(QuotientGrid, "diff", refuse)
     result = suite.check_symbol()
     assert result.passed, result.detail
 
@@ -361,7 +402,7 @@ def test_spectral_floor_matches_dense_reference():
     for n, nt, d, variant in ((4, 4, 1.0, "kt"), (4, 6, 0.5, "kt"),
                               (4, 4, 1.0, "flat")):
         system = ol.build_system(n, nt, d, variant)
-        m = system.normal_rows()
+        m = system.normal_rows(np.arange(system.grid.size))
         rep = ol.spectral_floor(system, k=6)
         assert rep.method == "fourier-sector" and rep.size == m.shape[0]
         assert len(rep.sectors) == 6 and rep.floor == rep.values[0]
@@ -394,21 +435,22 @@ def test_normal_rows_match_normal_matrix(n, nt, d, variant):
     fold = np.arange(n * n) * (n * nt)
     picked = np.random.default_rng(4).choice(system.grid.size, 40,
                                              replace=False)
-    whole = system.normal_rows()
+    whole = system.normal_rows(np.arange(system.grid.size))
     for rows in (fold, picked):
         assert same_csr(system.normal_rows(rows), whole[rows])
 
 
-def sector_blocks(system, roots=unit_roots):
+def sector_blocks(system):
     """Test-only fold of the global normal matrix: {(kz, kt): block} for
-    every (z, t) Fourier sector, with the phase tables roots(n), roots(nt)."""
+    every (z, t) Fourier sector."""
     g = system.grid
     n, nt, nxy = g.n, g.nt, g.n * g.n
-    rows = system.normal_rows()[np.arange(nxy) * (n * nt)].tocoo()
+    rows = system.normal_rows(np.arange(g.size))[np.arange(nxy) * (n * nt)]
+    rows = rows.tocoo()
     xy, rest = np.divmod(rows.col, n * nt)
     kc, lc = np.divmod(rest, nt)
     flat = rows.row * nxy + xy
-    ez, et = roots(n), roots(nt)
+    ez, et = unit_roots(n), unit_roots(nt)
 
     def block(kz, kt):
         w = rows.data * ez[kz * kc % n] * et[kt * lc % nt]
@@ -416,14 +458,6 @@ def sector_blocks(system, roots=unit_roots):
                 + 1j * np.bincount(flat, w.imag, nxy * nxy)).reshape(nxy, nxy)
 
     return {(kz, kt): block(kz, kt) for kz in range(n) for kt in range(nt)}
-
-
-def real_nyquist_roots(m):
-    """unit_roots(m) with entry m/2 of an even m set to exactly -1."""
-    e = unit_roots(m).copy()
-    if m % 2 == 0:
-        e[m // 2] = -1.0
-    return e
 
 
 def all_sector_floor(system, k):
@@ -454,27 +488,17 @@ def all_sector_floor(system, k):
     (8, 9, 1.0, "kt"), (6, 6, 1.0, "flat"), (8, 8, 1.0, "flat")])
 def test_twin_pairing_matches_all_sector_solve(n, nt, d, variant):
     system = ol.build_system(n, nt, d, variant)
-    # a conjugate twin's block is the conjugate to rounding; entry for entry
-    # once the Nyquist phase e^{i pi}, whose 1.2e-16 imaginary part
-    # conjugation does not flip, is made exactly -1
+    # a conjugate twin's block is the conjugate entry for entry
     blocks = sector_blocks(system)
-    exact = sector_blocks(system, roots=real_nyquist_roots)
     for (kz, kt), b in blocks.items():
-        twin = (-kz % n, -kt % nt)
-        assert np.max(np.abs(blocks[twin] - b.conj())) \
-            <= 1e-15 * np.max(np.abs(b))
-        assert np.array_equal(exact[twin], exact[(kz, kt)].conj())
+        assert np.array_equal(blocks[(-kz % n, -kt % nt)], b.conj())
     for k in (2, 6, 20):
         rep = ol.spectral_floor(system, k=k)
         values, sectors, _ = all_sector_floor(system, k)
         assert rep.sectors == sectors
-        # a twin reports its orbit head's values, while eigvalsh(conj B) may
-        # differ from eigvalsh(B) in the last bits: the bytes agree at the
-        # listed sizes, but not in general (at kt (8, 9), k = 12, by 2e-12)
-        if (n, nt, variant) == (8, 9, "kt"):
-            np.testing.assert_allclose(rep.values, values, rtol=1e-13)
-        else:
-            assert rep.values.tobytes() == values.tobytes()
+        # a twin reports its orbit head's values; eigvalsh of a conjugate
+        # block gives the same bytes at the listed sizes
+        assert rep.values.tobytes() == values.tobytes()
         assert np.max(rep.residuals) < 1e-8
 
 
@@ -534,7 +558,7 @@ def test_inertia_prune_matches_all_sector_solve(monkeypatch, variant, n, nt):
         vals = np.concatenate([v[:per] for v in spectra])
         order = np.argsort(vals, kind="stable")[:k]
         assert rep.sectors == tuple(list(blocks)[i // per] for i in order)
-        assert np.allclose(rep.values, vals[order], rtol=1e-13, atol=1e-13)
+        assert rep.values.tobytes() == vals[order].tobytes()
 
 
 @pytest.mark.parametrize("n, nt, variant", [(4, 4, "kt"), (6, 7, "kt"),
@@ -781,7 +805,7 @@ def test_chart_route_builds_no_grid_matrix(monkeypatch, variant):
     psi = np.random.default_rng(2).standard_normal((g.size, 1))
     with monkeypatch.context() as m:
         m.setattr(QuotientGrid, "frame", refuse)
-        m.setattr(grid_module, "lift_axis", refuse)
+        m.setattr(QuotientGrid, "diff", refuse)
         if g.twisted:
             assert len(list(ol.hessian_ops_chart(g, psi))) == 10
         else:
