@@ -174,11 +174,11 @@ def cmd_operator(args) -> int:
     if nodes > _MAX_NODES:
         raise ValueError(f"N^3 * Nt = {nodes} exceeds the bound 32^4 = "
                          f"{_MAX_NODES} grid nodes")
-    system = operator_lab.build_system(args.N, args.Nt, args.d, args.variant)
     # compute every table first, so a rejected --kernel-gap K or a refused
-    # t-period leaves no partial artifacts
-    rep = (operator_lab.spectral_floor(system, k=args.kernel_gap)
-           if args.kernel_gap else None)
+    # t-period leaves no partial artifacts; the floor before the system
+    rep = (operator_lab.kernel_gap(args.N, args.Nt, args.d, args.variant,
+                                   args.kernel_gap) if args.kernel_gap else None)
+    system = operator_lab.build_system(args.N, args.Nt, args.d, args.variant)
     g = system.grid
     ones = np.ones(g.size)
     theta = g.sample(operator_lab.theta_test_field(args.d))

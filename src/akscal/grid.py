@@ -145,8 +145,9 @@ class QuotientGrid:
 
     def frame(self) -> tuple:
         """The frame fields (E_x, E_y, E_z, E_t) as grid-size matrices, built
-        per call: the axis differences, except E_y = D_y + x D_z, the
-        invariant field, on the sheared quotient."""
+        per call for the two slot-matrix builders, the adjoint system and the
+        spectral floor's slab rows: the axis differences, except E_y = D_y
+        + x D_z, the invariant field, on the sheared quotient."""
         dx, dy, dz, dt = (self.diff(a) for a in AXES)
         if self.twisted:
             x = sp.diags(self.sample(lambda x, y, z, t: x))

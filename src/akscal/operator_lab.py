@@ -128,7 +128,7 @@ def _geometry(twisted: bool) -> tuple:
 # ---------------------------------------------------------------------------
 # the two discretization routes
 
-def hessian_ops_frame(g: QuotientGrid, psi=None) -> dict:
+def hessian_ops_frame(g: QuotientGrid, psi=None, rows=None) -> dict:
     """Frame-route Hessian slots applied to psi, (i, j) with i <= j.
 
     H_ij psi = E_j(E_i psi) - sum_k gamma[j][i][k] E_k psi, with the lower
@@ -139,24 +139,28 @@ def hessian_ops_frame(g: QuotientGrid, psi=None) -> dict:
 
     psi is a (size, m) field block, which QuotientGrid.apply_frame takes
     along the frame's axes (g may be a Sector, and psi an (n^2, m) block on
-    its slab), or None: the frame matrices composed into the slot matrices.
-    A sparse identity psi would give the same values in another order (a
-    sparse product reverses each row's entries), and AdjointSystem.apply,
-    which sums each row in stored order, would change.
+    its slab), or None: the frame matrices composed into the slot matrices,
+    on the given rows only, as E_j[rows] @ E_i - sum_k gamma E_k[rows]
+    (rows=None: every row).  Each row holds the bytes of that row of the
+    whole slot matrix.  A sparse identity psi would give the same values in
+    another order (a sparse product reverses each row's entries), and
+    AdjointSystem.apply, which sums each row in stored order, would change.
     """
     if psi is None:
-        e = g.frame()
-        first, along = e, (lambda k, a, dz: e[k] @ a)
+        inner = g.frame()
+        first = inner if rows is None else [e[rows] for e in inner]
+        along = lambda k, a, dz: first[k] @ a
     else:
         along, pz = g.apply_frame, g.apply_frame(2, psi)
-        first = [pz if k == 2 else along(k, psi, pz) for k in range(4)]
+        first = inner = [pz if k == 2 else along(k, psi, pz)
+                         for k in range(4)]
     gam = _geometry(g.twisted)[1]
     ops = {}
     for i in range(4):
-        # E_z first[i] is formed before E_y first[i], which reads it as D_z
-        zi = along(2, first[i], None) if i <= 2 else None
+        # E_z inner[i] is formed before E_y inner[i], which reads it as D_z
+        zi = along(2, inner[i], None) if i <= 2 else None
         for jj in range(i, 4):
-            op = zi if jj == 2 else along(jj, first[i], zi)
+            op = zi if jj == 2 else along(jj, inner[i], zi)
             for k in range(4):
                 c = gam[jj][i][k]
                 if c != 0.0:
@@ -266,17 +270,6 @@ class AdjointSystem:
             out = out + w * (op.T @ us)
         return out
 
-    def normal_rows(self, rows) -> sp.csr_matrix:
-        """Rows of M = sum_s w_s A_s^T A_s, as sum_s w_s (A_s[:, rows])^T A_s.
-
-        The rows are cut from each A_s before the product, not from A_s^T
-        after it, so row r holds the same bytes as row r of the whole M.
-        """
-        m = sp.csr_matrix((len(rows), self.grid.size))
-        for w, op in zip(self.weights, self.ops):
-            m = m + w * (op[:, rows].T @ op)
-        return m.tocsr()
-
     def slot_residual_norms(self, psi: np.ndarray) -> np.ndarray:
         """Per-slot L2 norms of apply(psi) — unweighted, cell-volume measure,
         so individual near-kernel slots can be read off directly."""
@@ -383,6 +376,7 @@ class SpectralReport:
     sectors: tuple           # (kz, kt) DFT index of each value
     solved: int              # sector blocks sent to eigvalsh
     pruned: int              # twin orbits skipped by a Cholesky of B - mu I
+    constant_residual: float  # ||M c - floor c||, c the unit constant
 
     @property
     def floor(self) -> float:
@@ -436,15 +430,46 @@ def _cholesky_completes(b: np.ndarray, mu: float) -> bool:
     return True
 
 
-def spectral_floor(system: AdjointSystem, k: int = 2) -> SpectralReport:
-    """Smallest k eigenvalues of the normal operator, with their (z, t)
-    sectors and residuals, one sector at a time.
+def _slab_rows(g: QuotientGrid) -> sp.csr_matrix:
+    """The n^2 rows of M = sum_s w_s A_s^T A_s at (z, t) = (0, 0), with the
+    bytes of those rows of the whole M.  A_s is composed from E_j E_i, E_k
+    and I, so A_s[q, r] != 0 for r on the slab only if q is within two frame
+    steps of it: A_s is composed on those rows Q alone.  The rows are
+    W @ (Y @ A), A the stacked A_s[Q], Y each A_s[Q, slab]^T at slot s's
+    columns and W the weights w_s: each entry sums over q ascending, then
+    over the slots in order, as sum_s w_s A_s[:, slab]^T A_s does."""
+    nxy = g.n * g.n
+    slab = q = np.arange(nxy) * (g.n * g.nt)
+    for _ in range(2):
+        at = np.unravel_index(q, g.shape)
+        q = np.unique([g.flat(*(v + step * (a == b) for b, v in enumerate(at)))
+                       for a in range(4) for step in (-1, 0, 1)])
+    basis, ops = _anti_slots_of(hessian_ops_frame(g, rows=q), g,
+                                sp.identity(g.size, format="csr")[q])
+    a = sp.vstack(ops, format="csr")
+    # Y^T is A[:, slab] with slot s's block moved to slot s's n^2 columns
+    cut = a[:, slab]
+    moved = np.repeat(np.arange(6) * nxy, np.diff(cut.indptr[::len(q)]))
+    y = sp.csr_matrix((cut.data, cut.indices + moved, cut.indptr),
+                      shape=(a.shape[0], 6 * nxy)).T.tocsr()
+    w = sp.csr_matrix((np.tile(np.array(basis.weights, float), nxy),
+                       (np.arange(6) * nxy + np.arange(nxy)[:, None]).ravel(),
+                       np.arange(0, 6 * nxy + 1, 6)), shape=(nxy, 6 * nxy))
+    m = w @ (y @ a)
+    m.sort_indices()
+    return m
+
+
+def spectral_floor(g: QuotientGrid, k: int = 2) -> SpectralReport:
+    """Smallest k eigenvalues of the normal operator on grid g, with their
+    (z, t) sectors and residuals, one sector at a time.
 
     M commutes with the z and t translations (the central-character splitting
     of the Heisenberg quotient), so it is block diagonal on the plane waves
     phi(i, j) exp(2 pi i (kz k / n + kt l / nt)).  Each n^2 x n^2 Hermitian
     block is folded from the n^2 rows of M at (z, t) = (0, 0), which are
-    the only rows assembled:
+    the only rows assembled, from slot operators composed only on the rows
+    that reach them (_slab_rows), so no grid-size slot matrix is built:
     B[(i,j),(i',j')] = sum M[(i,j,0,0),(i',j',k',l')] e^{2 pi i (kz k'/n + kt l'/nt)}.
     The sheared x-wrap needs no extra phase: the column indices k' are
     canonical, so the shear is already in them.
@@ -483,15 +508,18 @@ def spectral_floor(system: AdjointSystem, k: int = 2) -> SpectralReport:
     unit grid vector phi (x) wave / sqrt(n nt) it equals the grid-space
     ||M v - lambda v||.  One block and its basis are held at a time, and no
     grid-space vector is formed.
+
+    constant_residual is ||M c - floor c|| for the unit constant c, the
+    flat floor's exact null vector.  M and c are invariant under z and t,
+    so it is sqrt(n nt) times the residual on the slab rows.
     """
-    g = system.grid
     n, nt, nxy = g.n, g.nt, g.n * g.n
     if isinstance(k, bool) or not isinstance(k, numbers.Integral):
         raise ValueError(f"need an integer k, got {k!r}")
     k = int(k)
     if not 1 <= k <= g.size:
         raise ValueError(f"need 1 <= k <= {g.size} eigenpairs, got {k}")
-    rows = system.normal_rows(np.arange(nxy) * (n * nt)).tocoo()
+    rows = _slab_rows(g).tocoo()
     g.refuse_overflow(np.isfinite(rows.data).all(),
                       "the normal operator's entries, of order 1/h_t^4,")
     xy, rest = np.divmod(rows.col, n * nt)
@@ -535,8 +563,11 @@ def spectral_floor(system: AdjointSystem, k: int = 2) -> SpectralReport:
             phi = basis[:, order[col] % per]
             res[col] = _l2(b @ phi - vals[order[col]] * phi)
         del b, basis
+    c = 1.0 / math.sqrt(g.size)
+    const = math.sqrt(n * nt) * _l2(np.bincount(rows.row, rows.data * c, nxy)
+                                    - vals[order[0]] * c)
     return SpectralReport(vals[order], res, "fourier-sector", g.size,
-                          picked, solved, len(reps) - solved)
+                          picked, solved, len(reps) - solved, const)
 
 
 def kernel_gap(n: int, nt: Optional[int] = None, d: float = 1.0,
@@ -546,7 +577,8 @@ def kernel_gap(n: int, nt: Optional[int] = None, d: float = 1.0,
 
     seed is accepted and ignored: the sector solve is deterministic.
     """
-    return spectral_floor(build_system(n, nt, d, variant), k=k)
+    return spectral_floor(QuotientGrid(n, nt, d, twisted=_twisted(variant)),
+                          k=k)
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,21 @@ def same_csr(a, b):
                for f in ("data", "indices", "indptr"))
 
 
+def normal_rows(system, rows):
+    """Test-only reference: rows of M = sum_s w_s A_s^T A_s from the grid-size
+    slot matrices, sum_s w_s (A_s[:, rows])^T A_s.  The rows are cut from
+    each A_s before the product, so row r holds the bytes of row r of M."""
+    m = sp.csr_matrix((len(rows), system.grid.size))
+    for w, op in zip(system.weights, system.ops):
+        m = m + w * (op[:, rows].T @ op)
+    return m.tocsr()
+
+
+def slab(g):
+    """The n^2 nodes at (z, t) = (0, 0), whose rows of M the floor folds."""
+    return np.arange(g.n * g.n) * (g.n * g.nt)
+
+
 # -- slot algebra -------------------------------------------------------------
 
 
@@ -191,7 +206,7 @@ def test_adjoint_system_matches_product_assembly(variant):
     normal = sp.csr_matrix((g.size, g.size))
     for w, op in zip(system.weights, ops):
         normal = normal + w * (op.T @ op)
-    assert same_csr(system.normal_rows(np.arange(g.size)), normal.tocsr())
+    assert same_csr(normal_rows(system, np.arange(g.size)), normal.tocsr())
 
 
 # -- constant-field oracles ----------------------------------------------------
@@ -211,10 +226,10 @@ def test_constant_is_exact_eigenvector():
     ones = np.ones(sys_kt.grid.size)
     # M 1 = (2/16 + 2/4) 1 = (5/8) 1: Hessian of a constant vanishes and the
     # difference transposes annihilate constants, leaving only the r-shifts
-    m = sys_kt.normal_rows(np.arange(sys_kt.grid.size))
+    m = normal_rows(sys_kt, np.arange(sys_kt.grid.size))
     assert np.max(np.abs(m @ ones - 0.625 * ones)) < 1e-12
     sys_flat = ol.build_system(6, 6, 1.0, "flat")
-    m_flat = sys_flat.normal_rows(np.arange(sys_flat.grid.size))
+    m_flat = normal_rows(sys_flat, np.arange(sys_flat.grid.size))
     assert np.max(np.abs(m_flat @ np.ones(m_flat.shape[0]))) < 1e-13
 
 
@@ -241,20 +256,20 @@ def test_flat_normal_matrix_is_half_biharmonic():
     system = ol.build_system(6, 6, 1.0, "flat")
     hess = ol.hessian_ops_frame(system.grid)
     lap = sum((hess[(i, i)] for i in range(4)), sp.csr_matrix(hess[(0, 0)].shape))
-    m = system.normal_rows(np.arange(system.grid.size))
+    m = normal_rows(system, np.arange(system.grid.size))
     assert nnz_diff(m, 0.5 * (lap.T @ lap)) == 0
 
 
 def test_normal_matrix_commutes_with_deck_maps():
     system = ol.build_system(4, 4, 1.0, "kt")
     g = system.grid
-    m = system.normal_rows(np.arange(g.size))
+    m = normal_rows(system, np.arange(g.size))
     # z and t translations survive the shear; x and y do not (x-dependent
     # frame).  This is the symmetry the Fourier-sector spectral floor uses.
     for s in (shift(g, "z", 1), shift(g, "t", 1)):
         assert nnz_diff(m @ s, s @ m) == 0
     flat = ol.build_system(4, 4, 1.0, "flat")
-    m_flat = flat.normal_rows(np.arange(flat.grid.size))
+    m_flat = normal_rows(flat, np.arange(flat.grid.size))
     for axis in "xyzt":
         s = shift(flat.grid, axis, 1)
         assert nnz_diff(m_flat @ s, s @ m_flat) == 0
@@ -402,8 +417,8 @@ def test_spectral_floor_matches_dense_reference():
     for n, nt, d, variant in ((4, 4, 1.0, "kt"), (4, 6, 0.5, "kt"),
                               (4, 4, 1.0, "flat")):
         system = ol.build_system(n, nt, d, variant)
-        m = system.normal_rows(np.arange(system.grid.size))
-        rep = ol.spectral_floor(system, k=6)
+        m = normal_rows(system, np.arange(system.grid.size))
+        rep = ol.spectral_floor(system.grid, k=6)
         assert rep.method == "fourier-sector" and rep.size == m.shape[0]
         assert len(rep.sectors) == 6 and rep.floor == rep.values[0]
         # test-only dense reference: the sector values are the bottom of the
@@ -428,16 +443,25 @@ def test_spectral_floor_matches_dense_reference():
 
 
 @pytest.mark.parametrize("n, nt, d, variant", [
-    (4, 4, 1.0, "kt"), (6, 20, 1.0, "kt"), (8, 16, 0.5, "kt"),
-    (6, 6, 1.0, "flat")])
+    (4, 4, 1.0, "kt"), (5, 7, 1.0, "kt"), (6, 6, 1.0, "kt"),
+    (6, 20, 1.0, "kt"), (8, 8, 1.0, "kt"), (8, 9, 1.0, "kt"),
+    (8, 16, 0.5, "kt"), (12, 12, 1.0, "kt"), (16, 16, 1.0, "kt"),
+    (4, 6, 1.0, "flat"), (6, 6, 1.0, "flat"), (8, 8, 1.0, "flat")])
 def test_normal_rows_match_normal_matrix(n, nt, d, variant):
+    # the floor's slab rows, composed only on the rows that reach the slab,
+    # hold the bytes of those rows of the grid-size M, sorted as it is
     system = ol.build_system(n, nt, d, variant)
-    fold = np.arange(n * n) * (n * nt)
-    picked = np.random.default_rng(4).choice(system.grid.size, 40,
-                                             replace=False)
-    whole = system.normal_rows(np.arange(system.grid.size))
-    for rows in (fold, picked):
-        assert same_csr(system.normal_rows(rows), whole[rows])
+    got = ol._slab_rows(system.grid)
+    want = normal_rows(system, slab(system.grid))
+    whole = normal_rows(system, np.arange(system.grid.size))
+    assert same_csr(want, whole[slab(system.grid)])
+    assert got.has_sorted_indices and want.has_sorted_indices
+    for f in ("indptr", "indices", "data"):
+        a, b = getattr(got, f), getattr(want, f)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    if variant == "flat":
+        # the constant is an exact null vector on the rows the floor reads
+        assert not (got @ np.ones(system.grid.size)).any()
 
 
 def sector_blocks(system):
@@ -445,8 +469,7 @@ def sector_blocks(system):
     every (z, t) Fourier sector."""
     g = system.grid
     n, nt, nxy = g.n, g.nt, g.n * g.n
-    rows = system.normal_rows(np.arange(g.size))[np.arange(nxy) * (n * nt)]
-    rows = rows.tocoo()
+    rows = normal_rows(system, slab(g)).tocoo()
     xy, rest = np.divmod(rows.col, n * nt)
     kc, lc = np.divmod(rest, nt)
     flat = rows.row * nxy + xy
@@ -493,7 +516,7 @@ def test_twin_pairing_matches_all_sector_solve(n, nt, d, variant):
     for (kz, kt), b in blocks.items():
         assert np.array_equal(blocks[(-kz % n, -kt % nt)], b.conj())
     for k in (2, 6, 20):
-        rep = ol.spectral_floor(system, k=k)
+        rep = ol.spectral_floor(system.grid, k=k)
         values, sectors, _ = all_sector_floor(system, k)
         assert rep.sectors == sectors
         # a twin reports its orbit head's values; eigvalsh of a conjugate
@@ -508,7 +531,7 @@ def test_spectral_floor_solves_one_sector_per_orbit(n, nt, orbits):
     # conjugation pairs (kz, kt) with (-kz, -kt); an even nt also pairs kt
     # with kt + nt/2, an odd one (nt = 7) has conjugation only; each orbit
     # is solved once or pruned
-    rep = ol.spectral_floor(ol.build_system(n, nt, 1.0, "kt"), k=2)
+    rep = ol.spectral_floor(QuotientGrid(n, nt), k=2)
     assert rep.solved + rep.pruned == orbits
     # the floor's checkerboard sectors (0, 0) and (n/2, 0) head the only
     # orbits below the bottom of every other sector
@@ -535,13 +558,13 @@ def test_inertia_prune_matches_all_sector_solve(monkeypatch, variant, n, nt):
     monkeypatch.setattr(np.linalg, "eigvalsh", spy)
     for k in (1, 2, 12, 20):
         heads.clear()
-        rep = ol.spectral_floor(system, k=k)
+        rep = ol.spectral_floor(system.grid, k=k)
         pruned = Counter(heads)
         # the same solve with every Cholesky failing solves every orbit
         heads.clear()
         with monkeypatch.context() as m:
             m.setattr(ol, "_cholesky_completes", lambda b, mu: False)
-            every = ol.spectral_floor(system, k=k)
+            every = ol.spectral_floor(system.grid, k=k)
         assert every.pruned == 0 and every.solved == heads.total()
         assert rep.solved == pruned.total() and rep.pruned > 0
         assert rep.solved + rep.pruned == every.solved
@@ -568,7 +591,7 @@ def test_sector_residuals_match_grid_space(n, nt, variant):
     # in grid space, sum_s w_s A_s^T (A_s v) - lambda v, it agrees to
     # rounding, so the fold stays checked against the slot operators
     system = ol.build_system(n, nt, 1.0, variant)
-    rep = ol.spectral_floor(system, k=12)
+    rep = ol.spectral_floor(system.grid, k=12)
     _, sectors, vectors = all_sector_floor(system, 12)
     assert rep.sectors == sectors
     grid = [np.linalg.norm(system.forward(system.apply(v)) - lam * v)
@@ -576,14 +599,16 @@ def test_sector_residuals_match_grid_space(n, nt, variant):
     assert np.max(np.abs(rep.residuals - grid)) < 1e-12
 
 
-def test_t_parity_pairing_needs_even_t_offsets():
+def test_t_parity_pairing_needs_even_t_offsets(monkeypatch):
     # a forward t-difference puts odd t-offsets into M, and then kt and
     # kt + nt/2 are no longer twins: only conjugation may pair sectors
     system = ol.build_system(4, 6, 1.0, "flat")
     g = system.grid
     forward = shift(g, "t", 1) - sp.identity(g.size, format="csr")
     system.ops = [(op + forward).tocsr() for op in system.ops]
-    rep = ol.spectral_floor(system, k=6)
+    monkeypatch.setattr(ol, "_slab_rows",
+                        lambda grid: normal_rows(system, slab(grid)))
+    rep = ol.spectral_floor(g, k=6)
     assert rep.solved + rep.pruned == 14
     values, sectors, _ = all_sector_floor(system, 6)
     assert rep.values.tobytes() == values.tobytes()
@@ -591,12 +616,11 @@ def test_t_parity_pairing_needs_even_t_offsets():
 
 
 def test_spectral_floor_rejects_bad_k():
-    system = ol.build_system(4, 4, 1.0, "flat")
-    for k in (-1, 0, system.grid.size + 1):
+    g = QuotientGrid(4, 4, 1.0, twisted=False)
+    for k in (-1, 0, g.size + 1):
         with pytest.raises(ValueError):
-            ol.spectral_floor(system, k=k)
-    assert len(ol.spectral_floor(system, k=system.grid.size).values) \
-        == system.grid.size
+            ol.spectral_floor(g, k=k)
+    assert len(ol.spectral_floor(g, k=g.size).values) == g.size
     # a non-integer k is refused by name, not left to fail inside numpy
     for k in (1.5, 2.0, "2", None, True):
         with pytest.raises(ValueError, match="need an integer k"):
@@ -606,12 +630,12 @@ def test_spectral_floor_rejects_bad_k():
 def test_spectral_floor_refuses_an_overflowing_h_t():
     # at d = 1e-150 the normal operator's 1/h_t^4 entries overflow: the
     # refusal names h_t before any numpy warning or eigensolve
-    system = ol.build_system(4, None, 1e-150, "kt")
+    g = QuotientGrid(4, None, 1e-150)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=r"^h_t = d/nt = 2\.5e-151 is "
                                              r"too small"):
-            ol.spectral_floor(system, k=2)
+            ol.spectral_floor(g, k=2)
 
 
 def test_small_t_period_refused_naming_h_t():
@@ -678,6 +702,43 @@ def test_kernel_gap_traced_peak():
         tracemalloc.stop()
     assert len(rep.values) == len(rep.residuals) == 1024
     assert peak < 16 * 2 ** 20
+
+
+def test_kernel_gap_n16_traced_peak():
+    # only the rows that reach the floor's slab are composed, so no
+    # grid-size slot system is built: about 12 MiB at N = 16 (65536 nodes),
+    # against 103 MiB with the six slot matrices and their normal products
+    ol.kernel_gap(4, k=2)  # the kt geometry is built once
+    tracemalloc.start()
+    try:
+        rep = ol.kernel_gap(16, k=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.floor == pytest.approx(0.625, abs=1e-9)
+    assert peak < 32 * 2 ** 20
+
+
+def test_kernel_gap_builds_no_grid_size_system(monkeypatch):
+    def refuse(self, g):
+        raise AssertionError("an AdjointSystem was built")
+
+    monkeypatch.setattr(ol.AdjointSystem, "__init__", refuse)
+    assert ol.kernel_gap(6).floor == pytest.approx(0.625, abs=1e-9)
+    assert ol.kernel_gap(6, 20).floor == pytest.approx(0.625, abs=1e-9)
+    assert suite.check_kernel_gap(0).passed
+
+
+@pytest.mark.parametrize("variant", ["kt", "flat"])
+@pytest.mark.parametrize("n", [6, 8])
+def test_constant_residual_matches_grid_space(n, variant):
+    # read on the slab rows, sqrt(n nt) times the slab part; through the
+    # grid-size slot operators, ||forward(apply(c)) - floor c||
+    rep = ol.kernel_gap(n, variant=variant, k=2)
+    system = ol.build_system(n, variant=variant)
+    c = np.full(rep.size, 1.0 / np.sqrt(rep.size))
+    grid = np.linalg.norm(system.forward(system.apply(c)) - rep.floor * c)
+    assert abs(rep.constant_residual - grid) <= 1e-12
 
 
 # -- two-route Hessian consistency ------------------------------------------------
