@@ -23,10 +23,10 @@ _EXPORTS = {
                "eval_z_bound", "optimize_z_bound", "h_function",
                "h_function_max", "y_ratio", "y_ratio_min", "certify_global"),
     "grid": ("QuotientGrid",),
-    "operator_lab": ("AdjointSystem", "SlotBasis", "SpectralReport", "OrderFit",
-                     "build_system", "anti_slots", "symbol_sweep",
-                     "kernel_gap", "spectral_floor", "richardson_orders",
-                     "theta_test_field", "random_invariant_field"),
+    "operator_lab": ("SlotBasis", "SpectralReport", "OrderFit", "anti_slots",
+                     "symbol_sweep", "kernel_gap", "spectral_floor",
+                     "richardson_orders", "theta_test_field",
+                     "random_invariant_field"),
     "rearrange": ("RearrangementPlan", "PiecewiseDiffeo", "PlanError",
                   "build_plan", "realize_diffeo", "rearrange_error"),
 }

@@ -2,7 +2,7 @@
 
 Subcommands map one-to-one onto the library layers: `curvature` prints the
 exact frame tables of a serialized frame spec, `zbound` evaluates/optimizes
-an intersection model, `operator` assembles the discrete adjoint system,
+an intersection model, `operator` evaluates the discrete adjoint operator,
 `rearrange` runs the circle engine, `report` bundles the standard artifacts,
 and `paper-suite` runs the whole verification battery (exit 0 iff every
 check passes inside its runtime budget).
@@ -167,6 +167,7 @@ def cmd_zbound(args) -> int:
 
 def cmd_operator(args) -> int:
     from . import operator_lab   # imports SciPy; only operator and report do
+    from .grid import QuotientGrid
 
     if not 4 <= args.N <= 32:
         raise ValueError("N must lie in [4, 32]")
@@ -175,17 +176,14 @@ def cmd_operator(args) -> int:
         raise ValueError(f"N^3 * Nt = {nodes} exceeds the bound 32^4 = "
                          f"{_MAX_NODES} grid nodes")
     # compute every table first, so a rejected --kernel-gap K or a refused
-    # t-period leaves no partial artifacts; the floor before the system
+    # t-period leaves no partial artifacts; the floor before the residuals
     rep = (operator_lab.kernel_gap(args.N, args.Nt, args.d, args.variant,
                                    args.kernel_gap) if args.kernel_gap else None)
-    system = operator_lab.build_system(args.N, args.Nt, args.d, args.variant)
-    g = system.grid
-    ones = np.ones(g.size)
+    g = QuotientGrid(args.N, args.Nt, args.d, twisted=args.variant == "kt")
     theta = g.sample(operator_lab.theta_test_field(args.d))
     rows = []
-    for name, psi in (("constant", ones), ("theta", theta)):
-        for slot, norm in zip(system.basis.slots,
-                              system.slot_residual_norms(psi)):
+    for name, psi in (("constant", np.ones(g.size)), ("theta", theta)):
+        for slot, norm in operator_lab.slot_residual_norms(g, psi).items():
             rows.append((name, f"{slot[0] + 1}{slot[1] + 1}", norm))
     sweep = operator_lab.symbol_sweep(g) if args.symbol_sweep else None
 

@@ -10,8 +10,9 @@ With twisted=False the same machinery produces the plain 4-torus.
 Every difference is a one-axis stencil, a ring the grid builds once, applied
 along its axis by `apply_axis`; `QuotientGrid.diff` writes a first-difference
 ring out as a grid-size CSR.  The frame fields are built from these by
-`QuotientGrid.frame` (per call), applied by `apply_frame`, or applied on
-(z, t) Fourier sectors, one per column of a block, by `Sector.apply_frame`.
+`QuotientGrid.frame` (per call, for the spectral floor's slab rows alone),
+applied by `apply_frame`, or applied on (z, t) Fourier sectors, one per
+column of a block, by `Sector.apply_frame`.
 """
 
 from __future__ import annotations
@@ -145,9 +146,9 @@ class QuotientGrid:
 
     def frame(self) -> tuple:
         """The frame fields (E_x, E_y, E_z, E_t) as grid-size matrices, built
-        per call for the two slot-matrix builders, the adjoint system and the
-        spectral floor's slab rows: the axis differences, except E_y = D_y
-        + x D_z, the invariant field, on the sheared quotient."""
+        per call for their one package caller, the spectral floor's slab
+        rows: the axis differences, except E_y = D_y + x D_z, the invariant
+        field, on the sheared quotient."""
         dx, dy, dz, dt = (self.diff(a) for a in AXES)
         if self.twisted:
             x = sp.diags(self.sample(lambda x, y, z, t: x))

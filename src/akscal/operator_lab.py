@@ -7,9 +7,9 @@ in two independent discretizations:
 
 * the frame route: compositions of the invariant frame derivatives
   (x innermost, so the sheared x-wrap only ever acts on invariant samples),
-  corrected by the frame connection — composed as sparse matrices for the
-  adjoint system, its exact-transpose forward and its normal operator, and
-  applied along the frame's axes to a field block, with no grid-size matrix;
+  corrected by the frame connection — applied, and transposed, along the
+  frame's axes to a field block, or composed as sparse matrices only on the
+  rows that reach the spectral floor's slab;
 * the chart route, on the sheared quotient only: coordinate stencils of the
   ten chart Hessian formulas, applied to sampled fields: one-sided in x at
   the fundamental-domain faces so nothing crosses the sheared seam, and the
@@ -139,16 +139,15 @@ def hessian_ops_frame(g: QuotientGrid, psi=None, rows=None) -> dict:
 
     psi is a (size, m) field block, which QuotientGrid.apply_frame takes
     along the frame's axes (g may be a Sector, and psi an (n^2, m) block on
-    its slab), or None: the frame matrices composed into the slot matrices,
-    on the given rows only, as E_j[rows] @ E_i - sum_k gamma E_k[rows]
-    (rows=None: every row).  Each row holds the bytes of that row of the
-    whole slot matrix.  A sparse identity psi would give the same values in
-    another order (a sparse product reverses each row's entries), and
-    AdjointSystem.apply, which sums each row in stored order, would change.
+    its slab), or None: the frame matrices composed into the slot matrices
+    on the given rows alone, as E_j[rows] @ E_i - sum_k gamma E_k[rows],
+    each row with the bytes of that row of the whole slot matrix.  A sparse
+    identity psi would reverse each row's entries, and so change the bytes
+    of _slab_rows, which multiplies these rows in stored order.
     """
     if psi is None:
         inner = g.frame()
-        first = inner if rows is None else [e[rows] for e in inner]
+        first = [e[rows] for e in inner]
         along = lambda k, a, dz: first[k] @ a
     else:
         along, pz = g.apply_frame, g.apply_frame(2, psi)
@@ -223,13 +222,13 @@ def _chart_slots(g, psi):
 
 
 # ---------------------------------------------------------------------------
-# the adjoint system
+# the adjoint slots
 
 
 def _anti_slots_of(hess: dict, g, ident) -> tuple:
     """(basis, the slots 0.5 (H_s - sign_s H_pair(s)) - r^-_s ident of
-    (Hess psi)^- - r^- psi): ident is the sparse identity for slot matrices,
-    psi for slot blocks."""
+    (Hess psi)^- - r^- psi): ident is the sparse identity on the composed
+    rows for slot matrices, psi for slot blocks."""
     j, _, r_minus = _geometry(g.twisted)
     basis = anti_slots(j)
     ops = []
@@ -241,50 +240,49 @@ def _anti_slots_of(hess: dict, g, ident) -> tuple:
     return basis, ops
 
 
-class AdjointSystem:
-    """Slot operators A_s of (Hess psi)^- - r^- psi on one grid, frame route,
-    in the variant the grid's twist carries."""
-
-    def __init__(self, g: QuotientGrid):
-        self.grid = g
-        self.basis, ops = _anti_slots_of(hessian_ops_frame(g), g,
-                                         sp.identity(g.size, format="csr"))
-        self.ops = [op.tocsr() for op in ops]
-        self.weights = self.basis.weights
-
-    def apply(self, psi: np.ndarray) -> np.ndarray:
-        """Slot values of the adjoint operator: shape (6, size)."""
-        psi = np.asarray(psi).ravel()
-        return np.stack([op @ psi for op in self.ops])
-
-    def forward(self, u: np.ndarray) -> np.ndarray:
-        """Exact discrete adjoint of apply() in the weighted inner product:
-        sum_s w_s A_s^T u_s.  Summation by parts is built in, so the pairing
-        <apply(psi), u>_W = <psi, forward(u)> holds to machine precision."""
-        u = np.asarray(u)
-        if u.shape != (len(self.ops), self.grid.size):
-            raise ValueError(f"expected slot stack of shape "
-                             f"{(len(self.ops), self.grid.size)}")
-        out = np.zeros(self.grid.size, dtype=u.dtype)
-        for w, op, us in zip(self.weights, self.ops, u):
-            out = out + w * (op.T @ us)
-        return out
-
-    def slot_residual_norms(self, psi: np.ndarray) -> np.ndarray:
-        """Per-slot L2 norms of apply(psi) — unweighted, cell-volume measure,
-        so individual near-kernel slots can be read off directly."""
-        u = self.apply(psi)
-        root = np.sqrt(self.grid.cell_volume)
-        with np.errstate(over="ignore"):
-            norms = np.array([root * _l2(us) for us in u])
-        self.grid.refuse_overflow(np.isfinite(norms).all(),
-                                  "the slot residual norms, of order 1/h_t^2,")
-        return norms
+def slot_adjoint(g: QuotientGrid, u) -> np.ndarray:
+    """sum_s w_s A_s^T u_s for six (size, m) slot blocks u, A_s the slots of
+    (Hess psi)^- - r^- psi (_anti_slots_of of the frame route): the adjoint
+    in the slot-weighted inner product, applied along the axes.  Each frame
+    matrix is exactly antisymmetric: each centred ring is, the sheared
+    x-wrap only permutes the wrapped rows' sources, and x commutes with D_z.
+    So H_ij = E_j E_i - sum_k gamma[j][i][k] E_k has the transpose E_i E_j
+    + sum_k gamma[j][i][k] E_k, and A_s^T = 0.5 (H_s^T - sign_s H_pair(s)^T)
+    - r^-_s I.  That composes the fields in the other order, so the pairing
+    <A psi, u>_w = <psi, A^T u> checks summation by parts, not a matrix
+    against its own transpose.
+    """
+    if np.shape(u)[:2] != (6, g.size):
+        raise ValueError(f"need six slot blocks of {g.size} rows")
+    j, gam, r_minus = _geometry(g.twisted)
+    basis = anti_slots(j)
+    c, out = {}, 0.0     # c[(i, j)]: the weighted u_s that meet H_ij
+    for s, pair, sg, w, us in zip(basis.slots, basis.pairs, basis.signs,
+                                  basis.weights, u):
+        c[s] = c.get(s, 0.0) + 0.5 * w * us
+        c[pair] = c.get(pair, 0.0) - 0.5 * sg * w * us
+        if r_minus[s] != 0.0:
+            out = out - w * r_minus[s] * us
+    for (i, jj), cij in c.items():
+        out = out + g.apply_frame(i, g.apply_frame(jj, cij))
+        for k in range(4):
+            if gam[jj][i][k] != 0.0:
+                out = out + gam[jj][i][k] * g.apply_frame(k, cij)
+    return out
 
 
-def build_system(n: int, nt: Optional[int] = None, d: float = 1.0,
-                 variant: str = "kt") -> AdjointSystem:
-    return AdjointSystem(QuotientGrid(n, nt, d, twisted=_twisted(variant)))
+def slot_residual_norms(g: QuotientGrid, psi: np.ndarray) -> dict:
+    """{slot: L2 norm} of (Hess psi)^- - r^- psi for a field psi of g's size,
+    frame route applied — unweighted, cell-volume measure, so individual
+    near-kernel slots can be read off directly."""
+    psi = np.reshape(psi, (g.size, 1))
+    basis, slots = _anti_slots_of(hessian_ops_frame(g, psi), g, psi)
+    root = np.sqrt(g.cell_volume)
+    with np.errstate(over="ignore"):
+        norms = [root * _l2(us) for us in slots]
+    g.refuse_overflow(np.isfinite(norms).all(),
+                      "the slot residual norms, of order 1/h_t^2,")
+    return dict(zip(basis.slots, norms))
 
 
 # ---------------------------------------------------------------------------

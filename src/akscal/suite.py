@@ -239,6 +239,7 @@ def check_rearrangement(seed: int = 0) -> CheckResult:
 def check_property_suites(seed: int = 0) -> CheckResult:
     """Randomized invariants: projections, pairing, bound symmetries."""
     from . import operator_lab
+    from .grid import QuotientGrid
 
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
@@ -267,17 +268,18 @@ def check_property_suites(seed: int = 0) -> CheckResult:
     good &= close(tensor.log_recover(np.eye(4), g2), h, 1e-9)
     proj_bad = int(np.count_nonzero(~good))
 
-    system = operator_lab.build_system(4, 4, 1.0, "kt")
-    pair_worst = 0.0
-    for _ in range(50):
-        psi = rng.standard_normal(system.grid.size)
-        u = rng.standard_normal((6, system.grid.size))
-        lhs = sum(w * float(a @ b) for w, a, b in
-                  zip(system.weights, system.apply(psi), u))
-        rhs = float(psi @ system.forward(u))
-        scale = np.linalg.norm(psi) * np.linalg.norm(u)
-        pair_worst = max(pair_worst, abs(lhs - rhs) / scale)
-    h2 = (1.0 / system.grid.n) ** 2
+    # 50 pairing cases as the columns of one block, drawn case by case
+    g = QuotientGrid(4, 4, 1.0)
+    draws = rng.standard_normal((50, 7, g.size))
+    psi, u = draws[:, 0].T, draws[:, 1:].transpose(1, 2, 0)
+    basis, slots = operator_lab._anti_slots_of(
+        operator_lab.hessian_ops_frame(g, psi), g, psi)
+    lhs = np.einsum("s,sik,sik->k", basis.weights, slots, u)
+    rhs = np.sum(psi * operator_lab.slot_adjoint(g, u), axis=0)
+    scale = (np.linalg.norm(draws[:, 0], axis=1)
+             * np.linalg.norm(draws[:, 1:], axis=(1, 2)))
+    pair_worst = float(np.max(np.abs(lhs - rhs) / scale))
+    h2 = (1.0 / g.n) ** 2
 
     base = zbound.barlow_sigma_model()
     beta0 = np.array(base.seed)

@@ -55,7 +55,6 @@ def test_constructor_validation():
 def test_non_real_d_is_refused_by_name(d):
     # every entry point that builds a grid refuses it before comparing d
     for build in (lambda: gr.QuotientGrid(4, d=d),
-                  lambda: ol.build_system(4, d=d),
                   lambda: ol.kernel_gap(4, d=d),
                   lambda: ol.route_difference(4, d=d),
                   lambda: ol.richardson_orders(ns=(4, 5), d=d)):

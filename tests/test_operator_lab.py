@@ -1,4 +1,4 @@
-"""Discrete adjoint system: slot algebra, symbols, spectra, route orders."""
+"""Discrete adjoint operator: slot algebra, symbols, spectra, route orders."""
 
 import gc
 import tracemalloc
@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from akscal import cli
 from akscal import operator_lab as ol
 from akscal import suite
 from akscal.grid import AXES, QuotientGrid, d1_sided, d2_sided, unit_roots
@@ -65,14 +66,38 @@ def same_csr(a, b):
                for f in ("data", "indices", "indptr"))
 
 
-def normal_rows(system, rows):
+def slot_matrices(g):
+    """Test-only reference: (weights, the six grid-size slot matrices A_s of
+    (Hess psi)^- - r^- psi), composed from product_frame_slots."""
+    j, _, r_minus = ol._geometry(g.twisted)
+    basis = ol.anti_slots(j)
+    hess = product_frame_slots(g)
+    ident = sp.identity(g.size, format="csr")
+    ops = []
+    for (i, jj), (pi_, pj), sg in zip(basis.slots, basis.pairs, basis.signs):
+        op = 0.5 * (hess[(i, jj)] - sg * hess[(min(pi_, pj), max(pi_, pj))])
+        r = r_minus[i][jj]
+        if r != 0.0:
+            op = op - r * ident
+        ops.append(op.tocsr())
+    return basis.weights, ops
+
+
+def normal_rows(g, rows, ops=None):
     """Test-only reference: rows of M = sum_s w_s A_s^T A_s from the grid-size
-    slot matrices, sum_s w_s (A_s[:, rows])^T A_s.  The rows are cut from
-    each A_s before the product, so row r holds the bytes of row r of M."""
-    m = sp.csr_matrix((len(rows), system.grid.size))
-    for w, op in zip(system.weights, system.ops):
+    slot matrices (ops, else slot_matrices(g)), sum_s w_s (A_s[:, rows])^T
+    A_s.  The rows are cut from each A_s before the product, so row r holds
+    the bytes of row r of M."""
+    weights, mats = slot_matrices(g)
+    m = sp.csr_matrix((len(rows), g.size))
+    for w, op in zip(weights, mats if ops is None else ops):
         m = m + w * (op[:, rows].T @ op)
     return m.tocsr()
+
+
+def grid_normal(g, v):
+    """sum_s w_s A_s^T (A_s v) through the test-local slot matrices."""
+    return sum(w * (op.T @ (op @ v)) for w, op in zip(*slot_matrices(g)))
 
 
 def slab(g):
@@ -146,8 +171,8 @@ def test_anti_slots_refuses_an_unlisted_j():
 
 
 def test_unknown_variant_refused():
-    for call in (lambda: ol.build_system(4, variant="round"),
-                 lambda: ol.build_system(4, variant=["kt"])):
+    for call in (lambda: ol.kernel_gap(4, variant="round"),
+                 lambda: ol.kernel_gap(4, variant=["kt"])):
         with pytest.raises(ValueError, match="unknown variant"):
             call()
 
@@ -159,7 +184,7 @@ def test_geometry_is_shared_and_read_only():
     assert ol._geometry(False)[0] is ol.J_FLAT
     assert np.max(np.abs(ol._geometry(False)[2])) == 0.0
     for variant, twisted in (("kt", True), ("flat", False)):
-        assert ol.build_system(4, variant=variant).grid.twisted is twisted
+        assert ol._twisted(variant) is twisted
         geom = ol._geometry(twisted)
         assert ol._geometry(twisted) is geom
         for a in geom:
@@ -187,91 +212,127 @@ def test_applied_routes_match_product_assembly(variant, n):
 
 @pytest.mark.parametrize("variant", ["kt", "flat"])
 def test_adjoint_system_matches_product_assembly(variant):
+    # the applied slots of (Hess psi)^- - r^- psi against the test-local
+    # matrices, and the whole M against its row form
     g = QuotientGrid(6, 6, 1.0, twisted=variant == "kt")
-    system = ol.AdjointSystem(g)
-    hess = product_frame_slots(g)
-    r_minus = ol._geometry(g.twisted)[2]
-    ident = sp.identity(g.size, format="csr")
-    ops = []
-    for (i, jj), (pi_, pj), sg in zip(system.basis.slots, system.basis.pairs,
-                                      system.basis.signs):
-        op = 0.5 * (hess[(i, jj)] - sg * hess[(min(pi_, pj), max(pi_, pj))])
-        r = r_minus[i][jj]
-        if r != 0.0:
-            op = op - r * ident
-        ops.append(op.tocsr())
-    assert len(system.ops) == len(ops)
-    for got, want in zip(system.ops, ops):
-        assert same_csr(got, want)
+    psi = np.random.default_rng(6).standard_normal((g.size, 3))
+    weights, ops = slot_matrices(g)
+    basis, slots = ol._anti_slots_of(ol.hessian_ops_frame(g, psi), g, psi)
+    assert basis.weights == weights
+    for got, op in zip(slots, ops):
+        want = op @ psi
+        np.testing.assert_allclose(got, want, rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(want)))
     normal = sp.csr_matrix((g.size, g.size))
-    for w, op in zip(system.weights, ops):
+    for w, op in zip(weights, ops):
         normal = normal + w * (op.T @ op)
-    assert same_csr(normal_rows(system, np.arange(g.size)), normal.tocsr())
+    assert same_csr(normal_rows(g, np.arange(g.size)), normal.tocsr())
 
 
 # -- constant-field oracles ----------------------------------------------------
 
 
 def test_constant_slot_residuals():
-    sys_kt = ol.build_system(4, 4, 1.0, "kt")
-    ones = np.ones(sys_kt.grid.size)
+    kt = ol.slot_residual_norms(QuotientGrid(4, 4, 1.0), np.ones(4 ** 4))
+    assert list(kt) == list(ol.anti_slots(ol.J_KT).slots)
     want = np.array([0.25, 0.5, 0.0, 0.0, 0.0, 0.0])
-    assert np.allclose(sys_kt.slot_residual_norms(ones), want, atol=1e-14)
-    sys_flat = ol.build_system(4, 4, 1.0, "flat")
-    assert np.max(sys_flat.slot_residual_norms(np.ones(sys_flat.grid.size))) == 0.0
+    assert np.allclose(list(kt.values()), want, atol=1e-14)
+    flat = ol.slot_residual_norms(QuotientGrid(4, 4, 1.0, twisted=False),
+                                  np.ones(4 ** 4))
+    assert list(flat) == list(ol.anti_slots(ol.J_FLAT).slots)
+    assert max(flat.values()) == 0.0
 
 
 def test_constant_is_exact_eigenvector():
-    sys_kt = ol.build_system(6, 6, 1.0, "kt")
-    ones = np.ones(sys_kt.grid.size)
+    g = QuotientGrid(6, 6, 1.0)
+    ones = np.ones(g.size)
     # M 1 = (2/16 + 2/4) 1 = (5/8) 1: Hessian of a constant vanishes and the
     # difference transposes annihilate constants, leaving only the r-shifts
-    m = normal_rows(sys_kt, np.arange(sys_kt.grid.size))
+    m = normal_rows(g, np.arange(g.size))
     assert np.max(np.abs(m @ ones - 0.625 * ones)) < 1e-12
-    sys_flat = ol.build_system(6, 6, 1.0, "flat")
-    m_flat = normal_rows(sys_flat, np.arange(sys_flat.grid.size))
+    flat = QuotientGrid(6, 6, 1.0, twisted=False)
+    m_flat = normal_rows(flat, np.arange(flat.size))
     assert np.max(np.abs(m_flat @ np.ones(m_flat.shape[0]))) < 1e-13
+
+
+def test_residuals_traced_peak():
+    # both residual fields are applied along the frame's axes, so no
+    # grid-size slot matrix is built: about 9 MiB at N = 16 (65536 nodes),
+    # against 103 MiB with the six slot matrices
+    ol.slot_residual_norms(QuotientGrid(4), np.ones(4 ** 4))  # kt geometry
+    g = QuotientGrid(16)
+    fields = (np.ones(g.size), g.sample(ol.theta_test_field()))
+    tracemalloc.start()
+    try:
+        norms = [ol.slot_residual_norms(g, psi) for psi in fields]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(len(n) == 6 for n in norms)
+    assert peak < 24 * 2 ** 20
 
 
 # -- adjoint structure ----------------------------------------------------------
 
 
-def test_forward_is_the_weighted_adjoint():
+@pytest.mark.parametrize("n, nt, twisted", [(6, 6, True), (5, 7, True),
+                                            (4, 9, True), (6, 8, False),
+                                            (5, 5, False)])
+def test_frame_matrices_are_antisymmetric(n, nt, twisted):
+    # E^T = -E entry for entry: the condition slot_adjoint transposes by
+    for e in QuotientGrid(n, nt, 0.7, twisted=twisted).frame():
+        assert nnz_diff(e.T, -e) == 0
+
+
+@pytest.mark.parametrize("variant", ["kt", "flat"])
+def test_slot_adjoint_matches_slot_matrices(variant):
+    g = QuotientGrid(5, 7, 0.7, twisted=variant == "kt")
     rng = np.random.default_rng(8)
-    system = ol.build_system(4, 4, 1.0, "kt")
-    size = system.grid.size
-    for _ in range(10):
-        psi = rng.standard_normal(size)
-        u = rng.standard_normal((6, size))
-        lhs = system.grid.cell_volume * float(sum(
-            w * np.dot(a, b) for w, a, b in
-            zip(system.weights, system.apply(psi), u)))
-        rhs = system.grid.cell_volume * float(psi @ system.forward(u))
-        assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(lhs))
-    with pytest.raises(ValueError):
-        system.forward(np.ones((5, size)))
+    weights, ops = slot_matrices(g)
+    for _ in range(3):
+        u = rng.standard_normal((6, g.size, 3))
+        want = sum(w * (op.T @ us) for w, op, us in zip(weights, ops, u))
+        got = ol.slot_adjoint(g, u)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    for bad in (np.ones((5, g.size, 1)), np.ones((6, g.size - 1, 1))):
+        with pytest.raises(ValueError, match="six slot blocks"):
+            ol.slot_adjoint(g, bad)
+
+
+def test_forward_is_the_weighted_adjoint():
+    # <A psi, u>_w = <psi, slot_adjoint(u)> on blocks of ten cases
+    rng = np.random.default_rng(8)
+    for twisted in (True, False):
+        g = QuotientGrid(4, 4, 1.0, twisted=twisted)
+        psi = rng.standard_normal((g.size, 10))
+        u = rng.standard_normal((6, g.size, 10))
+        basis, slots = ol._anti_slots_of(ol.hessian_ops_frame(g, psi), g, psi)
+        lhs = sum(w * np.sum(a * b, axis=0)
+                  for w, a, b in zip(basis.weights, slots, u))
+        rhs = np.sum(psi * ol.slot_adjoint(g, u), axis=0)
+        assert np.all(np.abs(lhs - rhs) <= 1e-12 * (1.0 + np.abs(lhs)))
 
 
 def test_flat_normal_matrix_is_half_biharmonic():
-    system = ol.build_system(6, 6, 1.0, "flat")
-    hess = ol.hessian_ops_frame(system.grid)
+    g = QuotientGrid(6, 6, 1.0, twisted=False)
+    hess = product_frame_slots(g)
     lap = sum((hess[(i, i)] for i in range(4)), sp.csr_matrix(hess[(0, 0)].shape))
-    m = normal_rows(system, np.arange(system.grid.size))
+    m = normal_rows(g, np.arange(g.size))
     assert nnz_diff(m, 0.5 * (lap.T @ lap)) == 0
 
 
 def test_normal_matrix_commutes_with_deck_maps():
-    system = ol.build_system(4, 4, 1.0, "kt")
-    g = system.grid
-    m = normal_rows(system, np.arange(g.size))
+    g = QuotientGrid(4, 4, 1.0)
+    m = normal_rows(g, np.arange(g.size))
     # z and t translations survive the shear; x and y do not (x-dependent
     # frame).  This is the symmetry the Fourier-sector spectral floor uses.
     for s in (shift(g, "z", 1), shift(g, "t", 1)):
         assert nnz_diff(m @ s, s @ m) == 0
-    flat = ol.build_system(4, 4, 1.0, "flat")
-    m_flat = normal_rows(flat, np.arange(flat.grid.size))
+    flat = QuotientGrid(4, 4, 1.0, twisted=False)
+    m_flat = normal_rows(flat, np.arange(flat.size))
     for axis in "xyzt":
-        s = shift(flat.grid, axis, 1)
+        s = shift(flat, axis, 1)
         assert nnz_diff(m_flat @ s, s @ m_flat) == 0
 
 
@@ -324,11 +385,10 @@ def grid_space_ratio(g, k):
     """Test-only reference: the symbol ratio of the sampled plane wave in
     grid space, through the composed slot matrices."""
     kx, ky, kz, kt = k
-    system = ol.AdjointSystem(g)
     psi = g.sample(lambda x, y, z, t: np.exp(
         2j * np.pi * (kx * x + ky * y + kz * z + kt * t / g.d)))
-    num = sum(w * np.vdot(u, u).real
-              for w, u in zip(system.weights, system.apply(psi)))
+    num = sum(w * np.vdot(op @ psi, op @ psi).real
+              for w, op in zip(*slot_matrices(g)))
     hess = ol.hessian_ops_frame(g, psi[:, None])
     lap = sum(hess[(i, i)] for i in range(4))
     return num / (0.5 * np.vdot(lap, lap).real)
@@ -402,6 +462,22 @@ def test_symbol_check_builds_no_grid_size_system(monkeypatch):
     assert result.passed, result.detail
 
 
+def test_residuals_and_pairing_build_no_grid_size_matrix(monkeypatch,
+                                                         tmp_path):
+    # the CLI's slot residuals and symbol sweep, and the property suites'
+    # pairing identity, all run on the applied frame route
+    def refuse(*args, **kwargs):
+        raise AssertionError("a grid-size matrix was built")
+
+    monkeypatch.setattr(QuotientGrid, "frame", refuse)
+    monkeypatch.setattr(QuotientGrid, "diff", refuse)
+    assert cli.main(["--out", str(tmp_path), "operator", "--N", "8",
+                     "--symbol-sweep"]) == 0
+    assert (tmp_path / "operator_residuals_kt_N8.csv").exists()
+    result = suite.check_property_suites(0)
+    assert result.passed, result.detail
+
+
 @pytest.mark.parametrize("n", [6, 8])
 def test_kt_pure_x_symbol_closed_form(n):
     got = ratio(QuotientGrid(n, n, 1.0), (1, 0, 0, 0))
@@ -416,9 +492,9 @@ def test_kt_pure_x_symbol_closed_form(n):
 def test_spectral_floor_matches_dense_reference():
     for n, nt, d, variant in ((4, 4, 1.0, "kt"), (4, 6, 0.5, "kt"),
                               (4, 4, 1.0, "flat")):
-        system = ol.build_system(n, nt, d, variant)
-        m = normal_rows(system, np.arange(system.grid.size))
-        rep = ol.spectral_floor(system.grid, k=6)
+        g = QuotientGrid(n, nt, d, twisted=variant == "kt")
+        m = normal_rows(g, np.arange(g.size))
+        rep = ol.spectral_floor(g, k=6)
         assert rep.method == "fourier-sector" and rep.size == m.shape[0]
         assert len(rep.sectors) == 6 and rep.floor == rep.values[0]
         # test-only dense reference: the sector values are the bottom of the
@@ -428,7 +504,7 @@ def test_spectral_floor_matches_dense_reference():
         # eigen-residuals are honest: ||M v - lambda v|| recomputed directly
         # on the complex grid-space vectors, which the test-local all-sector
         # solve builds from the same sector blocks
-        _, sectors, vectors = all_sector_floor(system, 6)
+        _, sectors, vectors = all_sector_floor(g, 6)
         assert rep.sectors == sectors
         for i, (kz, kt) in enumerate(rep.sectors):
             v = vectors[:, i]
@@ -437,7 +513,7 @@ def test_spectral_floor_matches_dense_reference():
             # each vector lives in its sector: z and t steps act by phases
             for axis, kk, period in (("z", kz, n), ("t", kt, nt)):
                 phase = np.exp(2j * np.pi * kk / period)
-                assert np.allclose(shift(system.grid, axis, 1) @ v, phase * v,
+                assert np.allclose(shift(g, axis, 1) @ v, phase * v,
                                    atol=1e-12)
         assert np.max(rep.residuals) < 1e-8
 
@@ -450,26 +526,26 @@ def test_spectral_floor_matches_dense_reference():
 def test_normal_rows_match_normal_matrix(n, nt, d, variant):
     # the floor's slab rows, composed only on the rows that reach the slab,
     # hold the bytes of those rows of the grid-size M, sorted as it is
-    system = ol.build_system(n, nt, d, variant)
-    got = ol._slab_rows(system.grid)
-    want = normal_rows(system, slab(system.grid))
-    whole = normal_rows(system, np.arange(system.grid.size))
-    assert same_csr(want, whole[slab(system.grid)])
+    g = QuotientGrid(n, nt, d, twisted=variant == "kt")
+    got = ol._slab_rows(g)
+    want = normal_rows(g, slab(g))
+    whole = normal_rows(g, np.arange(g.size))
+    assert same_csr(want, whole[slab(g)])
     assert got.has_sorted_indices and want.has_sorted_indices
     for f in ("indptr", "indices", "data"):
         a, b = getattr(got, f), getattr(want, f)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
     if variant == "flat":
         # the constant is an exact null vector on the rows the floor reads
-        assert not (got @ np.ones(system.grid.size)).any()
+        assert not (got @ np.ones(g.size)).any()
 
 
-def sector_blocks(system):
-    """Test-only fold of the global normal matrix: {(kz, kt): block} for
-    every (z, t) Fourier sector."""
-    g = system.grid
+def sector_blocks(g, rows=None):
+    """Test-only fold of the global normal matrix, from its slab rows (by
+    default normal_rows(g, slab(g))): {(kz, kt): block} for every (z, t)
+    Fourier sector."""
     n, nt, nxy = g.n, g.nt, g.n * g.n
-    rows = normal_rows(system, slab(g)).tocoo()
+    rows = (normal_rows(g, slab(g)) if rows is None else rows).tocoo()
     xy, rest = np.divmod(rows.col, n * nt)
     kc, lc = np.divmod(rest, nt)
     flat = rows.row * nxy + xy
@@ -483,12 +559,11 @@ def sector_blocks(system):
     return {(kz, kt): block(kz, kt) for kz in range(n) for kt in range(nt)}
 
 
-def all_sector_floor(system, k):
+def all_sector_floor(g, k, rows=None):
     """Test-only reference: eigvalsh in every (kz, kt) sector of the fold of
     the global normal matrix, no twin pairing and no prune."""
-    g = system.grid
     n, nt, nxy = g.n, g.nt, g.n * g.n
-    blocks = sector_blocks(system)
+    blocks = sector_blocks(g, rows)
     sectors = list(blocks)
     per = min(k, nxy)
     vals = np.concatenate([np.linalg.eigvalsh(blocks[s])[:per]
@@ -510,14 +585,14 @@ def all_sector_floor(system, k):
     (8, 8, 1.0, "kt"), (8, 16, 0.5, "kt"), (6, 7, 1.0, "kt"),
     (8, 9, 1.0, "kt"), (6, 6, 1.0, "flat"), (8, 8, 1.0, "flat")])
 def test_twin_pairing_matches_all_sector_solve(n, nt, d, variant):
-    system = ol.build_system(n, nt, d, variant)
+    g = QuotientGrid(n, nt, d, twisted=variant == "kt")
     # a conjugate twin's block is the conjugate entry for entry
-    blocks = sector_blocks(system)
+    blocks = sector_blocks(g)
     for (kz, kt), b in blocks.items():
         assert np.array_equal(blocks[(-kz % n, -kt % nt)], b.conj())
     for k in (2, 6, 20):
-        rep = ol.spectral_floor(system.grid, k=k)
-        values, sectors, _ = all_sector_floor(system, k)
+        rep = ol.spectral_floor(g, k=k)
+        values, sectors, _ = all_sector_floor(g, k)
         assert rep.sectors == sectors
         # a twin reports its orbit head's values; eigvalsh of a conjugate
         # block gives the same bytes at the listed sizes
@@ -542,8 +617,8 @@ def test_spectral_floor_solves_one_sector_per_orbit(n, nt, orbits):
 @pytest.mark.parametrize("n, nt", [(4, 4), (4, 5), (6, 6), (6, 7), (8, 8),
                                    (8, 9)])
 def test_inertia_prune_matches_all_sector_solve(monkeypatch, variant, n, nt):
-    system = ol.build_system(n, nt, 1.0, variant)
-    blocks = sector_blocks(system)
+    g = QuotientGrid(n, nt, 1.0, twisted=variant == "kt")
+    blocks = sector_blocks(g)
     spectra = [np.linalg.eigvalsh(b) for b in blocks.values()]
     eigvalsh, heads, bottom = np.linalg.eigvalsh, Counter(), {}
 
@@ -558,13 +633,13 @@ def test_inertia_prune_matches_all_sector_solve(monkeypatch, variant, n, nt):
     monkeypatch.setattr(np.linalg, "eigvalsh", spy)
     for k in (1, 2, 12, 20):
         heads.clear()
-        rep = ol.spectral_floor(system.grid, k=k)
+        rep = ol.spectral_floor(g, k=k)
         pruned = Counter(heads)
         # the same solve with every Cholesky failing solves every orbit
         heads.clear()
         with monkeypatch.context() as m:
             m.setattr(ol, "_cholesky_completes", lambda b, mu: False)
-            every = ol.spectral_floor(system.grid, k=k)
+            every = ol.spectral_floor(g, k=k)
         assert every.pruned == 0 and every.solved == heads.total()
         assert rep.solved == pruned.total() and rep.pruned > 0
         assert rep.solved + rep.pruned == every.solved
@@ -590,11 +665,11 @@ def test_sector_residuals_match_grid_space(n, nt, variant):
     # the residual is taken on the sector block; through the slot operators
     # in grid space, sum_s w_s A_s^T (A_s v) - lambda v, it agrees to
     # rounding, so the fold stays checked against the slot operators
-    system = ol.build_system(n, nt, 1.0, variant)
-    rep = ol.spectral_floor(system.grid, k=12)
-    _, sectors, vectors = all_sector_floor(system, 12)
+    g = QuotientGrid(n, nt, 1.0, twisted=variant == "kt")
+    rep = ol.spectral_floor(g, k=12)
+    _, sectors, vectors = all_sector_floor(g, 12)
     assert rep.sectors == sectors
-    grid = [np.linalg.norm(system.forward(system.apply(v)) - lam * v)
+    grid = [np.linalg.norm(grid_normal(g, v) - lam * v)
             for v, lam in zip(vectors.T, rep.values)]
     assert np.max(np.abs(rep.residuals - grid)) < 1e-12
 
@@ -602,15 +677,14 @@ def test_sector_residuals_match_grid_space(n, nt, variant):
 def test_t_parity_pairing_needs_even_t_offsets(monkeypatch):
     # a forward t-difference puts odd t-offsets into M, and then kt and
     # kt + nt/2 are no longer twins: only conjugation may pair sectors
-    system = ol.build_system(4, 6, 1.0, "flat")
-    g = system.grid
+    g = QuotientGrid(4, 6, 1.0, twisted=False)
     forward = shift(g, "t", 1) - sp.identity(g.size, format="csr")
-    system.ops = [(op + forward).tocsr() for op in system.ops]
-    monkeypatch.setattr(ol, "_slab_rows",
-                        lambda grid: normal_rows(system, slab(grid)))
+    ops = [(op + forward).tocsr() for op in slot_matrices(g)[1]]
+    rows = normal_rows(g, slab(g), ops)
+    monkeypatch.setattr(ol, "_slab_rows", lambda grid: rows)
     rep = ol.spectral_floor(g, k=6)
     assert rep.solved + rep.pruned == 14
-    values, sectors, _ = all_sector_floor(system, 6)
+    values, sectors, _ = all_sector_floor(g, 6, rows)
     assert rep.values.tobytes() == values.tobytes()
     assert rep.sectors == sectors
 
@@ -644,17 +718,17 @@ def test_small_t_period_refused_naming_h_t():
     # with no numpy warning and no ZeroDivisionError
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        system = ol.build_system(4, None, 1e-150, "kt")
-        theta = system.grid.sample(ol.theta_test_field(1e-150))
+        g = QuotientGrid(4, None, 1e-150)
+        theta = g.sample(ol.theta_test_field(1e-150))
         with pytest.raises(ValueError, match=r"^h_t = d/nt = 2\.5e-151 is too "
                            r"small: the slot residual norms, of order "
                            r"1/h_t\^2, overflow a float$"):
-            system.slot_residual_norms(theta)
+            ol.slot_residual_norms(g, theta)
         for d, h in ((1e-160, r"2\.5e-161"), (1e-200, r"2\.5e-201")):
             with pytest.raises(ValueError, match=rf"^h_t = d/nt = {h} is too "
                                r"small: the Hessian weights, of order "
                                r"1/h_t\^2, overflow a float$"):
-                ol.build_system(4, None, d, "kt")
+                ol.slot_residual_norms(QuotientGrid(4, None, d), np.ones(256))
             with pytest.raises(ValueError, match="too small"):
                 QuotientGrid(4, d=d).ring("t", 2)
 
@@ -667,7 +741,8 @@ def test_large_t_period_refused_naming_h_t():
                            r"large: the Hessian weights, of order "
                            r"1/h_t\^2, underflow a float$"):
             ol.kernel_gap(4, d=d)
-    ol.build_system(4, None, 1e150, "kt")
+    assert len(ol.slot_residual_norms(QuotientGrid(4, None, 1e150),
+                                      np.ones(256))) == 6
 
 
 def test_kernel_gap_frozen_values():
@@ -719,25 +794,15 @@ def test_kernel_gap_n16_traced_peak():
     assert peak < 32 * 2 ** 20
 
 
-def test_kernel_gap_builds_no_grid_size_system(monkeypatch):
-    def refuse(self, g):
-        raise AssertionError("an AdjointSystem was built")
-
-    monkeypatch.setattr(ol.AdjointSystem, "__init__", refuse)
-    assert ol.kernel_gap(6).floor == pytest.approx(0.625, abs=1e-9)
-    assert ol.kernel_gap(6, 20).floor == pytest.approx(0.625, abs=1e-9)
-    assert suite.check_kernel_gap(0).passed
-
-
 @pytest.mark.parametrize("variant", ["kt", "flat"])
 @pytest.mark.parametrize("n", [6, 8])
 def test_constant_residual_matches_grid_space(n, variant):
     # read on the slab rows, sqrt(n nt) times the slab part; through the
-    # grid-size slot operators, ||forward(apply(c)) - floor c||
+    # grid-size slot matrices, ||sum_s w_s A_s^T A_s c - floor c||
     rep = ol.kernel_gap(n, variant=variant, k=2)
-    system = ol.build_system(n, variant=variant)
     c = np.full(rep.size, 1.0 / np.sqrt(rep.size))
-    grid = np.linalg.norm(system.forward(system.apply(c)) - rep.floor * c)
+    grid = np.linalg.norm(grid_normal(QuotientGrid(n, twisted=variant == "kt"),
+                                      c) - rep.floor * c)
     assert abs(rep.constant_residual - grid) <= 1e-12
 
 
