@@ -128,7 +128,7 @@ def _geometry(twisted: bool) -> tuple:
 # ---------------------------------------------------------------------------
 # the two discretization routes
 
-def hessian_ops_frame(g: QuotientGrid, psi=None, rows=None) -> dict:
+def hessian_ops_frame(g: QuotientGrid, psi) -> dict:
     """Frame-route Hessian slots applied to psi, (i, j) with i <= j.
 
     H_ij psi = E_j(E_i psi) - sum_k gamma[j][i][k] E_k psi, with the lower
@@ -139,21 +139,19 @@ def hessian_ops_frame(g: QuotientGrid, psi=None, rows=None) -> dict:
 
     psi is a (size, m) field block, which QuotientGrid.apply_frame takes
     along the frame's axes (g may be a Sector, and psi an (n^2, m) block on
-    its slab), or None: the frame matrices composed into the slot matrices
-    on the given rows alone, as E_j[rows] @ E_i - sum_k gamma E_k[rows],
-    each row with the bytes of that row of the whole slot matrix.  A sparse
-    identity psi would reverse each row's entries, and so change the bytes
-    of _slab_rows, which multiplies these rows in stored order.
+    its slab).
     """
-    if psi is None:
-        inner = g.frame()
-        first = [e[rows] for e in inner]
-        along = lambda k, a, dz: first[k] @ a
-    else:
-        along, pz = g.apply_frame, g.apply_frame(2, psi)
-        first = inner = [pz if k == 2 else along(k, psi, pz)
-                         for k in range(4)]
-    gam = _geometry(g.twisted)[1]
+    pz = g.apply_frame(2, psi)
+    first = [pz if k == 2 else g.apply_frame(k, psi, pz) for k in range(4)]
+    return _compose_hessian(g.twisted, g.apply_frame, first, first)
+
+
+def _compose_hessian(twisted: bool, along, inner, first) -> dict:
+    """{(i, j): H_ij} for i <= j, H_ij = E_j inner[i] - sum_k gamma[j][i][k]
+    first[k]: inner[i] and first[k] are E_i and E_k applied (to a field
+    block, or as matrices on some rows), and along(j, a, dz) applies E_j to
+    a, dz being E_z a where it is formed already (else None)."""
+    gam = _geometry(twisted)[1]
     ops = {}
     for i in range(4):
         # E_z inner[i] is formed before E_y inner[i], which reads it as D_z
@@ -372,8 +370,8 @@ class SpectralReport:
     method: str
     size: int
     sectors: tuple           # (kz, kt) DFT index of each value
-    solved: int              # sector blocks sent to eigvalsh
-    pruned: int              # twin orbits skipped by a Cholesky of B - mu I
+    solved: int              # orbit blocks sent to eigvalsh
+    pruned: int              # orbits skipped, by the bound or a Cholesky
     constant_residual: float  # ||M c - floor c||, c the unit constant
 
     @property
@@ -428,22 +426,31 @@ def _cholesky_completes(b: np.ndarray, mu: float) -> bool:
     return True
 
 
-def _slab_rows(g: QuotientGrid) -> sp.csr_matrix:
+def _slab_rows(g: QuotientGrid, with_t: bool) -> sp.csr_matrix:
     """The n^2 rows of M = sum_s w_s A_s^T A_s at (z, t) = (0, 0), with the
-    bytes of those rows of the whole M.  A_s is composed from E_j E_i, E_k
-    and I, so A_s[q, r] != 0 for r on the slab only if q is within two frame
-    steps of it: A_s is composed on those rows Q alone.  The rows are
-    W @ (Y @ A), A the stacked A_s[Q], Y each A_s[Q, slab]^T at slot s's
+    bytes of those rows of the whole M; with_t False builds M with E_t = 0,
+    so every t-offset is 0 and no entry carries a 1/h_t.  A_s is composed
+    from E_j E_i, E_k and I, so A_s[q, r] != 0 for r on the slab only if q
+    is within two frame steps of it (x, y and z steps when E_t = 0): A_s is
+    composed on those rows Q alone, as E_j[Q] @ E_i - sum_k gamma E_k[Q],
+    each row with the bytes of that row of the whole slot matrix.  The rows
+    are W @ (Y @ A), A the stacked A_s[Q], Y each A_s[Q, slab]^T at slot s's
     columns and W the weights w_s: each entry sums over q ascending, then
     over the slots in order, as sum_s w_s A_s[:, slab]^T A_s does."""
     nxy = g.n * g.n
+    frame = g.frame()
+    if not with_t:
+        frame = (*frame[:3], sp.csr_matrix(frame[3].shape))
     slab = q = np.arange(nxy) * (g.n * g.nt)
     for _ in range(2):
         at = np.unravel_index(q, g.shape)
         q = np.unique([g.flat(*(v + step * (a == b) for b, v in enumerate(at)))
-                       for a in range(4) for step in (-1, 0, 1)])
-    basis, ops = _anti_slots_of(hessian_ops_frame(g, rows=q), g,
-                                sp.identity(g.size, format="csr")[q])
+                       for a in range(4 if with_t else 3)
+                       for step in (-1, 0, 1)])
+    first = [e[q] for e in frame]
+    hess = _compose_hessian(g.twisted, lambda k, a, dz: first[k] @ a, frame,
+                            first)
+    basis, ops = _anti_slots_of(hess, g, sp.identity(g.size, format="csr")[q])
     a = sp.vstack(ops, format="csr")
     # Y^T is A[:, slab] with slot s's block moved to slot s's n^2 columns
     cut = a[:, slab]
@@ -458,46 +465,133 @@ def _slab_rows(g: QuotientGrid) -> sp.csr_matrix:
     return m
 
 
+class _SlabFold:
+    """_slab_rows(g, with_t), folded on demand into the n^2 x n^2 Hermitian
+    block of a (kz, kt) sector:
+    B[(i,j),(i',j')] = sum M[(i,j,0,0),(i',j',k',l')] e^{2 pi i (kz k'/n + kt l'/nt)}.
+    The sheared x-wrap needs no extra phase: the column indices k' are
+    canonical, so the shear is already in them.  Rows built with E_t = 0
+    have no t-offset, so their fold takes no t phase: it is the block of
+    both t-symbol-free sectors (kz, 0) and (kz, nt/2).  beta, twice the
+    largest absolute row sum, bounds ||B||_inf >= ||B||_2 in every sector;
+    the factor covers the fold's rounding."""
+
+    def __init__(self, g: QuotientGrid, with_t: bool):
+        self.rows = _slab_rows(g, with_t).tocoo()
+        g.refuse_overflow(np.isfinite(self.rows.data).all(),
+                          "the normal operator's entries, of order 1/h_t^4,")
+        self.with_t, self.n, self.nt, self.nxy = with_t, g.n, g.nt, g.n * g.n
+        xy, rest = np.divmod(self.rows.col, g.n * g.nt)
+        self.kc, self.lc = np.divmod(rest, g.nt)
+        self.flat = self.rows.row * self.nxy + xy
+        self.ez, self.et = unit_roots(g.n), unit_roots(g.nt)
+        self.beta = 2.0 * np.max(np.bincount(self.rows.row,
+                                             np.abs(self.rows.data), self.nxy))
+
+    def block(self, kz: int, kt: int) -> np.ndarray:
+        w = self.rows.data * self.ez[kz * self.kc % self.n]
+        if self.with_t:
+            w = w * self.et[kt * self.lc % self.nt]
+        size = self.nxy * self.nxy
+        b = np.bincount(self.flat, w.real, size) + 1j * np.bincount(
+            self.flat, w.imag, size)
+        return b.reshape(self.nxy, self.nxy)
+
+
+def _sector_bounds(g: QuotientGrid) -> tuple:
+    """(low, beta), (n, nt) arrays: low[kz, kt] <= lambda_min B(kz, kt) by
+    the closed form spectral_floor derives, and beta[kz, kt] >= twice
+    ||B(kz, kt)||_2.  ||E_k||_2 is at most the largest absolute row sum of
+    E_k on a sector (1/h for E_x and E_z, (1 + max x)/h for the twisted
+    E_y) and |tau| for E_t, so ||H_ij|| <= e_i e_j + sum_k |gamma_jik| e_k,
+    ||A_s|| <= alpha_s = (||H_s|| + ||H_pair(s)||)/2 + |r^-_s| and
+    ||B|| <= sum_s w_s alpha_s^2; the factor 2 covers the rounding of the
+    rows and of their fold.  An overflow gives inf, with no warning."""
+    j, gam, r_minus = _geometry(g.twisted)
+    basis = anti_slots(j)
+    with np.errstate(over="ignore"):
+        tau2 = np.broadcast_to((unit_roots(g.nt).imag / g.ht) ** 2,
+                               (g.n, g.nt))
+        if g.twisted:
+            low = np.where(tau2 < 0.5, tau2, 0.5 * (tau2 + 0.5) ** 2)
+        else:
+            zeta2 = (unit_roots(g.n).imag / g.hz) ** 2
+            low = 0.5 * (tau2 + zeta2[:, None]) ** 2
+        e = (1.0 / g.hx, (2.0 - g.hx if g.twisted else 1.0) / g.hy,
+             1.0 / g.hz, np.sqrt(tau2))
+
+        def norm(i, jj):
+            return e[i] * e[jj] + sum(abs(c) * e[m]
+                                      for m, c in enumerate(gam[jj][i]) if c)
+
+        beta = 2.0 * sum(w * (0.5 * (norm(*s) + norm(*p)) + abs(r_minus[s]))
+                         ** 2 for s, p, w in zip(basis.slots, basis.pairs,
+                                                 basis.weights))
+    return low, beta
+
+
 def spectral_floor(g: QuotientGrid, k: int = 2) -> SpectralReport:
     """Smallest k eigenvalues of the normal operator on grid g, with their
     (z, t) sectors and residuals, one sector at a time.
 
-    M commutes with the z and t translations (the central-character splitting
-    of the Heisenberg quotient), so it is block diagonal on the plane waves
-    phi(i, j) exp(2 pi i (kz k / n + kt l / nt)).  Each n^2 x n^2 Hermitian
-    block is folded from the n^2 rows of M at (z, t) = (0, 0), which are
-    the only rows assembled, from slot operators composed only on the rows
-    that reach them (_slab_rows), so no grid-size slot matrix is built:
-    B[(i,j),(i',j')] = sum M[(i,j,0,0),(i',j',k',l')] e^{2 pi i (kz k'/n + kt l'/nt)}.
-    The sheared x-wrap needs no extra phase: the column indices k' are
-    canonical, so the shear is already in them.
+    M commutes with the z and t translations (the central-character
+    splitting of the Heisenberg quotient), so it is block diagonal on the
+    plane waves phi(i, j) exp(2 pi i (kz k / n + kt l / nt)).  Each
+    n^2 x n^2 Hermitian block B(kz, kt) = sum_s w_s A_s^H A_s is folded from
+    the n^2 rows of M at (z, t) = (0, 0) (_SlabFold), the only rows
+    assembled, so no grid-size slot matrix is built.  On a sector E_z and
+    E_t are the scalars i zeta and sigma = i tau, zeta = sin(2 pi kz/n)/h_z
+    and tau = sin(2 pi kt/nt)/h_t (grid.Sector); E_t commutes with every
+    frame field, and no connection coefficient has a t index.
 
-    eigvalsh runs at most once per orbit of two exact pairings, and its
-    values are copied to every twin sector:
+    * sigma = 0: kt = 0, and kt = nt/2 for an even nt (unit_roots makes
+      the Nyquist root exactly -1, so tau is exactly 0 there too).  Every
+      t-term of every slot vanishes, so B(kz, 0) = B(kz, nt/2) is the fold,
+      over kz alone, of the slab rows built with E_t = 0.  Those rows carry
+      no 1/h_t entry, so nothing in them cancels at a small t-period, and
+      they depend on neither nt nor d.
+    * sigma != 0: a closed-form lower bound.  Each slot term w_s A_s^H A_s
+      is positive semi-definite, so dropping all but two lowers every
+      eigenvalue (Courant-Fischer).  K = E_x^H E_x >= 0, E_x being
+      skew-Hermitian on the slab, shear phases included.
+      - kt: slot (0, 0), weight 2, is (E_x^2 - sigma^2)/2 - r^-_00 =
+        (tau^2 + 1/2 - K)/2, and slot (0, 3), weight 2, is sigma E_x.  So
+        B >= f(K), f(kappa) = (tau^2 + 1/2 - kappa)^2/2 + 2 tau^2 kappa.  As
+        f'(kappa) = kappa + tau^2 - 1/2, lambda_min B >= (tau^2 + 1/2)^2/2
+        once tau^2 >= 1/2, and f(1/2 - tau^2) = tau^2 below.
+      - flat: slot (2, 2), weight 2, is the scalar (tau^2 - zeta^2)/2 and
+        slot (2, 3), weight 2, the scalar -tau zeta, so lambda_min B >=
+        (tau^2 - zeta^2)^2/2 + 2 tau^2 zeta^2 = (tau^2 + zeta^2)^2/2, the
+        least closed-form flat eigenvalue of the sector.
 
-    * conjugation, (kz, kt) ~ (-kz, -kt): M is real, so B(-k) = conj B(k).
-      The phase tables are conjugate-symmetric to the last bit (unit_roots),
-      so the folded blocks are conjugates entry for entry.  LAPACK does not
-      promise that eigvalsh(conj B) and eigvalsh(B) agree in the last bits,
-      so a twin reports the values of its orbit's first sector, not those
-      of a solve of its own block;
-    * t-parity, kt ~ kt + nt/2, when nt is even and every nonzero entry of
-      the folded rows has an even t-offset l': then both sectors read the
-      same exponent indices, and their blocks are equal entry for entry.
+    Orbits.  M is real, so B(-kz, -kt) = conj B(kz, kt), entry for entry
+    (unit_roots is conjugate-symmetric to the last bit), and conjugate
+    sectors share their values.  The orbits are {(+-kz, 0), (+-kz, nt/2)}
+    for kz = 0..n/2 and {(kz, kt), (-kz, -kt)} for 0 < kt < nt/2.  Each
+    orbit's head is solved at most once and its values are copied to the
+    orbit (LAPACK does not promise that eigvalsh(conj B) and eigvalsh(B)
+    agree in the last bits).  The sigma = 0 heads come first, in kz order,
+    then the others by ascending bound.
 
-    Orbits are taken in sector order, so (0, 0) comes first.  Once k values
-    are known, let v be the k-th smallest so far and mu = v + delta, with
-    delta = a (beta + |v|)/(1 - a), a = u + n^2 (1 + u) g/(1 - g) + n^4 u,
-    g = gamma_{4(n^2+1)} and u the unit roundoff (_prune_margin derives
-    it from Higham, Thm 10.3, and eigvalsh's backward error).  beta is
-    twice the largest absolute row sum of the folded rows, which bounds
-    ||B||_inf >= ||B||_2 for every sector; the factor covers the fold's
-    rounding.  An orbit whose block passes a Cholesky of B - mu I is
-    pruned: by Sylvester's law of inertia and the margin, eigvalsh would
-    give it no value <= v, and the final k-th value is at most v.  So no
-    pruned orbit could be picked, ties included (the flat floor is 16-fold,
-    the kt floor 12-fold), and the values, sectors and residuals are those
-    of solving every orbit.
+    Pruning.  Once k values are known, let v be the k-th smallest so far
+    and mu = v + delta, delta = a (beta + |v|)/(1 - a), a = u + n^2 (1 + u)
+    g/(1 - g) + n^4 u, g = gamma_{4(n^2+1)} and u the unit roundoff
+    (_prune_margin derives it from Higham, Thm 10.3, and eigvalsh's
+    backward error), for a beta that bounds ||B||_2 and the rounding of B.
+    * A sigma != 0 orbit whose bound exceeds mu is pruned unfolded; beta
+      is _sector_bounds' closed-form norm bound.  A bound that overflows
+      prunes its orbit outright: its exact lambda_min exceeds every float.
+    * Any other orbit's block is folded and pruned if it passes a Cholesky
+      of B - mu I (Sylvester's law of inertia); beta is its rows'
+      _SlabFold.beta.  The rows with E_t are built, and refused by name if
+      their 1/h_t^4 entries overflow, only when a sigma != 0 orbit first
+      falls through to this (a large k, or tau^2 < 1/2 at a large d).
+    Either way eigvalsh would give the orbit no value <= v, and the final
+    k-th value is at most v.  So no pruned orbit could be picked, ties
+    included (the flat floor is 16-fold, the kt floor 12-fold), and the
+    values, sectors and residuals are those of solving every sector.
+    solved counts the orbits solved and pruned the others: solved +
+    pruned = n//2 + 1 + n ((nt - 1)//2), the number of orbits.
 
     The k smallest values over all sectors are kept (stable sort, so ties go
     to the first sector in (kz, kt) order).  Each picked sector's block is
@@ -509,7 +603,8 @@ def spectral_floor(g: QuotientGrid, k: int = 2) -> SpectralReport:
 
     constant_residual is ||M c - floor c|| for the unit constant c, the
     flat floor's exact null vector.  M and c are invariant under z and t,
-    so it is sqrt(n nt) times the residual on the slab rows.
+    and E_t c = 0, so it is sqrt(n nt) times the residual on the E_t = 0
+    slab rows.
     """
     n, nt, nxy = g.n, g.nt, g.n * g.n
     if isinstance(k, bool) or not isinstance(k, numbers.Integral):
@@ -517,55 +612,52 @@ def spectral_floor(g: QuotientGrid, k: int = 2) -> SpectralReport:
     k = int(k)
     if not 1 <= k <= g.size:
         raise ValueError(f"need 1 <= k <= {g.size} eigenpairs, got {k}")
-    rows = _slab_rows(g).tocoo()
-    g.refuse_overflow(np.isfinite(rows.data).all(),
-                      "the normal operator's entries, of order 1/h_t^4,")
-    xy, rest = np.divmod(rows.col, n * nt)
-    kc, lc = np.divmod(rest, nt)
-    flat = rows.row * nxy + xy
-    ez, et = unit_roots(n), unit_roots(nt)
 
-    def block(kz: int, kt: int) -> np.ndarray:
-        w = rows.data * ez[kz * kc % n] * et[kt * lc % nt]
-        b = (np.bincount(flat, w.real, nxy * nxy)
-             + 1j * np.bincount(flat, w.imag, nxy * nxy))
-        return b.reshape(nxy, nxy)
+    @cache
+    def slab(with_t: bool) -> _SlabFold:
+        return _SlabFold(g, with_t)
 
-    # first[s]: the lowest sector index among the twins of sector s
-    z, t = np.divmod(np.arange(n * nt), nt)
-    twins = [(z, t), (-z % n, -t % nt)]
-    if nt % 2 == 0 and not np.any(lc[rows.data != 0] % 2):
-        twins += [(tz, (tt + nt // 2) % nt) for tz, tt in twins]
-    first = np.min([tz * nt + tt for tz, tt in twins], axis=0)
+    low, beta = _sector_bounds(g)
+    heads = [(kz, 0) for kz in range(n // 2 + 1)] + sorted(
+        ((kz, kt) for kt in range(1, (nt + 1) // 2) for kz in range(n)),
+        key=lambda s: low[s])
     per = min(k, nxy)
     vals = np.full((n * nt, per), np.inf)
-    reps = np.unique(first)
-    beta = 2.0 * np.max(np.bincount(rows.row, np.abs(rows.data), nxy))
-    kth, solved = np.inf, 0
-    for r in reps:
-        b = block(*divmod(r, nt))
-        if kth < np.inf and _cholesky_completes(
-                b, kth + _prune_margin(nxy, beta, kth)):
+    # clear[kz, kt]: the bound prunes the sector against the k-th value kth
+    kth, solved, clear = np.inf, 0, np.zeros((n, nt), bool)
+    for kz, kt in heads:
+        if kt and clear[kz, kt]:
             continue
-        vals[first == r] = np.linalg.eigvalsh(b)[:per]
+        fold = slab(kt != 0)
+        b = fold.block(kz, kt)
+        if kth < np.inf and _cholesky_completes(
+                b, kth + _prune_margin(nxy, fold.beta, kth)):
+            continue
+        twins = {(kz, kt), (-kz % n, -kt % nt)}
+        if not kt and nt % 2 == 0:
+            twins |= {(tz, nt // 2) for tz, _ in twins}
+        vals[[tz * nt + tt for tz, tt in twins]] = np.linalg.eigvalsh(b)[:per]
         solved += 1
         kth = np.partition(vals, k - 1, axis=None)[k - 1]
+        if kth < np.inf:
+            clear = (low == np.inf) | (low > kth + _prune_margin(nxy, beta,
+                                                                 kth))
     vals = vals.ravel()
     order = np.argsort(vals, kind="stable")[:k]
     picked = tuple(divmod(int(i // per), nt) for i in order)
     res = np.empty(k)
     for sector in dict.fromkeys(picked):
-        b = block(*sector)
+        b = slab(2 * sector[1] % nt != 0).block(*sector)
         basis = np.linalg.eigh(b)[1]
         for col in (c for c, s in enumerate(picked) if s == sector):
             phi = basis[:, order[col] % per]
             res[col] = _l2(b @ phi - vals[order[col]] * phi)
         del b, basis
-    c = 1.0 / math.sqrt(g.size)
+    rows, c = slab(False).rows, 1.0 / math.sqrt(g.size)
     const = math.sqrt(n * nt) * _l2(np.bincount(rows.row, rows.data * c, nxy)
                                     - vals[order[0]] * c)
     return SpectralReport(vals[order], res, "fourier-sector", g.size,
-                          picked, solved, len(reps) - solved, const)
+                          picked, solved, len(heads) - solved, const)
 
 
 def kernel_gap(n: int, nt: Optional[int] = None, d: float = 1.0,

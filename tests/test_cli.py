@@ -120,14 +120,17 @@ def test_operator_validation(tmp_path, capsys):
 
 
 def test_operator_refuses_an_overflowing_kernel_gap(tmp_path, capsys):
+    # the floor's sigma = 0 rows carry no 1/h_t, so the floor is computed
+    # at d = 1e-150; the residual norms, which do, still refuse it, and no
+    # file is written
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = run(tmp_path, "operator", "--N", "4", "--d", "1e-150",
                    "--kernel-gap", "2")
     assert code == 2
     assert capsys.readouterr().err == (
-        "error [operator]: h_t = d/nt = 2.5e-151 is too small: the normal "
-        "operator's entries, of order 1/h_t^4, overflow a float\n")
+        "error [operator]: h_t = d/nt = 2.5e-151 is too small: the slot "
+        "residual norms, of order 1/h_t^2, overflow a float\n")
     assert caught == []
     assert not list(tmp_path.glob("operator_*.csv"))
 
@@ -136,9 +139,8 @@ def test_operator_refuses_a_small_t_period(tmp_path, capsys):
     # with or without --kernel-gap: exit 2 naming h_t, no warning, no file
     # and no output directory
     norms = "the slot residual norms, of order 1/h_t^2"
-    normal = "the normal operator's entries, of order 1/h_t^4"
     hessian = "the Hessian weights, of order 1/h_t^2"
-    for d, h, what, gap_what in (("1e-150", "2.5e-151", norms, normal),
+    for d, h, what, gap_what in (("1e-150", "2.5e-151", norms, norms),
                                  ("1e-160", "2.5e-161", hessian, hessian),
                                  ("1e-200", "2.5e-201", hessian, hessian)):
         for extra, why in (((), what), (("--kernel-gap", "2"), gap_what)):
@@ -176,11 +178,12 @@ def test_operator_artifacts(tmp_path, capsys):
     # flat constants are annihilated slot by slot
     for line in residuals.splitlines()[1:7]:
         assert line.startswith("constant,") and line.endswith(",0")
-    # 6 twin orbits, each solved or pruned
+    # 7 orbits, each solved or pruned: (±kz, 0) with (±kz, 2) for kz = 0, 1,
+    # 2, and the conjugate pairs (kz, 1) ~ (-kz, 3) for kz = 0..3
     floor_line = capsys.readouterr().out.splitlines()[-1]
     solved, pruned = re.search(r"(\d+) of 16 sectors solved, (\d+) pruned\)$",
                                floor_line).groups()
-    assert int(solved) + int(pruned) == 6
+    assert int(solved) + int(pruned) == 7
     spectrum = (tmp_path / "operator_spectrum_flat_N4.csv").read_text()
     floor = float(spectrum.splitlines()[1].split(",")[1])
     assert abs(floor) <= 1e-8

@@ -210,6 +210,16 @@ def test_applied_routes_match_product_assembly(variant, n):
                                        atol=1e-12 * np.max(np.abs(want)))
 
 
+def test_frame_route_needs_a_field_block():
+    # the matrix form lives in the floor's _slab_rows; the public route
+    # applies the frame to a field block and refuses a call without one
+    g = QuotientGrid(4)
+    with pytest.raises(TypeError, match="psi"):
+        ol.hessian_ops_frame(g)
+    with pytest.raises(TypeError, match="rows"):
+        ol.hessian_ops_frame(g, rows=np.arange(4))
+
+
 @pytest.mark.parametrize("variant", ["kt", "flat"])
 def test_adjoint_system_matches_product_assembly(variant):
     # the applied slots of (Hess psi)^- - r^- psi against the test-local
@@ -527,7 +537,7 @@ def test_normal_rows_match_normal_matrix(n, nt, d, variant):
     # the floor's slab rows, composed only on the rows that reach the slab,
     # hold the bytes of those rows of the grid-size M, sorted as it is
     g = QuotientGrid(n, nt, d, twisted=variant == "kt")
-    got = ol._slab_rows(g)
+    got = ol._slab_rows(g, True)
     want = normal_rows(g, slab(g))
     whole = normal_rows(g, np.arange(g.size))
     assert same_csr(want, whole[slab(g)])
@@ -542,8 +552,8 @@ def test_normal_rows_match_normal_matrix(n, nt, d, variant):
 
 def sector_blocks(g, rows=None):
     """Test-only fold of the global normal matrix, from its slab rows (by
-    default normal_rows(g, slab(g))): {(kz, kt): block} for every (z, t)
-    Fourier sector."""
+    default normal_rows(g, slab(g)), E_t included): {(kz, kt): block} for
+    every (z, t) Fourier sector."""
     n, nt, nxy = g.n, g.nt, g.n * g.n
     rows = (normal_rows(g, slab(g)) if rows is None else rows).tocoo()
     xy, rest = np.divmod(rows.col, n * nt)
@@ -561,7 +571,7 @@ def sector_blocks(g, rows=None):
 
 def all_sector_floor(g, k, rows=None):
     """Test-only reference: eigvalsh in every (kz, kt) sector of the fold of
-    the global normal matrix, no twin pairing and no prune."""
+    the global normal matrix, E_t included, no twin pairing and no prune."""
     n, nt, nxy = g.n, g.nt, g.n * g.n
     blocks = sector_blocks(g, rows)
     sectors = list(blocks)
@@ -600,12 +610,28 @@ def test_twin_pairing_matches_all_sector_solve(n, nt, d, variant):
         assert np.max(rep.residuals) < 1e-8
 
 
-@pytest.mark.parametrize("n, nt, orbits", [(6, 20, 32), (8, 8, 18),
+def orbit_count(n, nt):
+    """Conjugate pairs (kz, kt) ~ (-kz, -kt), with kt ~ kt + nt/2 merged at
+    sigma = 0: n//2 + 1 orbits at kt in {0, nt/2}, and n per conjugate pair
+    of the other t-frequencies."""
+    return n // 2 + 1 + n * ((nt - 1) // 2)
+
+
+def disable_bound(monkeypatch):
+    """Make every sigma != 0 orbit fall through to its fold: no bound."""
+    bounds = ol._sector_bounds
+    monkeypatch.setattr(ol, "_sector_bounds",
+                        lambda g: (np.full((g.n, g.nt), -np.inf), bounds(g)[1]))
+
+
+@pytest.mark.parametrize("n, nt, orbits", [(6, 20, 58), (8, 8, 29),
                                             (6, 7, 22)])
 def test_spectral_floor_solves_one_sector_per_orbit(n, nt, orbits):
-    # conjugation pairs (kz, kt) with (-kz, -kt); an even nt also pairs kt
-    # with kt + nt/2, an odd one (nt = 7) has conjugation only; each orbit
-    # is solved once or pruned
+    # conjugation pairs (kz, kt) with (-kz, -kt); at sigma = 0 an even nt
+    # also pairs kt = 0 with nt/2, which share one E_t = 0 fold; an odd nt
+    # (nt = 7) has conjugation only; each orbit is solved once or pruned,
+    # by the closed-form bound or by a Cholesky
+    assert orbit_count(n, nt) == orbits
     rep = ol.spectral_floor(QuotientGrid(n, nt), k=2)
     assert rep.solved + rep.pruned == orbits
     # the floor's checkerboard sectors (0, 0) and (n/2, 0) head the only
@@ -635,12 +661,15 @@ def test_inertia_prune_matches_all_sector_solve(monkeypatch, variant, n, nt):
         heads.clear()
         rep = ol.spectral_floor(g, k=k)
         pruned = Counter(heads)
-        # the same solve with every Cholesky failing solves every orbit
+        # the same solve with no bound and every Cholesky failing solves
+        # every orbit
         heads.clear()
         with monkeypatch.context() as m:
             m.setattr(ol, "_cholesky_completes", lambda b, mu: False)
+            disable_bound(m)
             every = ol.spectral_floor(g, k=k)
         assert every.pruned == 0 and every.solved == heads.total()
+        assert every.solved == orbit_count(n, nt)
         assert rep.solved == pruned.total() and rep.pruned > 0
         assert rep.solved + rep.pruned == every.solved
         for got, want in ((rep.values, every.values),
@@ -651,12 +680,48 @@ def test_inertia_prune_matches_all_sector_solve(monkeypatch, variant, n, nt):
         assert not pruned - heads
         for key in heads - pruned:
             assert bottom[key] > rep.values[-1]
-        # and the values are those of eigvalsh in every sector, no pairing
+        # and the values are those of eigvalsh in every sector, E_t
+        # included, no pairing
         per = min(k, n * n)
         vals = np.concatenate([v[:per] for v in spectra])
         order = np.argsort(vals, kind="stable")[:k]
         assert rep.sectors == tuple(list(blocks)[i // per] for i in order)
         assert rep.values.tobytes() == vals[order].tobytes()
+
+
+@pytest.mark.parametrize("n, nt, d, variant", [
+    (6, 6, 1.0, "kt"), (8, 9, 1.0, "kt"), (6, 8, 0.3, "kt"),
+    (6, 12, 3.0, "kt"), (6, 6, 1.0, "flat"), (8, 8, 0.5, "flat")])
+def test_sector_bound_holds_in_every_sigma_sector(monkeypatch, n, nt, d,
+                                                  variant):
+    # in every sector whose t-symbol is nonzero the closed-form bound lies
+    # below the smallest eigenvalue of the block folded with E_t, less
+    # rounding, and beta/2 above its largest in magnitude
+    g = QuotientGrid(n, nt, d, twisted=variant == "kt")
+    low, beta = ol._sector_bounds(g)
+    bottom = {}
+    for (kz, kt), b in sector_blocks(g).items():
+        if 2 * kt % nt:
+            lam = np.linalg.eigvalsh(b)
+            top = np.abs(lam).max()
+            assert lam[0] >= low[kz, kt] - 1e-12 * top
+            assert top <= beta[kz, kt] / 2
+            bottom[(kz, kt)] = lam[0]
+    # the heads the bound prunes are never folded; both sectors of each
+    # such orbit have a smallest value above the last reported value
+    folded, block = set(), ol._SlabFold.block
+    monkeypatch.setattr(ol._SlabFold, "block",
+                        lambda self, kz, kt: folded.add((kz, kt))
+                        or block(self, kz, kt))
+    for k in (1, 2, 12, 20):
+        folded.clear()
+        rep = ol.spectral_floor(g, k=k)
+        by_bound = [(kz, kt) for kz, kt in bottom
+                    if 2 * kt < nt and (kz, kt) not in folded]
+        assert by_bound or k == 20
+        for kz, kt in by_bound:
+            for sector in ((kz, kt), (-kz % n, -kt % nt)):
+                assert bottom[sector] > rep.values[-1]
 
 
 @pytest.mark.parametrize("n, nt, variant", [(4, 4, "kt"), (6, 7, "kt"),
@@ -675,18 +740,22 @@ def test_sector_residuals_match_grid_space(n, nt, variant):
 
 
 def test_t_parity_pairing_needs_even_t_offsets(monkeypatch):
-    # a forward t-difference puts odd t-offsets into M, and then kt and
-    # kt + nt/2 are no longer twins: only conjugation may pair sectors
-    g = QuotientGrid(4, 6, 1.0, twisted=False)
-    forward = shift(g, "t", 1) - sp.identity(g.size, format="csr")
-    ops = [(op + forward).tocsr() for op in slot_matrices(g)[1]]
-    rows = normal_rows(g, slab(g), ops)
-    monkeypatch.setattr(ol, "_slab_rows", lambda grid: rows)
-    rep = ol.spectral_floor(g, k=6)
-    assert rep.solved + rep.pruned == 14
-    values, sectors, _ = all_sector_floor(g, 6, rows)
-    assert rep.values.tobytes() == values.tobytes()
-    assert rep.sectors == sectors
+    # kt and kt + nt/2 share their values only at sigma = 0, where the rows
+    # built with E_t = 0 have no t-offset at all, so both sectors fold to
+    # one block; every other orbit is a conjugate pair alone: with no bound
+    # and no Cholesky prune every orbit is solved, and the values are those
+    # of the all-sector solve with E_t
+    for n, nt, twisted in ((4, 6, False), (6, 8, True)):
+        g = QuotientGrid(n, nt, 1.0, twisted=twisted)
+        assert not (ol._slab_rows(g, False).tocoo().col % nt).any()
+        with monkeypatch.context() as m:
+            m.setattr(ol, "_cholesky_completes", lambda b, mu: False)
+            disable_bound(m)
+            rep = ol.spectral_floor(g, k=6)
+        assert rep.solved == orbit_count(n, nt) and rep.pruned == 0
+        values, sectors, _ = all_sector_floor(g, 6)
+        assert rep.values.tobytes() == values.tobytes()
+        assert rep.sectors == sectors
 
 
 def test_spectral_floor_rejects_bad_k():
@@ -702,14 +771,112 @@ def test_spectral_floor_rejects_bad_k():
 
 
 def test_spectral_floor_refuses_an_overflowing_h_t():
-    # at d = 1e-150 the normal operator's 1/h_t^4 entries overflow: the
-    # refusal names h_t before any numpy warning or eigensolve
+    # at d = 1e-150 the sigma = 0 rows carry no 1/h_t entry and every other
+    # sector's bound overflows to inf, with no warning, so the floor is
+    # computed; the rows with E_t, whose 1/h_t^4 entries overflow, are
+    # refused by name when a solve needs them (k = size leaves no value to
+    # prune against)
     g = QuotientGrid(4, None, 1e-150)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        low, beta = ol._sector_bounds(g)
+        assert np.isinf(low[:, 1]).all() and np.isinf(beta[:, 1]).all()
+        rep = ol.spectral_floor(g, k=2)
+        assert abs(rep.floor - 0.625) <= 1e-10
         with pytest.raises(ValueError, match=r"^h_t = d/nt = 2\.5e-151 is "
-                                             r"too small"):
-            ol.spectral_floor(g, k=2)
+                                             r"too small: the normal "
+                                             r"operator's entries"):
+            ol.spectral_floor(g, k=g.size)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+@pytest.mark.parametrize("d", [1e-3, 1e-4, 1e-5, 1e-6])
+def test_kt_floor_is_right_at_small_t_periods(n, d):
+    # the t-difference entries of order 1/h_t^4 no longer cancel in the
+    # floor's sector: it is folded with E_t = 0, so 5/8 holds at any d
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = ol.kernel_gap(n, d=d)
+    assert abs(rep.floor - 0.625) <= 1e-10
+    assert np.max(rep.residuals) < 1e-8 and rep.constant_residual < 1e-8
+
+
+@pytest.mark.parametrize("n, nt, d, variant", [
+    (4, 4, 1.0, "kt"), (5, 7, 1.0, "kt"), (6, 20, 1.0, "kt"),
+    (8, 16, 0.5, "kt"), (4, 6, 1.0, "flat"), (6, 6, 1.0, "flat")])
+def test_sigma_zero_fold_is_both_t_free_blocks(n, nt, d, variant):
+    # the rows built with E_t = 0 lie on the t = 0 layer; their fold is the
+    # block of (kz, 0) and of (kz, nt/2), folded with E_t, to rounding, and
+    # depends on neither nt nor d
+    g = QuotientGrid(n, nt, d, twisted=variant == "kt")
+    fold = ol._SlabFold(g, False)
+    assert not (fold.rows.col % nt).any()
+    other = ol._SlabFold(QuotientGrid(n, 4, 1e-5, twisted=g.twisted), False)
+    blocks = sector_blocks(g)
+    for kz in range(n):
+        b = fold.block(kz, 0)
+        assert np.array_equal(b, other.block(kz, 0))
+        for kt in {0, nt // 2 if nt % 2 == 0 else 0}:
+            scale = np.abs(blocks[(kz, kt)]).max()
+            assert np.abs(b - blocks[(kz, kt)]).max() <= 1e-13 * scale
+
+
+def test_floor_folds_only_sigma_zero_blocks(monkeypatch):
+    # the bench's kt (6, 20) floor folds one block per sigma = 0 orbit, n/2
+    # + 1 of them, plus one per picked sector for its residuals, and never
+    # builds the rows with E_t
+    g = QuotientGrid(6, 20)
+    calls = Counter()
+    slab_rows, block = ol._slab_rows, ol._SlabFold.block
+    cholesky, eigvalsh = ol._cholesky_completes, np.linalg.eigvalsh
+
+    def spy(name, fn):
+        return lambda *a: calls.update([name]) or fn(*a)
+
+    monkeypatch.setattr(ol, "_slab_rows",
+                        lambda grid, with_t: calls.update([f"rows {with_t}"])
+                        or slab_rows(grid, with_t))
+    monkeypatch.setattr(ol._SlabFold, "block", spy("fold", block))
+    monkeypatch.setattr(ol, "_cholesky_completes", spy("cholesky", cholesky))
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy("eigvalsh", eigvalsh))
+    rep = ol.spectral_floor(g, k=2)
+    assert calls["rows True"] == 0 and calls["rows False"] == 1
+    assert calls["fold"] <= g.n // 2 + 1 + len(set(rep.sectors))
+    # every head after the first is tested by one Cholesky, and only the
+    # checkerboard heads (0, 0) and (n/2, 0) are solved
+    assert calls["cholesky"] <= g.n // 2
+    assert calls["eigvalsh"] == rep.solved == 2
+    assert all(2 * kt % g.nt == 0 for _, kt in rep.sectors)
+
+
+@pytest.mark.parametrize("n, nt, d, variant, ks", [
+    (4, 4, 100.0, "kt", (2, 12)), (6, 6, 30.0, "kt", (2, 12)),
+    (4, 6, 20.0, "flat", (17, 40))])
+def test_fall_through_builds_the_rows_with_e_t(monkeypatch, n, nt, d,
+                                               variant, ks):
+    # at a large d, tau^2 < 1/2 (kt) or a k past the 16-fold flat null
+    # space puts some sigma != 0 bounds below the k-th value: those orbits
+    # fall through to a fold of the rows with E_t, built once, and the
+    # values are still those of every sector's block
+    g = QuotientGrid(n, nt, d, twisted=variant == "kt")
+    blocks = sector_blocks(g)
+    built, slab_rows = Counter(), ol._slab_rows
+    monkeypatch.setattr(ol, "_slab_rows",
+                        lambda grid, with_t: built.update([with_t])
+                        or slab_rows(grid, with_t))
+    for k in ks:
+        built.clear()
+        rep = ol.spectral_floor(g, k=k)
+        assert built == Counter({False: 1, True: 1})
+        # the floor is degenerate across sectors, and the two folds of a
+        # sigma = 0 block differ in rounding, so ties may go to another
+        # sector: each value is one of its own sector's block
+        values = all_sector_floor(g, k)[0]
+        assert np.allclose(rep.values, values, rtol=0, atol=1e-12)
+        for value, sector in zip(rep.values, rep.sectors):
+            assert np.min(abs(np.linalg.eigvalsh(blocks[sector]) - value)) \
+                <= 1e-12
+        assert np.max(rep.residuals) < 1e-8
 
 
 def test_small_t_period_refused_naming_h_t():
