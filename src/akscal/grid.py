@@ -10,9 +10,9 @@ With twisted=False the same machinery produces the plain 4-torus.
 Every difference is a one-axis stencil, a ring the grid builds once, applied
 along its axis by `apply_axis`; `QuotientGrid.diff` writes a first-difference
 ring out as a grid-size CSR.  The frame fields are built from these by
-`QuotientGrid.frame` (per call, for the spectral floor's slab rows alone),
-applied by `apply_frame`, or applied on (z, t) Fourier sectors, one per
-column of a block, by `Sector.apply_frame`.
+`QuotientGrid.frame` (E_x, E_y, E_z, per call, for the spectral floor's slab
+rows alone; E_t is diff("t")), applied by `apply_frame`, or applied on (z, t)
+Fourier sectors, one per column of a block, by `Sector.apply_frame`.
 """
 
 from __future__ import annotations
@@ -145,20 +145,22 @@ class QuotientGrid:
                              shape=(self.size, self.size))
 
     def frame(self) -> tuple:
-        """The frame fields (E_x, E_y, E_z, E_t) as grid-size matrices, built
-        per call for their one package caller, the spectral floor's slab
-        rows: the axis differences, except E_y = D_y + x D_z, the invariant
-        field, on the sheared quotient."""
-        dx, dy, dz, dt = (self.diff(a) for a in AXES)
+        """The three t-free frame fields (E_x, E_y, E_z) as grid-size
+        matrices, built per call for their one package caller, the spectral
+        floor's slab rows: the axis differences, except E_y = D_y + x D_z,
+        the invariant field, on the sheared quotient.  E_t is diff("t")
+        itself, which the caller adds only for the rows that carry it."""
+        dx, dy, dz = (self.diff(a) for a in AXES[:3])
         if self.twisted:
             x = sp.diags(self.sample(lambda x, y, z, t: x))
             dy = (dy + x @ dz).tocsr()
-        return dx, dy, dz, dt
+        return dx, dy, dz
 
     def apply_frame(self, k: int, block: np.ndarray, dz=None) -> np.ndarray:
-        """frame()[k] @ block, each ring applied along its axis; the sheared
-        x-wrap reads the sources diff("x") points to.  Bit for bit but for
-        the twisted E_y = D_y + x D_z, which adds x dz (dz = D_z block)."""
+        """E_k @ block, E_k = (*frame(), diff("t"))[k], each ring applied
+        along its axis; the sheared x-wrap reads the sources diff("x")
+        points to.  Bit for bit but for the twisted E_y = D_y + x D_z,
+        which adds x dz (dz = D_z block)."""
         shape, block = np.shape(block), np.asarray(block).reshape(self.size, -1)
         ring = self.ring(AXES[k])
         out = apply_axis(ring, AXES[k], self, block)

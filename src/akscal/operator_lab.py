@@ -150,15 +150,17 @@ def _compose_hessian(twisted: bool, along, inner, first) -> dict:
     """{(i, j): H_ij} for i <= j, H_ij = E_j inner[i] - sum_k gamma[j][i][k]
     first[k]: inner[i] and first[k] are E_i and E_k applied (to a field
     block, or as matrices on some rows), and along(j, a, dz) applies E_j to
-    a, dz being E_z a where it is formed already (else None)."""
+    a, dz being E_z a where it is formed already (else None).  The fields
+    given are composed: all four, or the three t-free ones, for which no
+    H_i3 is formed (no connection coefficient has a t index)."""
     gam = _geometry(twisted)[1]
     ops = {}
-    for i in range(4):
+    for i in range(len(inner)):
         # E_z inner[i] is formed before E_y inner[i], which reads it as D_z
         zi = along(2, inner[i], None) if i <= 2 else None
-        for jj in range(i, 4):
+        for jj in range(i, len(inner)):
             op = zi if jj == 2 else along(jj, inner[i], zi)
-            for k in range(4):
+            for k in range(len(first)):
                 c = gam[jj][i][k]
                 if c != 0.0:
                     op = op - c * first[k]
@@ -226,15 +228,19 @@ def _chart_slots(g, psi):
 def _anti_slots_of(hess: dict, g, ident) -> tuple:
     """(basis, the slots 0.5 (H_s - sign_s H_pair(s)) - r^-_s ident of
     (Hess psi)^- - r^- psi): ident is the sparse identity on the composed
-    rows for slot matrices, psi for slot blocks."""
+    rows for slot matrices, psi for slot blocks.  An entry absent from hess
+    (an H_i3 of the t-free rows) reads as zero, and so does a slot none of
+    whose terms is present."""
     j, _, r_minus = _geometry(g.twisted)
     basis = anti_slots(j)
     ops = []
     for s, pair, sg in zip(basis.slots, basis.pairs, basis.signs):
-        op = 0.5 * (hess[s] - sg * hess[pair])
+        terms = [c * hess[key] for c, key in ((0.5, s), (-0.5 * sg, pair))
+                 if key in hess]
         if r_minus[s] != 0.0:
-            op = op - r_minus[s] * ident
-        ops.append(op)
+            terms.append(-r_minus[s] * ident)
+        ops.append(sum(terms[1:], terms[0]) if terms
+                   else sp.csr_matrix(ident.shape))
     return basis, ops
 
 
@@ -428,29 +434,31 @@ def _cholesky_completes(b: np.ndarray, mu: float) -> bool:
 
 def _slab_rows(g: QuotientGrid, with_t: bool) -> sp.csr_matrix:
     """The n^2 rows of M = sum_s w_s A_s^T A_s at (z, t) = (0, 0), with the
-    bytes of those rows of the whole M; with_t False builds M with E_t = 0,
-    so every t-offset is 0 and no entry carries a 1/h_t.  A_s is composed
-    from E_j E_i, E_k and I, so A_s[q, r] != 0 for r on the slab only if q
-    is within two frame steps of it (x, y and z steps when E_t = 0): A_s is
-    composed on those rows Q alone, as E_j[Q] @ E_i - sum_k gamma E_k[Q],
-    each row with the bytes of that row of the whole slot matrix.  The rows
-    are W @ (Y @ A), A the stacked A_s[Q], Y each A_s[Q, slab]^T at slot s's
+    bytes of those rows of the whole M; with_t False builds M with E_t = 0
+    from the three t-free frame fields on the t-free grid (n, 4, d = 1), so
+    no entry has a t-offset or a 1/h_t, and the rows depend on neither nt
+    nor d.  A_s is composed from E_j E_i, E_k and I, so A_s[q, r] != 0 for r
+    on the slab only if q is within two frame steps of it: A_s is composed
+    on those rows Q alone, as E_j[Q] @ E_i - sum_k gamma E_k[Q], each row
+    with the bytes of that row of the whole slot matrix.  The rows are
+    W @ (Y @ A), A the stacked A_s[Q], Y each A_s[Q, slab]^T at slot s's
     columns and W the weights w_s: each entry sums over q ascending, then
     over the slots in order, as sum_s w_s A_s[:, slab]^T A_s does."""
-    nxy = g.n * g.n
-    frame = g.frame()
     if not with_t:
-        frame = (*frame[:3], sp.csr_matrix(frame[3].shape))
+        g = QuotientGrid(g.n, 4, 1.0, g.twisted)
+    frame = g.frame() + ((g.diff("t"),) if with_t else ())
+    nxy = g.n * g.n
+    steps = np.kron([[0], [1], [-1]], np.eye(4, dtype=int)[:len(frame)])
     slab = q = np.arange(nxy) * (g.n * g.nt)
     for _ in range(2):
         at = np.unravel_index(q, g.shape)
-        q = np.unique([g.flat(*(v + step * (a == b) for b, v in enumerate(at)))
-                       for a in range(4 if with_t else 3)
-                       for step in (-1, 0, 1)])
+        q = np.unique(g.flat(*(v + s[:, None] for v, s in zip(at, steps.T))))
     first = [e[q] for e in frame]
     hess = _compose_hessian(g.twisted, lambda k, a, dz: first[k] @ a, frame,
                             first)
-    basis, ops = _anti_slots_of(hess, g, sp.identity(g.size, format="csr")[q])
+    ident = sp.csr_matrix((np.ones(len(q)), q, np.arange(len(q) + 1)),
+                          shape=(len(q), g.size))
+    basis, ops = _anti_slots_of(hess, g, ident)
     a = sp.vstack(ops, format="csr")
     # Y^T is A[:, slab] with slot s's block moved to slot s's n^2 columns
     cut = a[:, slab]
@@ -469,9 +477,10 @@ class _SlabFold:
     """_slab_rows(g, with_t), folded on demand into the n^2 x n^2 Hermitian
     block of a (kz, kt) sector:
     B[(i,j),(i',j')] = sum M[(i,j,0,0),(i',j',k',l')] e^{2 pi i (kz k'/n + kt l'/nt)}.
-    The sheared x-wrap needs no extra phase: the column indices k' are
-    canonical, so the shear is already in them.  Rows built with E_t = 0
-    have no t-offset, so their fold takes no t phase: it is the block of
+    The columns are read on the grid the rows were built on, nt being its
+    t-size.  The sheared x-wrap needs no extra phase: the column indices k'
+    are canonical, so the shear is already in them.  Rows built with E_t =
+    0 have no t-offset, so their fold takes no t phase: it is the block of
     both t-symbol-free sectors (kz, 0) and (kz, nt/2).  beta, twice the
     largest absolute row sum, bounds ||B||_inf >= ||B||_2 in every sector;
     the factor covers the fold's rounding."""
@@ -480,11 +489,12 @@ class _SlabFold:
         self.rows = _slab_rows(g, with_t).tocoo()
         g.refuse_overflow(np.isfinite(self.rows.data).all(),
                           "the normal operator's entries, of order 1/h_t^4,")
-        self.with_t, self.n, self.nt, self.nxy = with_t, g.n, g.nt, g.n * g.n
-        xy, rest = np.divmod(self.rows.col, g.n * g.nt)
-        self.kc, self.lc = np.divmod(rest, g.nt)
+        nt = self.rows.shape[1] // g.n ** 3
+        self.with_t, self.n, self.nt, self.nxy = with_t, g.n, nt, g.n * g.n
+        xy, rest = np.divmod(self.rows.col, g.n * nt)
+        self.kc, self.lc = np.divmod(rest, nt)
         self.flat = self.rows.row * self.nxy + xy
-        self.ez, self.et = unit_roots(g.n), unit_roots(g.nt)
+        self.ez, self.et = unit_roots(g.n), unit_roots(nt)
         self.beta = 2.0 * np.max(np.bincount(self.rows.row,
                                              np.abs(self.rows.data), self.nxy))
 
@@ -547,13 +557,13 @@ def spectral_floor(g: QuotientGrid, k: int = 2) -> SpectralReport:
     * sigma = 0: kt = 0, and kt = nt/2 for an even nt (unit_roots makes
       the Nyquist root exactly -1, so tau is exactly 0 there too).  Every
       t-term of every slot vanishes, so B(kz, 0) = B(kz, nt/2) is the fold,
-      over kz alone, of the slab rows built with E_t = 0.  Those rows carry
-      no 1/h_t entry, so nothing in them cancels at a small t-period, and
-      they depend on neither nt nor d.
-    * sigma != 0: a closed-form lower bound.  Each slot term w_s A_s^H A_s
-      is positive semi-definite, so dropping all but two lowers every
-      eigenvalue (Courant-Fischer).  K = E_x^H E_x >= 0, E_x being
-      skew-Hermitian on the slab, shear phases included.
+      over kz alone, of the slab rows of the three t-free frame fields
+      (_slab_rows).  They carry no 1/h_t entry, so nothing in them cancels
+      at a small t-period, and they depend on neither nt nor d.
+    * every sector: a closed-form lower bound, 0 for kt at sigma = 0.  Each
+      slot term w_s A_s^H A_s is positive semi-definite, so dropping all
+      but two lowers every eigenvalue (Courant-Fischer).  K = E_x^H E_x >=
+      0, E_x being skew-Hermitian on the slab, shear phases included.
       - kt: slot (0, 0), weight 2, is (E_x^2 - sigma^2)/2 - r^-_00 =
         (tau^2 + 1/2 - K)/2, and slot (0, 3), weight 2, is sigma E_x.  So
         B >= f(K), f(kappa) = (tau^2 + 1/2 - kappa)^2/2 + 2 tau^2 kappa.  As
@@ -578,9 +588,10 @@ def spectral_floor(g: QuotientGrid, k: int = 2) -> SpectralReport:
     g/(1 - g) + n^4 u, g = gamma_{4(n^2+1)} and u the unit roundoff
     (_prune_margin derives it from Higham, Thm 10.3, and eigvalsh's
     backward error), for a beta that bounds ||B||_2 and the rounding of B.
-    * A sigma != 0 orbit whose bound exceeds mu is pruned unfolded; beta
-      is _sector_bounds' closed-form norm bound.  A bound that overflows
-      prunes its orbit outright: its exact lambda_min exceeds every float.
+    * Any orbit whose bound exceeds mu is pruned unfolded, the flat sigma =
+      0 heads with zeta != 0 too; beta is _sector_bounds' closed-form norm
+      bound.  A bound that overflows prunes its orbit outright: its exact
+      lambda_min exceeds every float.
     * Any other orbit's block is folded and pruned if it passes a Cholesky
       of B - mu I (Sylvester's law of inertia); beta is its rows'
       _SlabFold.beta.  The rows with E_t are built, and refused by name if
@@ -594,16 +605,16 @@ def spectral_floor(g: QuotientGrid, k: int = 2) -> SpectralReport:
     pruned = n//2 + 1 + n ((nt - 1)//2), the number of orbits.
 
     The k smallest values over all sectors are kept (stable sort, so ties go
-    to the first sector in (kz, kt) order).  Each picked sector's block is
-    folded once more and its eigh basis gives the phi of each of its values;
-    each residual ||B phi - lambda phi|| is taken on that block, and for the
-    unit grid vector phi (x) wave / sqrt(n nt) it equals the grid-space
-    ||M v - lambda v||.  One block and its basis are held at a time, and no
-    grid-space vector is formed.
+    to the first sector in (kz, kt) order).  Each distinct picked block
+    (the sigma = 0 twins (kz, 0) and (kz, nt/2) share one) is folded once
+    more and its eigh basis gives the phi of each of its values; each
+    residual ||B phi - lambda phi|| is taken on that block, and for the unit
+    grid vector phi (x) wave / sqrt(n nt) it equals the grid-space ||M v -
+    lambda v||; one block and basis are held at a time, no grid vector formed.
 
     constant_residual is ||M c - floor c|| for the unit constant c, the
     flat floor's exact null vector.  M and c are invariant under z and t,
-    and E_t c = 0, so it is sqrt(n nt) times the residual on the E_t = 0
+    and E_t c = 0, so it is sqrt(n nt) times the residual on the t-free
     slab rows.
     """
     n, nt, nxy = g.n, g.nt, g.n * g.n
@@ -626,7 +637,7 @@ def spectral_floor(g: QuotientGrid, k: int = 2) -> SpectralReport:
     # clear[kz, kt]: the bound prunes the sector against the k-th value kth
     kth, solved, clear = np.inf, 0, np.zeros((n, nt), bool)
     for kz, kt in heads:
-        if kt and clear[kz, kt]:
+        if clear[kz, kt]:
             continue
         fold = slab(kt != 0)
         b = fold.block(kz, kt)
@@ -645,11 +656,13 @@ def spectral_floor(g: QuotientGrid, k: int = 2) -> SpectralReport:
     vals = vals.ravel()
     order = np.argsort(vals, kind="stable")[:k]
     picked = tuple(divmod(int(i // per), nt) for i in order)
-    res = np.empty(k)
-    for sector in dict.fromkeys(picked):
-        b = slab(2 * sector[1] % nt != 0).block(*sector)
+    res, blocks = np.empty(k), {}
+    for col, (kz, kt) in enumerate(picked):     # (kz, nt/2) folds as (kz, 0)
+        blocks.setdefault((kz, kt if 2 * kt % nt else 0), []).append(col)
+    for (kz, kt), cols in blocks.items():
+        b = slab(kt != 0).block(kz, kt)
         basis = np.linalg.eigh(b)[1]
-        for col in (c for c, s in enumerate(picked) if s == sector):
+        for col in cols:
             phi = basis[:, order[col] % per]
             res[col] = _l2(b @ phi - vals[order[col]] * phi)
         del b, basis

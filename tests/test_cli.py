@@ -204,7 +204,8 @@ def test_flat_symbol_sweep_prints_no_nan(tmp_path, capsys):
 
 def test_operator_artifacts_ignore_blas_threads(tmp_path):
     # fresh interpreters at one and two OpenBLAS threads write the same
-    # slot residual bytes; the variable is set in the children only
+    # slot residual and spectrum bytes; the variable is set in the children
+    # only
     files = []
     for threads in ("1", "2"):
         out = tmp_path / threads
@@ -216,7 +217,8 @@ def test_operator_artifacts_ignore_blas_threads(tmp_path):
              "operator", "--N", "12", "--kernel-gap", "20"],
             env=env, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
-        files.append((out / "operator_residuals_kt_N12.csv").read_bytes())
+        files.append([(out / f"operator_{kind}_kt_N12.csv").read_bytes()
+                      for kind in ("residuals", "spectrum")])
     assert files[0] == files[1]
 
 

@@ -14,7 +14,7 @@ from akscal import cli
 from akscal import operator_lab as ol
 from akscal import suite
 from akscal.grid import AXES, QuotientGrid, d1_sided, d2_sided, unit_roots
-from test_grid import _kron_lift, shift
+from test_grid import _kron_lift, frame_fields, shift
 
 
 def nnz_diff(a, b):
@@ -26,8 +26,10 @@ def nnz_diff(a, b):
 # -- reference assembly: every slot as a sparse matrix product ----------------
 
 
-def product_frame_slots(g):
-    e = g.frame()
+def product_frame_slots(g, e=None):
+    """{(i, j): H_ij} as grid-size products of the frame fields e (by
+    default frame_fields(g))."""
+    e = frame_fields(g) if e is None else e
     gamma = ol._geometry(g.twisted)[1]
     ops = {}
     for i in range(4):
@@ -66,12 +68,12 @@ def same_csr(a, b):
                for f in ("data", "indices", "indptr"))
 
 
-def slot_matrices(g):
+def slot_matrices(g, e=None):
     """Test-only reference: (weights, the six grid-size slot matrices A_s of
-    (Hess psi)^- - r^- psi), composed from product_frame_slots."""
+    (Hess psi)^- - r^- psi), composed from product_frame_slots(g, e)."""
     j, _, r_minus = ol._geometry(g.twisted)
     basis = ol.anti_slots(j)
-    hess = product_frame_slots(g)
+    hess = product_frame_slots(g, e)
     ident = sp.identity(g.size, format="csr")
     ops = []
     for (i, jj), (pi_, pj), sg in zip(basis.slots, basis.pairs, basis.signs):
@@ -88,9 +90,9 @@ def normal_rows(g, rows, ops=None):
     slot matrices (ops, else slot_matrices(g)), sum_s w_s (A_s[:, rows])^T
     A_s.  The rows are cut from each A_s before the product, so row r holds
     the bytes of row r of M."""
-    weights, mats = slot_matrices(g)
+    weights = ol.anti_slots(ol._geometry(g.twisted)[0]).weights
     m = sp.csr_matrix((len(rows), g.size))
-    for w, op in zip(weights, mats if ops is None else ops):
+    for w, op in zip(weights, slot_matrices(g)[1] if ops is None else ops):
         m = m + w * (op[:, rows].T @ op)
     return m.tocsr()
 
@@ -290,7 +292,7 @@ def test_residuals_traced_peak():
                                             (5, 5, False)])
 def test_frame_matrices_are_antisymmetric(n, nt, twisted):
     # E^T = -E entry for entry: the condition slot_adjoint transposes by
-    for e in QuotientGrid(n, nt, 0.7, twisted=twisted).frame():
+    for e in frame_fields(QuotientGrid(n, nt, 0.7, twisted=twisted)):
         assert nnz_diff(e.T, -e) == 0
 
 
@@ -741,13 +743,14 @@ def test_sector_residuals_match_grid_space(n, nt, variant):
 
 def test_t_parity_pairing_needs_even_t_offsets(monkeypatch):
     # kt and kt + nt/2 share their values only at sigma = 0, where the rows
-    # built with E_t = 0 have no t-offset at all, so both sectors fold to
-    # one block; every other orbit is a conjugate pair alone: with no bound
-    # and no Cholesky prune every orbit is solved, and the values are those
-    # of the all-sector solve with E_t
+    # built with E_t = 0 have no t-offset at all on their own t-free grid
+    # (n, 4), so both sectors fold to one block; every other orbit is a
+    # conjugate pair alone: with no bound and no Cholesky prune every orbit
+    # is solved, and the values are those of the all-sector solve with E_t
     for n, nt, twisted in ((4, 6, False), (6, 8, True)):
         g = QuotientGrid(n, nt, 1.0, twisted=twisted)
-        assert not (ol._slab_rows(g, False).tocoo().col % nt).any()
+        rows = ol._slab_rows(g, False).tocoo()
+        assert rows.shape == (n * n, n ** 3 * 4) and not (rows.col % 4).any()
         with monkeypatch.context() as m:
             m.setattr(ol, "_cholesky_completes", lambda b, mu: False)
             disable_bound(m)
@@ -805,30 +808,56 @@ def test_kt_floor_is_right_at_small_t_periods(n, d):
     (4, 4, 1.0, "kt"), (5, 7, 1.0, "kt"), (6, 20, 1.0, "kt"),
     (8, 16, 0.5, "kt"), (4, 6, 1.0, "flat"), (6, 6, 1.0, "flat")])
 def test_sigma_zero_fold_is_both_t_free_blocks(n, nt, d, variant):
-    # the rows built with E_t = 0 lie on the t = 0 layer; their fold is the
-    # block of (kz, 0) and of (kz, nt/2), folded with E_t, to rounding, and
-    # depends on neither nt nor d
+    # the rows built with E_t = 0 lie on the t = 0 layer of their own t-free
+    # grid (n, 4); they, and so their blocks, are the same bytes at any nt
+    # and d; their fold is the block of (kz, 0) and of (kz, nt/2), folded
+    # with E_t, to rounding
     g = QuotientGrid(n, nt, d, twisted=variant == "kt")
     fold = ol._SlabFold(g, False)
-    assert not (fold.rows.col % nt).any()
-    other = ol._SlabFold(QuotientGrid(n, 4, 1e-5, twisted=g.twisted), False)
+    assert fold.nt == 4 and not (fold.rows.col % 4).any()
+    tiny = QuotientGrid(n, 4, 1e-5, twisted=g.twisted)
+    assert same_csr(ol._slab_rows(g, False), ol._slab_rows(tiny, False))
+    other = ol._SlabFold(tiny, False)
     blocks = sector_blocks(g)
     for kz in range(n):
         b = fold.block(kz, 0)
-        assert np.array_equal(b, other.block(kz, 0))
+        assert b.tobytes() == other.block(kz, 0).tobytes()
         for kt in {0, nt // 2 if nt % 2 == 0 else 0}:
             scale = np.abs(blocks[(kz, kt)]).max()
             assert np.abs(b - blocks[(kz, kt)]).max() <= 1e-13 * scale
 
 
+def e_t_zero_rows(g):
+    """Test-only reference for the sigma = 0 rows: the slab rows of M on g
+    itself, all four frame fields composed with E_t a zero matrix."""
+    zero = sp.csr_matrix((g.size, g.size))
+    return normal_rows(g, slab(g), slot_matrices(g, (*g.frame(), zero))[1])
+
+
+@pytest.mark.parametrize("variant", ["kt", "flat"])
+@pytest.mark.parametrize("n, nt", [(4, 4), (6, 6), (8, 8), (5, 7), (6, 20)])
+def test_t_free_rows_fold_as_the_e_t_zero_composition(n, nt, variant):
+    # the three t-free fields on the (n, 4) grid fold, byte for byte, to the
+    # blocks of the four fields composed with E_t = 0 on the caller's grid,
+    # at kt = 0 and nt/2
+    g = QuotientGrid(n, nt, 1.0, twisted=variant == "kt")
+    fold = ol._SlabFold(g, False)
+    want = sector_blocks(g, e_t_zero_rows(g))
+    for kz in range(n):
+        for kt in {0, nt // 2 if nt % 2 == 0 else 0}:
+            assert fold.block(kz, kt).tobytes() == want[(kz, kt)].tobytes()
+
+
 def test_floor_folds_only_sigma_zero_blocks(monkeypatch):
     # the bench's kt (6, 20) floor folds one block per sigma = 0 orbit, n/2
-    # + 1 of them, plus one per picked sector for its residuals, and never
-    # builds the rows with E_t
+    # + 1 of them, plus one for its two picked sectors (0, 0) and (0, 10),
+    # which share it; it solves that block once for the residuals, and
+    # builds neither the rows with E_t nor any E_t field
     g = QuotientGrid(6, 20)
-    calls = Counter()
+    calls, axes = Counter(), set()
     slab_rows, block = ol._slab_rows, ol._SlabFold.block
     cholesky, eigvalsh = ol._cholesky_completes, np.linalg.eigvalsh
+    eigh, diff = np.linalg.eigh, QuotientGrid.diff
 
     def spy(name, fn):
         return lambda *a: calls.update([name]) or fn(*a)
@@ -839,14 +868,30 @@ def test_floor_folds_only_sigma_zero_blocks(monkeypatch):
     monkeypatch.setattr(ol._SlabFold, "block", spy("fold", block))
     monkeypatch.setattr(ol, "_cholesky_completes", spy("cholesky", cholesky))
     monkeypatch.setattr(np.linalg, "eigvalsh", spy("eigvalsh", eigvalsh))
+    monkeypatch.setattr(np.linalg, "eigh", spy("eigh", eigh))
+    monkeypatch.setattr(QuotientGrid, "diff",
+                        lambda grid, axis: axes.add(axis)
+                        or diff(grid, axis))
     rep = ol.spectral_floor(g, k=2)
+    assert rep.sectors == ((0, 0), (0, 10))
     assert calls["rows True"] == 0 and calls["rows False"] == 1
-    assert calls["fold"] <= g.n // 2 + 1 + len(set(rep.sectors))
+    assert axes == {"x", "y", "z"}
+    assert calls["fold"] == g.n // 2 + 1 + 1
+    assert calls["eigh"] == 1
     # every head after the first is tested by one Cholesky, and only the
     # checkerboard heads (0, 0) and (n/2, 0) are solved
     assert calls["cholesky"] <= g.n // 2
     assert calls["eigvalsh"] == rep.solved == 2
-    assert all(2 * kt % g.nt == 0 for _, kt in rep.sectors)
+    # the flat (8, 8) bound 1/2 zeta^4 clears every sigma = 0 head with
+    # zeta != 0 unfolded: only kz = 0 and n/2 are folded in the orbit loop,
+    # then the picked twins' one block
+    folded = []
+    monkeypatch.setattr(ol._SlabFold, "block",
+                        lambda self, kz, kt: folded.append((kz, kt))
+                        or block(self, kz, kt))
+    rep = ol.spectral_floor(QuotientGrid(8, 8, 1.0, twisted=False), k=2)
+    assert rep.sectors == ((0, 0), (0, 4))
+    assert folded == [(0, 0), (4, 0), (0, 0)]
 
 
 @pytest.mark.parametrize("n, nt, d, variant, ks", [
